@@ -36,6 +36,12 @@ inline constexpr std::uint32_t kBasisMagicV2 = 0x32425A44;     // "DZB2"
 inline constexpr std::uint32_t kSnapshotMagicV1 = 0x53505A44;  // "DZPS"
 inline constexpr std::uint32_t kSnapshotMagicV2 = 0x32535A44;  // "DZS2"
 
+/// DPZ archive header flag bits.
+inline constexpr std::uint8_t kDpzFlagWideCodes = 0x01;
+inline constexpr std::uint8_t kDpzFlagStandardized = 0x02;
+inline constexpr std::uint8_t kDpzFlagStoredRaw = 0x04;
+inline constexpr std::uint8_t kDpzFlagDouble = 0x08;
+
 /// Score-normalization calibration: every k-PCA score is divided by ONE
 /// global scale — kScoreSigmaScale times the standard deviation of the
 /// first (largest) component — before quantization, mirroring the paper's
@@ -71,29 +77,25 @@ SideData deserialize_side(std::span<const std::uint8_t> bytes, std::size_t m,
 ///   v1: raw_size:u64, blob:u64-length-prefixed zlib stream
 ///   v2: raw_size:u64, crc:u32, blob  — crc is CRC32C over the 8
 ///       little-endian raw-size bytes followed by the compressed blob.
-/// put_section always writes v2; get_section parses the framing the
-/// given version uses and, for v2, verifies the checksum *before* the
-/// blob is handed to zlib (ChecksumError on mismatch), so corrupted
-/// payloads never reach the inflater or size an allocation. `what`
-/// (when given) names the section in the error-breadcrumb record the
-/// failure leaves behind (obs/log.h); the byte offset recorded is the
-/// section's start position in the archive.
+/// put_section always writes v2. get_section reads a section a layout
+/// parse located (core/layout.h): for v2 it verifies the checksum
+/// *before* the blob is handed to zlib (ChecksumError on mismatch, with
+/// an error breadcrumb naming the section and its offset), then checks
+/// the raw size the header implies, so corrupted payloads never reach
+/// the inflater or size an allocation.
+struct Section;
 void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
                  int level);
-std::vector<std::uint8_t> get_section(ByteReader& r, std::uint8_t version,
-                                      const char* what = nullptr);
+std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,
+                                      const Section& section);
 
 /// CRC32C over the section's wire image (raw-size field + blob), i.e.
-/// exactly what a v2 section checksum covers. Shared with verify.cpp.
+/// exactly what a v2 section checksum covers.
 std::uint32_t section_crc(std::uint64_t raw_size,
                           std::span<const std::uint8_t> blob);
 
-/// Header seal: put_header_crc appends a CRC32C over every byte written
-/// so far; check_header_crc recomputes it over archive[0, cursor) and
-/// reads the stored value, throwing ChecksumError("<what>: ...") on
-/// mismatch. Only meaningful for version >= 2 headers.
+/// Header seal: appends a CRC32C over every byte written so far. The
+/// layout parsers check it (core/layout.h).
 void put_header_crc(ByteWriter& w);
-void check_header_crc(ByteReader& r, std::span<const std::uint8_t> archive,
-                      const char* what);
 
 }  // namespace dpz::detail

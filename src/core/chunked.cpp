@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "codec/bytes.h"
 #include "core/archive_detail.h"
+#include "core/layout.h"
 #include "ecc/reed_solomon.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -20,218 +22,223 @@ namespace dpz {
 
 namespace {
 
-struct ContainerHeader {
-  std::uint8_t version = detail::kFormatVersionLegacy;
-  std::vector<std::size_t> shape;
-  std::size_t total = 0;
-  std::size_t chunk_values = 0;
-  std::size_t frame_count = 0;
-  std::vector<std::uint64_t> frame_offsets;  // relative to frame area
-  std::vector<std::uint64_t> frame_sizes;
-  std::vector<std::uint32_t> frame_crcs;  // empty for v1 containers
-  std::size_t frames_begin = 0;  // byte offset of the frame area
-  // v3 parity geometry; parity_m == 0 when the container carries none.
-  std::size_t parity_k = 0;
-  std::size_t parity_m = 0;
-  std::vector<std::uint64_t> shard_sizes;     // per group
-  std::vector<std::uint64_t> parity_offsets;  // per group, in parity area
-  std::vector<std::uint32_t> parity_crcs;     // group-major, m per group
-  std::size_t parity_begin = 0;  // byte offset of the parity area
-};
+using detail::ChunkedLayout;
+using Bytes = std::span<const std::uint8_t>;
+using Shards = std::vector<std::vector<std::uint8_t>>;
 
-// Number of frames the compressor emits for (total, chunk_values): one
-// per full chunk, the tail merged into the previous frame when it would
-// fall below the pipeline minimum of 8 values. Computed arithmetically —
-// never by materializing the boundary list — so a forged header cannot
-// drive an allocation before this check runs.
-std::size_t expected_frame_count(std::size_t total,
-                                 std::size_t chunk_values) {
-  std::size_t n = (total + chunk_values - 1) / chunk_values;
-  if (n > 1 && total - (n - 1) * chunk_values < 8) --n;
-  return n;
+ChunkedLayout parse(Bytes container) {
+  return detail::parse_layout<ChunkedLayout>(container);
 }
 
-// Parity groups the geometry implies (0 when the container has none).
-std::size_t parity_group_count(const ContainerHeader& h) {
-  return h.parity_m == 0 ? 0
-                         : (h.frame_count + h.parity_k - 1) / h.parity_k;
+Bytes frame_bytes(Bytes container, const ChunkedLayout& h, std::size_t f) {
+  return detail::bytes_of(container, h.frames[f]);
 }
 
-// Flat value range frame `f` covers. Well-defined once the frame count
-// matches expected_frame_count: every frame holds chunk_values values
-// except the last, which runs to the end of the data.
-std::pair<std::size_t, std::size_t> frame_slot(const ContainerHeader& h,
-                                               std::size_t f) {
-  const std::size_t begin = f * h.chunk_values;
-  const std::size_t end =
-      f + 1 < h.frame_count ? begin + h.chunk_values : h.total;
-  return {begin, end};
+// Frame payloads of parity group `g` as `container` holds them.
+std::vector<Bytes> group_frames(Bytes container, const ChunkedLayout& h,
+                                std::size_t g) {
+  std::vector<Bytes> members;
+  const std::size_t last = std::min((g + 1) * h.parity_k, h.frame_count);
+  for (std::size_t f = g * h.parity_k; f < last; ++f)
+    members.push_back(frame_bytes(container, h, f));
+  return members;
 }
 
-ContainerHeader parse_header(std::span<const std::uint8_t> container) {
-  ByteReader r(container);
-  const std::uint32_t magic = r.get_u32();
-  if (magic != detail::kChunkedMagicV1 &&
-      magic != detail::kChunkedMagicV2 && magic != detail::kChunkedMagicV3)
-    throw FormatError("not a chunked DPZ container");
-
-  ContainerHeader h;
-  if (magic == detail::kChunkedMagicV2) {
-    h.version = r.get_u8();
-    if (h.version != detail::kFormatVersion)
-      throw FormatError("unsupported chunked container version");
-  } else if (magic == detail::kChunkedMagicV3) {
-    h.version = r.get_u8();
-    if (h.version != detail::kChunkedFormatVersion3)
-      throw FormatError("unsupported chunked container version");
+// One group's data shards: every member payload zero-padded to
+// `shard_size`, absent members of a short final group all-zero. Parity
+// encode, repair, scrub and reconstruction all pad through here.
+Shards padded_group(std::span<const Bytes> members, std::size_t k,
+                    std::size_t shard_size) {
+  Shards padded(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    padded[i].assign(shard_size, 0);
+    if (i < members.size())
+      std::copy(members[i].begin(), members[i].end(), padded[i].begin());
   }
-  const std::uint8_t rank = r.get_u8();
-  if (rank == 0 || rank > 4)
-    throw FormatError("chunked container: bad rank");
-  h.shape.resize(rank);
-  h.total = 1;
-  for (auto& d : h.shape) {
-    d = static_cast<std::size_t>(r.get_u64());
-    if (d == 0 || d > (1ULL << 40))
-      throw FormatError("chunked container: implausible extent");
-    h.total *= d;
-    if (h.total > (1ULL << 40))
-      throw FormatError("chunked container: implausible total");
-  }
-  h.chunk_values = static_cast<std::size_t>(r.get_u64());
-  h.frame_count = static_cast<std::size_t>(r.get_u64());
-  // The chunk geometry fully determines the frame count, so demand the
-  // exact value instead of a plausibility envelope: best-effort recovery
-  // needs every frame's slot to be computable from the header alone.
-  if (h.chunk_values < 8 || h.chunk_values > (1ULL << 40) ||
-      h.frame_count != expected_frame_count(h.total, h.chunk_values))
-    throw FormatError("chunked container: inconsistent chunking");
-
-  h.frame_offsets.resize(h.frame_count);
-  h.frame_sizes.resize(h.frame_count);
-  if (h.version >= detail::kFormatVersion)
-    h.frame_crcs.resize(h.frame_count);
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    h.frame_offsets[f] = r.get_u64();
-    h.frame_sizes[f] = r.get_u64();
-    if (h.version >= detail::kFormatVersion) h.frame_crcs[f] = r.get_u32();
-  }
-  // v3 appends the parity geometry after the frame table (still inside
-  // the sealed header): k, m, then per group its shard size and the
-  // CRC32C of each of its m parity shards.
-  std::uint64_t parity_bytes = 0;
-  if (h.version >= detail::kChunkedFormatVersion3) {
-    h.parity_k = r.get_u8();
-    h.parity_m = r.get_u8();
-    if (h.parity_k < 1 || h.parity_m < 1 ||
-        h.parity_k + h.parity_m > 255)
-      throw FormatError("chunked container: bad parity geometry");
-    const std::size_t groups = parity_group_count(h);
-    // Each group's table entry needs at least 8 bytes, so a claimed
-    // group count beyond the remaining input is forged — reject before
-    // sizing the tables off it.
-    if (groups > r.remaining() / 8)
-      throw FormatError("chunked container: bad parity geometry");
-    h.shard_sizes.resize(groups);
-    h.parity_offsets.resize(groups);
-    h.parity_crcs.resize(groups * h.parity_m);
-    for (std::size_t g = 0; g < groups; ++g) {
-      h.parity_offsets[g] = parity_bytes;
-      h.shard_sizes[g] = r.get_u64();
-      if (h.shard_sizes[g] > (1ULL << 40))
-        throw FormatError("chunked container: implausible parity shard");
-      // Shard sizes are archive data: the running total must not wrap
-      // 64 bits, or the parity-vs-container bound below checks a
-      // wrapped sum and shard reads go out of bounds.
-      const std::uint64_t group_bytes =
-          static_cast<std::uint64_t>(h.parity_m) * h.shard_sizes[g];
-      if (group_bytes > UINT64_MAX - parity_bytes)
-        throw FormatError("chunked container: parity exceeds the container");
-      parity_bytes += group_bytes;
-      for (std::size_t j = 0; j < h.parity_m; ++j)
-        h.parity_crcs[g * h.parity_m + j] = r.get_u32();
-    }
-  }
-  // v2+ seals everything up to here — fields *and* tables — so a
-  // flipped table byte is caught before any frame bytes are touched.
-  if (h.version >= detail::kFormatVersion)
-    detail::check_header_crc(r, container, "chunked container");
-  h.frames_begin = r.position();
-
-  // Frame table sanity: contiguous, in-bounds frames. Sizes are archive
-  // data, so accumulate against the actual frame-area size instead of
-  // trusting the sum not to wrap 64 bits. For v3 the frame area stops
-  // where the parity area starts.
-  const std::uint64_t tail = container.size() - h.frames_begin;
-  if (parity_bytes > tail)
-    throw FormatError("chunked container: parity exceeds the container");
-  const std::uint64_t frame_area = tail - parity_bytes;
-  std::uint64_t expected = 0;
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    if (h.frame_offsets[f] != expected)
-      throw FormatError("chunked container: non-contiguous frame table");
-    if (h.frame_sizes[f] > frame_area - expected)
-      throw FormatError("chunked container: frame exceeds the container");
-    expected += h.frame_sizes[f];
-  }
-  if (expected != frame_area)
-    throw FormatError("chunked container: frame area size mismatch");
-  h.parity_begin = h.frames_begin + static_cast<std::size_t>(frame_area);
-  // Every frame must fit its group's shard (parity runs over
-  // zero-padded payloads, so a shorter shard cannot cover the frame).
-  for (std::size_t f = 0; f < h.frame_count && h.parity_m != 0; ++f)
-    if (h.frame_sizes[f] > h.shard_sizes[f / h.parity_k])
-      throw FormatError("chunked container: frame exceeds its parity shard");
-  return h;
+  return padded;
 }
 
-std::span<const std::uint8_t> frame_bytes(
-    std::span<const std::uint8_t> container, const ContainerHeader& h,
-    std::size_t f) {
-  return container.subspan(
-      h.frames_begin + static_cast<std::size_t>(h.frame_offsets[f]),
-      static_cast<std::size_t>(h.frame_sizes[f]));
-}
-
-std::span<const std::uint8_t> parity_shard_bytes(
-    std::span<const std::uint8_t> container, const ContainerHeader& h,
-    std::size_t g, std::size_t j) {
-  return container.subspan(
-      h.parity_begin + static_cast<std::size_t>(h.parity_offsets[g]) +
-          j * static_cast<std::size_t>(h.shard_sizes[g]),
-      static_cast<std::size_t>(h.shard_sizes[g]));
-}
-
-// v2 per-frame integrity: the frame's CRC32C must pass before its bytes
-// reach the DPZ decoder (verify-before-inflate, docs/FORMAT.md).
-bool frame_crc_ok(std::span<const std::uint8_t> frame,
-                  const ContainerHeader& h, std::size_t f) {
-  if (h.frame_crcs.empty()) return true;
-  const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-  obs::count(obs::Counter::kCrcChecks);
-  if (crc32c(frame) == h.frame_crcs[f]) return true;
-  obs::count(obs::Counter::kCrcFailures);
-  return false;
+// The m parity shards of one group, with the padded copies charged to
+// the memory governor while they live.
+Shards group_parity(const ecc::RsCodec& codec, std::span<const Bytes> members,
+                    std::size_t shard_size) {
+  const std::size_t k = codec.data_shards();
+  const ScopedCharge charge(static_cast<std::uint64_t>(k) * shard_size);
+  const Shards padded = padded_group(members, k, shard_size);
+  const std::vector<Bytes> spans(padded.begin(), padded.end());
+  return codec.encode(spans);
 }
 
 // Breadcrumb context for one frame: its index and absolute byte offset
 // inside the container, so error reports can name the failing bytes.
-obs::LogContext frame_log_ctx(const ContainerHeader& h, std::size_t f) {
+obs::LogContext frame_log_ctx(const ChunkedLayout& h, std::size_t f) {
   obs::LogContext ctx;
-  ctx.offset = h.frames_begin + h.frame_offsets[f];
+  ctx.offset = h.frames[f].offset;
   ctx.frame = f;
   ctx.section = "frame";
   return ctx;
 }
 
-void check_frame_crc(std::span<const std::uint8_t> frame,
-                     const ContainerHeader& h, std::size_t f) {
-  if (!frame_crc_ok(frame, h, f)) {
+// What a damaged frame the parity (if any) could not restore reports.
+std::string frame_damage(const ChunkedLayout& h, std::size_t f) {
+  return "chunked container: frame " + std::to_string(f) +
+         " checksum mismatch" +
+         (h.parity_m != 0 ? " (beyond the parity budget)" : "");
+}
+
+[[noreturn]] void throw_frame_damage(const ChunkedLayout& h, std::size_t f) {
+  if (h.parity_m != 0)
     obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
-                   frame_log_ctx(h, f));
-    throw ChecksumError("chunked container: frame " + std::to_string(f) +
-                        " checksum mismatch");
+                   frame_log_ctx(h, f), "beyond the parity budget");
+  throw ChecksumError(frame_damage(h, f));
+}
+
+// The one damage scan: CRC verdicts for a container's frames and parity
+// shards, each checked at most once and only when first asked for. A
+// random-access read therefore CRCs only the frame it needs unless that
+// frame fails, while whole-container paths end up checking everything.
+class DamageMap {
+ public:
+  DamageMap(Bytes container, const ChunkedLayout& h)
+      : container_(container),
+        h_(h),
+        state_(h.frame_count + h.groups() * h.parity_m, kUnchecked) {}
+
+  bool frame_bad(std::size_t f) { return bad(f, h_.frames[f]); }
+  bool shard_bad(std::size_t g, std::size_t j) {
+    return bad(h_.frame_count + g * h_.parity_m + j, h_.shard(g, j));
   }
+  std::size_t bad_frames() {
+    std::size_t n = 0;
+    for (std::size_t f = 0; f < h_.frame_count; ++f) n += frame_bad(f);
+    return n;
+  }
+  std::size_t bad_shards(std::size_t g) {
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < h_.parity_m; ++j) n += shard_bad(g, j);
+    return n;
+  }
+
+ private:
+  enum : std::uint8_t { kUnchecked, kIntact, kDamaged };
+
+  bool bad(std::size_t i, const detail::Section& s) {
+    if (state_[i] == kUnchecked)
+      state_[i] = detail::crc_ok(container_, s) ? kIntact : kDamaged;
+    return state_[i] == kDamaged;
+  }
+
+  Bytes container_;
+  const ChunkedLayout& h_;
+  std::vector<std::uint8_t> state_;
+};
+
+// Outcome of repairing the damaged frames in a range: replacement bytes
+// for every frame that reconstructed (and CRC-verified byte-exact),
+// flags for the ones that did not.
+struct RepairPlan {
+  explicit RepairPlan(std::size_t frames)
+      : replacement(frames), repaired(frames, 0), unrecovered(frames, 0) {}
+
+  std::vector<std::vector<std::uint8_t>> replacement;  // per frame
+  std::vector<std::uint8_t> repaired;     // per frame, 1 = replaced
+  std::vector<std::uint8_t> unrecovered;  // per frame, 1 = still damaged
+};
+
+// The one repair plan. Every damaged frame in [first, last) is rebuilt
+// by Reed-Solomon reconstruction from its group's surviving shards (a
+// damaged parity shard is simply absent), and counts as repaired only
+// once its bytes re-verify against the frame table's CRC32C — repair is
+// byte-exact or it is a failure. kFramesRepaired / kRepairFailed count
+// each damaged frame exactly once. Without parity every damaged frame is
+// unrecovered. Callers pass whole groups.
+RepairPlan plan_repairs(Bytes container, const ChunkedLayout& h,
+                        DamageMap& damage, std::size_t first,
+                        std::size_t last) {
+  RepairPlan plan(h.frame_count);
+  if (h.parity_m == 0) {
+    for (std::size_t f = first; f < last; ++f) {
+      if (!damage.frame_bad(f)) continue;
+      plan.unrecovered[f] = 1;
+      obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
+                     frame_log_ctx(h, f));
+    }
+    return plan;
+  }
+  const std::size_t k = h.parity_k;
+  const ecc::RsCodec codec(k, h.parity_m);
+  for (std::size_t g = first / k; g * k < last; ++g) {
+    const std::size_t begin = g * k;
+    const std::size_t end = std::min(begin + k, h.frame_count);
+    bool any = false;
+    for (std::size_t f = begin; f < end; ++f) any |= damage.frame_bad(f);
+    if (!any) continue;
+    governed_poll();
+    const obs::ScopedSpan repair_span(obs::Span::kFrameRepair);
+    const std::size_t shard_size = static_cast<std::size_t>(h.shard_sizes[g]);
+    const ScopedCharge charge(static_cast<std::uint64_t>(k) * shard_size);
+    const Shards padded =
+        padded_group(group_frames(container, h, g), k, shard_size);
+    std::vector<Bytes> shards(k + h.parity_m);
+    std::vector<std::uint8_t> present(k + h.parity_m, 0);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (begin + i < end && damage.frame_bad(begin + i)) continue;
+      shards[i] = padded[i];
+      present[i] = 1;
+    }
+    for (std::size_t j = 0; j < h.parity_m; ++j) {
+      if (damage.shard_bad(g, j)) continue;
+      shards[k + j] = detail::bytes_of(container, h.shard(g, j));
+      present[k + j] = 1;
+    }
+    const bool enough =
+        static_cast<std::size_t>(
+            std::count(present.begin(), present.end(), 1)) >= k;
+    const Shards data = enough ? codec.reconstruct(shards, present) : Shards{};
+    for (std::size_t f = begin; f < end; ++f) {
+      if (!damage.frame_bad(f)) continue;
+      const obs::ScopedSpan frame_span(obs::Span::kFrameRepair);
+      std::vector<std::uint8_t> bytes;
+      if (enough)
+        bytes.assign(data[f - begin].begin(),
+                     data[f - begin].begin() +
+                         static_cast<std::ptrdiff_t>(h.frames[f].size));
+      if (enough && crc32c(bytes) == h.frames[f].stored_crc) {
+        plan.replacement[f] = std::move(bytes);
+        plan.repaired[f] = 1;
+        obs::count(obs::Counter::kFramesRepaired);
+        obs::log_event(obs::Event::kFrameRebuilt, obs::LogLevel::kInfo,
+                       StatusCode::kOk, frame_log_ctx(h, f));
+      } else {
+        plan.unrecovered[f] = 1;
+        obs::count(obs::Counter::kRepairFailed);
+        obs::log_error(obs::Event::kFrameRepairFailed, StatusCode::kChecksum,
+                       frame_log_ctx(h, f),
+                       enough ? "reconstruction fails the stored checksum"
+                              : "too few surviving shards");
+      }
+    }
+  }
+  return plan;
+}
+
+// Frame payload as the decoder should see it: the parity-reconstructed
+// replacement when one exists, the stored bytes otherwise.
+Bytes frame_view(Bytes container, const ChunkedLayout& h,
+                 const RepairPlan& plan, std::size_t f) {
+  if (plan.repaired[f] != 0) return plan.replacement[f];
+  return frame_bytes(container, h, f);
+}
+
+// Pre-flight admission for a container decode: the header-claimed output
+// (h.total elements, sealed by the v2 header CRC) is priced against the
+// governing memory budget before any frame is decoded, so a forged shape
+// is rejected with ResourceExhausted instead of sizing the output buffer.
+// Frame working sets are charged per allocation as frames decode.
+void admit_container(const ChunkedLayout& h, std::size_t elem_bytes) {
+  if (const ResourceGovernor* g = current_governor())
+    g->admit(static_cast<std::uint64_t>(h.total) * elem_bytes,
+             "chunked container");
 }
 
 // Chunk boundaries over `total` values: every chunk has `chunk_values`
@@ -245,369 +252,125 @@ std::vector<std::size_t> chunk_starts(std::size_t total,
   return starts;
 }
 
-// Pre-flight admission for a container decode: the header-claimed output
-// (h.total elements, sealed by the v2 header CRC) is priced against the
-// governing memory budget before any frame is decoded, so a forged shape
-// is rejected with ResourceExhausted instead of sizing the output buffer.
-// Frame working sets are charged per allocation as frames decode.
-void admit_container(const ContainerHeader& h, std::size_t elem_bytes) {
-  if (const ResourceGovernor* g = current_governor())
-    g->admit(static_cast<std::uint64_t>(h.total) * elem_bytes,
-             "chunked container");
-}
-
-// Zero-padded data shards for parity group `g`: each stored frame
-// payload padded to the group's shard size, absent frames of a short
-// final group standing in as all-zero shards.
-std::vector<std::vector<std::uint8_t>> padded_group_shards(
-    std::span<const std::uint8_t> container, const ContainerHeader& h,
-    std::size_t g) {
-  const std::size_t shard_size =
-      static_cast<std::size_t>(h.shard_sizes[g]);
-  const ScopedCharge charge(static_cast<std::uint64_t>(h.parity_k) *
-                            shard_size);
-  std::vector<std::vector<std::uint8_t>> padded(h.parity_k);
-  for (std::size_t i = 0; i < h.parity_k; ++i) {
-    padded[i].assign(shard_size, 0);
-    const std::size_t f = g * h.parity_k + i;
-    if (f >= h.frame_count) continue;
-    const std::span<const std::uint8_t> frame = frame_bytes(container, h, f);
-    std::copy(frame.begin(), frame.end(), padded[i].begin());
-  }
-  return padded;
-}
-
-// A decode's parity-repair outcome: replacement bytes for every frame
-// that reconstructed (and CRC-verified byte-exact), flags for the ones
-// that did not. Empty vectors (parity-less containers, undamaged
-// decodes) mean "no repairs".
-struct RepairPlan {
-  std::vector<std::vector<std::uint8_t>> replacement;  // per frame
-  std::vector<std::uint8_t> repaired;      // per frame, 1 = replaced
-  std::vector<std::uint8_t> unrecovered;   // per frame, 1 = beyond budget
-
-  [[nodiscard]] bool frame_repaired(std::size_t f) const {
-    return f < repaired.size() && repaired[f] != 0;
-  }
-  [[nodiscard]] bool frame_unrecovered(std::size_t f) const {
-    return f < unrecovered.size() && unrecovered[f] != 0;
-  }
-};
-
-// Reed-Solomon reconstruction of every damaged frame from its group's
-// surviving shards. `damaged[f]` marks frames whose CRC failed. A
-// rebuilt frame only counts as repaired once its bytes re-verify
-// against the frame table's CRC32C — repair is byte-exact or it is a
-// failure. Counts kFramesRepaired / kRepairFailed exactly once per
-// damaged frame. Requires h.parity_m > 0.
-RepairPlan attempt_repairs(std::span<const std::uint8_t> container,
-                           const ContainerHeader& h,
-                           std::span<const std::uint8_t> damaged) {
-  RepairPlan plan;
-  plan.replacement.resize(h.frame_count);
-  plan.repaired.assign(h.frame_count, 0);
-  plan.unrecovered.assign(h.frame_count, 0);
-  const ecc::RsCodec codec(h.parity_k, h.parity_m);
-  const std::size_t groups = parity_group_count(h);
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t first = g * h.parity_k;
-    const std::size_t last =
-        std::min(first + h.parity_k, h.frame_count);
-    bool any = false;
-    for (std::size_t f = first; f < last; ++f) any |= damaged[f] != 0;
-    if (!any) continue;
-    governed_poll();
-    const obs::ScopedSpan repair_span(obs::Span::kFrameRepair);
-    const std::size_t shard_size =
-        static_cast<std::size_t>(h.shard_sizes[g]);
-    const std::vector<std::vector<std::uint8_t>> padded =
-        padded_group_shards(container, h, g);
-    std::vector<std::span<const std::uint8_t>> shards(h.parity_k +
-                                                      h.parity_m);
-    std::vector<std::uint8_t> present(h.parity_k + h.parity_m, 0);
-    for (std::size_t i = 0; i < h.parity_k; ++i) {
-      const std::size_t f = first + i;
-      if (f < h.frame_count && damaged[f] != 0) continue;
-      shards[i] = padded[i];
-      present[i] = 1;
-    }
-    // Parity shards vouch for themselves through the header-sealed
-    // CRCs: a damaged shard is simply absent from the reconstruction.
-    for (std::size_t j = 0; j < h.parity_m; ++j) {
-      const auto shard = parity_shard_bytes(container, h, g, j);
-      if (crc32c(shard) != h.parity_crcs[g * h.parity_m + j]) continue;
-      shards[h.parity_k + j] = shard;
-      present[h.parity_k + j] = 1;
-    }
-    std::size_t surviving = 0;
-    for (const std::uint8_t p : present) surviving += p;
-    if (surviving < h.parity_k) {
-      for (std::size_t f = first; f < last; ++f) {
-        if (damaged[f] == 0) continue;
-        const obs::ScopedSpan frame_span(obs::Span::kFrameRepair);
-        plan.unrecovered[f] = 1;
-        obs::count(obs::Counter::kRepairFailed);
-        obs::log_error(obs::Event::kFrameRepairFailed,
-                       StatusCode::kChecksum, frame_log_ctx(h, f),
-                       "too few surviving shards");
-      }
-      continue;
-    }
-    const ScopedCharge charge(static_cast<std::uint64_t>(h.parity_k) *
-                              shard_size);
-    const std::vector<std::vector<std::uint8_t>> data =
-        codec.reconstruct(shards, present);
-    for (std::size_t f = first; f < last; ++f) {
-      if (damaged[f] == 0) continue;
-      const obs::ScopedSpan frame_span(obs::Span::kFrameRepair);
-      const std::size_t i = f - first;
-      std::vector<std::uint8_t> bytes(
-          data[i].begin(),
-          data[i].begin() +
-              static_cast<std::ptrdiff_t>(h.frame_sizes[f]));
-      if (crc32c(bytes) == h.frame_crcs[f]) {
-        plan.replacement[f] = std::move(bytes);
-        plan.repaired[f] = 1;
-        obs::count(obs::Counter::kFramesRepaired);
-        obs::log_event(obs::Event::kFrameRebuilt, obs::LogLevel::kInfo,
-                       StatusCode::kOk, frame_log_ctx(h, f));
-      } else {
-        plan.unrecovered[f] = 1;
-        obs::count(obs::Counter::kRepairFailed);
-        obs::log_error(obs::Event::kFrameRepairFailed,
-                       StatusCode::kChecksum, frame_log_ctx(h, f),
-                       "reconstruction fails the stored checksum");
-      }
-    }
-  }
-  return plan;
-}
-
-// CRC-scans every frame and, when the container carries parity and any
-// frame is damaged, attempts reconstruction. The returned plan is empty
-// for parity-less containers (callers then keep the classic per-frame
-// CRC handling).
-RepairPlan scan_and_repair(std::span<const std::uint8_t> container,
-                           const ContainerHeader& h) {
-  RepairPlan plan;
-  if (h.parity_m == 0) return plan;
-  std::vector<std::uint8_t> damaged(h.frame_count, 0);
-  bool any = false;
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    damaged[f] = frame_crc_ok(frame_bytes(container, h, f), h, f) ? 0 : 1;
-    any |= damaged[f] != 0;
-  }
-  if (!any) {
-    plan.repaired.assign(h.frame_count, 0);
-    plan.unrecovered.assign(h.frame_count, 0);
-    plan.replacement.resize(h.frame_count);
-    return plan;
-  }
-  return attempt_repairs(container, h, damaged);
-}
-
-// Frame payload as the decoder should see it: the parity-reconstructed
-// replacement when one exists, the stored bytes otherwise.
-std::span<const std::uint8_t> frame_view(
-    std::span<const std::uint8_t> container, const ContainerHeader& h,
-    const RepairPlan& plan, std::size_t f) {
-  if (plan.frame_repaired(f)) return plan.replacement[f];
-  return frame_bytes(container, h, f);
-}
-
-void fill_repair_report(const RepairPlan& plan, DecodeReport* report) {
-  if (report == nullptr) return;
-  for (std::size_t f = 0; f < plan.repaired.size(); ++f) {
-    if (plan.repaired[f] == 0) continue;
-    ++report->frames_repaired;
-    report->repaired.push_back(f);
-  }
-}
-
-template <typename T>
-NdArray<T> decompress_strict(std::span<const std::uint8_t> container,
-                             const ContainerHeader& h,
-                             DecodeReport* report) {
-  admit_container(h, sizeof(T));
-  // Parity containers pre-scan every frame CRC so damage can be
-  // repaired before the decode proper; a frame beyond the parity budget
-  // keeps the strict contract and throws. The per-frame CRC check in
-  // the decode loop is skipped afterwards — every surviving payload
-  // (stored or reconstructed) has already verified.
-  const RepairPlan plan = scan_and_repair(container, h);
-  const bool prescanned = h.parity_m > 0;
-  for (std::size_t f = 0; f < h.frame_count; ++f)
-    if (plan.frame_unrecovered(f)) {
-      obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
-                     frame_log_ctx(h, f), "beyond the parity budget");
-      throw ChecksumError("chunked container: frame " + std::to_string(f) +
-                          " checksum mismatch (beyond the parity budget)");
-    }
-
-  // Cheap header-only pre-pass: every frame claims its decoded size, and
-  // the claims must exactly tile the container's shape *before* any frame
-  // is decoded. This bounds transient memory by h.total — a forged
-  // container cannot make us decode an arbitrary sum of frames and only
-  // find out afterwards that they exceed the claimed shape.
+// Strict decodes' cheap header-only pre-pass: every frame claims its
+// decoded size, and the claims must exactly tile the container's shape
+// *before* any frame is decoded. This bounds transient memory by
+// h.total — a forged container cannot make us decode an arbitrary sum
+// of frames and only find out afterwards that they exceed the shape.
+// The shape check outranks frame damage; a damaged frame the plan could
+// not restore then fails as the damage it is.
+void check_frames_tile_shape(Bytes container, const ChunkedLayout& h,
+                             const RepairPlan& plan) {
   std::size_t claimed = 0;
   for (std::size_t f = 0; f < h.frame_count; ++f) {
-    const DpzArchiveInfo info = dpz_inspect(frame_view(container, h, plan, f));
-    std::size_t count = 1;
-    for (const std::size_t d : info.shape) count *= d;
+    std::uint64_t count = 0;
+    try {
+      count = detail::element_count(
+          dpz_inspect(frame_view(container, h, plan, f)).shape);
+    } catch (const FormatError&) {
+      if (plan.unrecovered[f] != 0) throw_frame_damage(h, f);
+      throw;
+    }
     if (count > h.total - claimed)
       throw FormatError("chunked container: frames exceed the shape");
     claimed += count;
   }
   if (claimed != h.total)
     throw FormatError("chunked container: frames do not cover the shape");
-
-  // Decode the frames in parallel into per-frame buffers, then
-  // concatenate in frame order. Nothing is allocated from the claimed
-  // shape up front: the header's dims are archive data, and a forged
-  // total must not size an allocation the frames cannot back — each
-  // frame's own decode validates (and bounds) its output, and the sum is
-  // re-checked against the shape before the final buffer is built.
-  // Per-frame failures are collected rather than rethrown by the pool so
-  // the error that surfaces is deterministically the lowest frame's.
-  std::vector<FloatArray> chunks(h.frame_count);
-  std::vector<std::exception_ptr> errors(h.frame_count);
-  parallel_for(0, h.frame_count, [&](std::size_t f) {
-    const obs::ScopedSpan frame_span(obs::Span::kFrameDecode);
-    try {
-      const auto frame = frame_view(container, h, plan, f);
-      if (!prescanned) check_frame_crc(frame, h, f);
-      chunks[f] = dpz_decompress(frame);
-      obs::count(obs::Counter::kFramesDecoded);
-    } catch (...) {
-      errors[f] = std::current_exception();
-    }
-  });
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-
-  std::size_t total = 0;
-  for (const FloatArray& chunk : chunks) {
-    if (chunk.size() > h.total - total)
-      throw FormatError("chunked container: frames exceed the shape");
-    total += chunk.size();
-  }
-  if (total != h.total)
-    throw FormatError("chunked container: frames do not cover the shape");
-
-  if (report != nullptr) {
-    *report = DecodeReport{};
-    report->frames_total = h.frame_count;
-    report->frames_recovered = h.frame_count;
-    fill_repair_report(plan, report);
-  }
-  std::vector<T> values;
-  values.reserve(h.total);
-  for (const FloatArray& chunk : chunks)
-    values.insert(values.end(), chunk.flat().begin(), chunk.flat().end());
-  return NdArray<T>(h.shape, std::move(values));
-}
-
-template <typename T>
-NdArray<T> decompress_best_effort(std::span<const std::uint8_t> container,
-                                  const ContainerHeader& h, double fill,
-                                  DecodeReport* report) {
-  admit_container(h, sizeof(T));
-  // Parity containers try reconstruction before the decode loop, so a
-  // damaged frame only reaches the fill path once its loss exceeded the
-  // parity budget.
-  RepairPlan plan = scan_and_repair(container, h);
-  const bool prescanned = h.parity_m > 0;
-
-  // The output is sized from the header geometry (already validated and,
-  // for v2, sealed by the header CRC) and pre-filled so lost frames are
-  // visible as runs of the fill value. Each frame writes only its own
-  // slot, so the parallel loop touches disjoint ranges.
-  std::vector<T> values(h.total, static_cast<T>(fill));
-  std::vector<std::string> frame_error(h.frame_count);
-  std::vector<std::uint8_t> frame_lost(h.frame_count, 0);
-  std::vector<std::exception_ptr> fatal(h.frame_count);
-  parallel_for(0, h.frame_count, [&](std::size_t f) {
-    const obs::ScopedSpan frame_span(obs::Span::kFrameDecode);
-    const auto [begin, end] = frame_slot(h, f);
-    if (plan.frame_unrecovered(f)) {
-      frame_lost[f] = 1;
-      frame_error[f] = "chunked container: frame " + std::to_string(f) +
-                       " checksum mismatch (beyond the parity budget)";
-      return;
-    }
-    try {
-      const auto frame = frame_view(container, h, plan, f);
-      if (!prescanned) check_frame_crc(frame, h, f);
-      const FloatArray chunk = dpz_decompress(frame);
-      if (chunk.size() != end - begin)
-        throw FormatError("chunked container: frame " + std::to_string(f) +
-                          " does not match its slot");
-      std::copy(chunk.flat().begin(), chunk.flat().end(),
-                values.begin() + static_cast<std::ptrdiff_t>(begin));
-      obs::count(obs::Counter::kFramesDecoded);
-    } catch (const Error& e) {
-      // Governance aborts are not frame damage: cancellation, deadline
-      // expiry, and budget exhaustion fail the whole decode (below)
-      // instead of masquerading as a salvageable lost frame.
-      if (e.code() == StatusCode::kCancelled ||
-          e.code() == StatusCode::kDeadlineExceeded ||
-          e.code() == StatusCode::kResourceExhausted) {
-        fatal[f] = std::current_exception();
-        return;
-      }
-      frame_lost[f] = 1;
-      frame_error[f] = e.what();
-    }
-  });
-  for (const std::exception_ptr& e : fatal)
-    if (e) std::rethrow_exception(e);
-
-  // A reconstructed frame whose bytes then failed to decode ends up
-  // lost, not repaired (possible only when the original archive stored
-  // an undecodable frame with a valid CRC).
   for (std::size_t f = 0; f < h.frame_count; ++f)
-    if (frame_lost[f] != 0 && plan.frame_repaired(f)) plan.repaired[f] = 0;
-
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    if (frame_lost[f] != 0) {
-      obs::count(obs::Counter::kFramesLost);
-      obs::log_event(obs::Event::kFrameLost, obs::LogLevel::kWarn,
-                     StatusCode::kChecksum, frame_log_ctx(h, f),
-                     frame_error[f]);
-    } else {
-      obs::count(obs::Counter::kFramesRecovered);
-    }
-  }
-
-  if (report != nullptr) {
-    *report = DecodeReport{};
-    report->frames_total = h.frame_count;
-    for (std::size_t f = 0; f < h.frame_count; ++f) {
-      if (frame_lost[f] != 0) {
-        report->lost.push_back({f, frame_error[f]});
-      } else {
-        ++report->frames_recovered;
-      }
-    }
-    fill_repair_report(plan, report);
-  }
-  return NdArray<T>(h.shape, std::move(values));
+    if (plan.unrecovered[f] != 0) throw_frame_damage(h, f);
 }
 
+// Whole-container decode under either policy. Damage is scanned and
+// repaired first, so no payload reaches the DPZ decoder before its CRC
+// (or its reconstruction's) passed. Frames then decode in parallel into
+// per-frame buffers, with failures collected rather than rethrown by the
+// pool so the error that surfaces is deterministically the lowest
+// frame's. Best effort instead records a failed frame as lost and fills
+// its slot with fill_value — unless the failure is a governance abort
+// (cancel, deadline, budget), which fails the whole decode rather than
+// masquerade as a salvageable lost frame.
 template <typename T>
-NdArray<T> decompress_with_policy(std::span<const std::uint8_t> container,
+NdArray<T> decompress_with_policy(Bytes container,
                                   const ChunkedConfig& config,
                                   DecodeReport* report) {
   // Install the governor before the header parse so even table-sized
   // allocations and the admission pre-flight run governed.
   const GovernorScope governor_scope(config.dpz.limits);
   governed_poll();
-  const ContainerHeader h = parse_header(container);
+  const ChunkedLayout h = parse(container);
   const ScopedThreads pool_scope(config.threads);
-  if (config.decode_policy == DecodePolicy::kBestEffort)
-    return decompress_best_effort<T>(container, h, config.fill_value,
-                                     report);
-  return decompress_strict<T>(container, h, report);
+  admit_container(h, sizeof(T));
+  DamageMap damage(container, h);
+  const RepairPlan plan =
+      plan_repairs(container, h, damage, 0, h.frame_count);
+  const bool strict = config.decode_policy == DecodePolicy::kStrict;
+  if (strict) check_frames_tile_shape(container, h, plan);
+
+  std::vector<FloatArray> chunks(h.frame_count);
+  std::vector<std::optional<std::string>> lost(h.frame_count);
+  std::vector<std::exception_ptr> fatal(h.frame_count);
+  parallel_for(0, h.frame_count, [&](std::size_t f) {
+    const obs::ScopedSpan frame_span(obs::Span::kFrameDecode);
+    if (plan.unrecovered[f] != 0) {
+      lost[f] = frame_damage(h, f);
+      return;
+    }
+    try {
+      FloatArray chunk = dpz_decompress(frame_view(container, h, plan, f));
+      const auto [begin, end] = h.slot(f);
+      if (!strict && chunk.size() != end - begin)
+        throw FormatError("chunked container: frame " + std::to_string(f) +
+                          " does not match its slot");
+      chunks[f] = std::move(chunk);
+      obs::count(obs::Counter::kFramesDecoded);
+    } catch (const Error& e) {
+      if (strict || e.code() == StatusCode::kCancelled ||
+          e.code() == StatusCode::kDeadlineExceeded ||
+          e.code() == StatusCode::kResourceExhausted)
+        fatal[f] = std::current_exception();
+      else
+        lost[f] = e.what();
+    } catch (...) {
+      fatal[f] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : fatal)
+    if (e) std::rethrow_exception(e);
+
+  // Concatenate in frame order: decoded frames tile the shape (checked
+  // above for strict decodes, slot by slot for best effort), and a lost
+  // frame's slot is filled. A reconstructed frame whose bytes then failed
+  // to decode counts lost, not repaired (possible only when the original
+  // archive stored an undecodable frame with a valid CRC).
+  if (report != nullptr) {
+    *report = DecodeReport{};
+    report->frames_total = h.frame_count;
+  }
+  std::vector<T> values;
+  values.reserve(h.total);
+  for (std::size_t f = 0; f < h.frame_count; ++f) {
+    if (lost[f]) {
+      const auto [begin, end] = h.slot(f);
+      values.insert(values.end(), end - begin,
+                    static_cast<T>(config.fill_value));
+      obs::count(obs::Counter::kFramesLost);
+      obs::log_event(obs::Event::kFrameLost, obs::LogLevel::kWarn,
+                     StatusCode::kChecksum, frame_log_ctx(h, f), *lost[f]);
+      if (report != nullptr) report->lost.push_back({f, *lost[f]});
+      continue;
+    }
+    values.insert(values.end(), chunks[f].flat().begin(),
+                  chunks[f].flat().end());
+    if (!strict) obs::count(obs::Counter::kFramesRecovered);
+    if (report == nullptr) continue;
+    ++report->frames_recovered;
+    if (plan.repaired[f] != 0) {
+      ++report->frames_repaired;
+      report->repaired.push_back(f);
+    }
+  }
+  return NdArray<T>(h.shape, std::move(values));
 }
 
 }  // namespace
@@ -674,35 +437,22 @@ std::vector<std::uint8_t> chunked_compress(const FloatArray& data,
   const std::size_t k = config.parity_k;
   const std::size_t m = config.parity_m;
   std::vector<std::uint64_t> shard_sizes;
-  std::vector<std::vector<std::vector<std::uint8_t>>> parity_shards;
+  std::vector<Shards> parity_shards;
   if (parity) {
     const ecc::RsCodec codec(k, m);
+    const std::vector<Bytes> payloads(frames.begin(), frames.end());
     const std::size_t groups = (frames.size() + k - 1) / k;
     shard_sizes.resize(groups, 0);
     parity_shards.resize(groups);
     for (std::size_t g = 0; g < groups; ++g) {
       governed_poll();
       const obs::ScopedSpan repair_span(obs::Span::kFrameRepair);
-      const std::size_t first = g * k;
-      const std::size_t last = std::min(first + k, frames.size());
-      for (std::size_t f = first; f < last; ++f)
-        shard_sizes[g] = std::max<std::uint64_t>(shard_sizes[g],
-                                                 frames[f].size());
-      const std::size_t shard_size =
-          static_cast<std::size_t>(shard_sizes[g]);
-      const ScopedCharge charge(static_cast<std::uint64_t>(k) *
-                                shard_size);
-      std::vector<std::vector<std::uint8_t>> padded(k);
-      std::vector<std::span<const std::uint8_t>> spans(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        padded[i].assign(shard_size, 0);
-        const std::size_t f = first + i;
-        if (f < frames.size())
-          std::copy(frames[f].begin(), frames[f].end(),
-                    padded[i].begin());
-        spans[i] = padded[i];
-      }
-      parity_shards[g] = codec.encode(spans);
+      const std::span<const Bytes> members = std::span(payloads).subspan(
+          g * k, std::min(k, frames.size() - g * k));
+      for (const Bytes frame : members)
+        shard_sizes[g] = std::max<std::uint64_t>(shard_sizes[g], frame.size());
+      parity_shards[g] = group_parity(
+          codec, members, static_cast<std::size_t>(shard_sizes[g]));
     }
   }
 
@@ -743,9 +493,9 @@ std::vector<std::uint8_t> chunked_compress(const FloatArray& data,
 
 FloatArray chunked_decompress(std::span<const std::uint8_t> container,
                               unsigned threads) {
-  const ContainerHeader h = parse_header(container);
-  const ScopedThreads pool_scope(threads);
-  return decompress_strict<float>(container, h, nullptr);
+  ChunkedConfig config;
+  config.threads = threads;
+  return decompress_with_policy<float>(container, config, nullptr);
 }
 
 FloatArray chunked_decompress(std::span<const std::uint8_t> container,
@@ -762,83 +512,53 @@ DoubleArray chunked_decompress_f64(std::span<const std::uint8_t> container,
 
 ChunkView chunked_decompress_frame(std::span<const std::uint8_t> container,
                                    std::size_t frame_index) {
-  const ContainerHeader h = parse_header(container);
+  const ChunkedLayout h = parse(container);
   DPZ_REQUIRE(frame_index < h.frame_count, "frame index out of range");
 
-  std::span<const std::uint8_t> frame = frame_bytes(container, h, frame_index);
-  std::vector<std::uint8_t> rebuilt;
-  if (!frame_crc_ok(frame, h, frame_index)) {
-    // Same self-healing contract as whole-container decode: a damaged
-    // frame in a parity-carrying container is reconstructed from its
-    // group before the random-access path gives up on it.
-    if (h.parity_m == 0) {
-      obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
-                     frame_log_ctx(h, frame_index));
-      throw ChecksumError("chunked container: frame " +
-                          std::to_string(frame_index) +
-                          " checksum mismatch");
-    }
-    std::vector<std::uint8_t> damaged(h.frame_count, 0);
-    damaged[frame_index] = 1;
-    const std::size_t first = (frame_index / h.parity_k) * h.parity_k;
-    const std::size_t last = std::min(first + h.parity_k, h.frame_count);
-    for (std::size_t f = first; f < last; ++f)
-      if (f != frame_index)
-        damaged[f] = frame_crc_ok(frame_bytes(container, h, f), h, f) ? 0 : 1;
-    RepairPlan plan = attempt_repairs(container, h, damaged);
-    if (!plan.frame_repaired(frame_index)) {
-      obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
-                     frame_log_ctx(h, frame_index),
-                     "beyond the parity budget");
-      throw ChecksumError("chunked container: frame " +
-                          std::to_string(frame_index) +
-                          " is beyond the parity budget");
-    }
-    rebuilt = std::move(plan.replacement[frame_index]);
-    frame = rebuilt;
+  // Same self-healing contract as whole-container decode: a damaged
+  // frame in a parity-carrying container is reconstructed from its
+  // group before the random-access path gives up on it.
+  DamageMap damage(container, h);
+  Bytes frame = frame_bytes(container, h, frame_index);
+  RepairPlan plan(0);
+  if (damage.frame_bad(frame_index)) {
+    const std::size_t group = h.parity_m == 0 ? 1 : h.parity_k;
+    const std::size_t first = frame_index / group * group;
+    plan = plan_repairs(container, h, damage, first,
+                        std::min(first + group, h.frame_count));
+    if (plan.repaired[frame_index] == 0)
+      throw_frame_damage(h, frame_index);
+    frame = plan.replacement[frame_index];
   }
   const FloatArray chunk = dpz_decompress(frame);
 
   ChunkView view;
   view.frame_index = frame_index;
-  view.value_offset = frame_index * h.chunk_values;
+  view.value_offset = h.slot(frame_index).first;
   view.values.assign(chunk.flat().begin(), chunk.flat().end());
   return view;
 }
 
 std::size_t chunked_frame_count(std::span<const std::uint8_t> container) {
-  return parse_header(container).frame_count;
+  return parse(container).frame_count;
 }
 
 std::vector<std::uint8_t> chunked_repair(
     std::span<const std::uint8_t> container, RepairReport* report) {
   governed_poll();
   const obs::ScopedSpan archive_span(obs::Span::kArchiveRepair);
-  const ContainerHeader h = parse_header(container);
+  const ChunkedLayout h = parse(container);
   RepairReport local;
   RepairReport& rep = report != nullptr ? *report : local;
   rep = RepairReport{};
   rep.frames_total = h.frame_count;
 
-  std::vector<std::uint8_t> damaged(h.frame_count, 0);
-  bool any_frame = false;
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    damaged[f] = frame_crc_ok(frame_bytes(container, h, f), h, f) ? 0 : 1;
-    any_frame |= damaged[f] != 0;
-  }
-  const std::size_t groups = parity_group_count(h);
-  std::vector<std::uint8_t> shard_damaged(groups * h.parity_m, 0);
-  bool any_parity = false;
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (std::size_t j = 0; j < h.parity_m; ++j) {
-      if (crc32c(parity_shard_bytes(container, h, g, j)) ==
-          h.parity_crcs[g * h.parity_m + j])
-        continue;
-      shard_damaged[g * h.parity_m + j] = 1;
-      any_parity = true;
-    }
-  }
-  if (!any_frame && !any_parity)
+  DamageMap damage(container, h);
+  const std::size_t bad_frames = damage.bad_frames();
+  std::size_t bad_shards = 0;
+  for (std::size_t g = 0; g < h.groups(); ++g)
+    bad_shards += damage.bad_shards(g);
+  if (bad_frames == 0 && bad_shards == 0)
     return {container.begin(), container.end()};
   if (h.parity_m == 0) {
     obs::log_error(obs::Event::kFrameRepairFailed, StatusCode::kChecksum,
@@ -847,70 +567,46 @@ std::vector<std::uint8_t> chunked_repair(
         "chunked container: damaged frames and no parity to repair from");
   }
 
-  RepairPlan plan;
-  if (any_frame) {
-    plan = attempt_repairs(container, h, damaged);
-    for (std::size_t f = 0; f < h.frame_count; ++f)
-      if (plan.unrecovered[f] != 0)
-        throw ChecksumError("chunked container: frame " +
-                            std::to_string(f) +
-                            " is beyond the parity budget");
-  }
-
+  const RepairPlan plan =
+      plan_repairs(container, h, damage, 0, h.frame_count);
+  for (std::size_t f = 0; f < h.frame_count; ++f)
+    if (plan.unrecovered[f] != 0) throw_frame_damage(h, f);
   const ScopedCharge charge(container.size());
   std::vector<std::uint8_t> healed(container.begin(), container.end());
   for (std::size_t f = 0; f < h.frame_count; ++f) {
-    if (!plan.frame_repaired(f)) continue;
+    if (plan.repaired[f] == 0) continue;
     std::copy(plan.replacement[f].begin(), plan.replacement[f].end(),
-              healed.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      h.frames_begin +
-                      static_cast<std::size_t>(h.frame_offsets[f])));
+              healed.begin() + static_cast<std::ptrdiff_t>(h.frames[f].offset));
     rep.frames_repaired.push_back(f);
   }
 
   // Rebuild damaged parity shards from the (now intact) frame payloads;
   // each must re-verify against its header-sealed CRC, proving the
   // healed archive is byte-identical to the pre-damage one.
-  if (any_parity) {
-    const ecc::RsCodec codec(h.parity_k, h.parity_m);
-    for (std::size_t g = 0; g < groups; ++g) {
-      bool group_damaged = false;
-      for (std::size_t j = 0; j < h.parity_m; ++j)
-        group_damaged |= shard_damaged[g * h.parity_m + j] != 0;
-      if (!group_damaged) continue;
-      governed_poll();
-      const obs::ScopedSpan repair_span(obs::Span::kFrameRepair);
-      const std::vector<std::vector<std::uint8_t>> padded =
-          padded_group_shards(healed, h, g);
-      std::vector<std::span<const std::uint8_t>> spans(h.parity_k);
-      for (std::size_t i = 0; i < h.parity_k; ++i) spans[i] = padded[i];
-      const std::vector<std::vector<std::uint8_t>> parity =
-          codec.encode(spans);
-      for (std::size_t j = 0; j < h.parity_m; ++j) {
-        if (shard_damaged[g * h.parity_m + j] == 0) continue;
-        if (crc32c(parity[j]) != h.parity_crcs[g * h.parity_m + j]) {
-          obs::LogContext ctx;
-          ctx.offset = h.parity_begin +
-                       static_cast<std::size_t>(h.parity_offsets[g]) +
-                       j * static_cast<std::size_t>(h.shard_sizes[g]);
-          ctx.section = "parity";
-          obs::log_error(obs::Event::kChecksumMismatch,
-                         StatusCode::kChecksum, ctx,
-                         "rebuilt parity shard fails its stored checksum");
-          throw ChecksumError(
-              "chunked container: rebuilt parity shard fails its stored "
-              "checksum");
-        }
-        std::copy(
-            parity[j].begin(), parity[j].end(),
-            healed.begin() +
-                static_cast<std::ptrdiff_t>(
-                    h.parity_begin +
-                    static_cast<std::size_t>(h.parity_offsets[g]) +
-                    j * static_cast<std::size_t>(h.shard_sizes[g])));
-        ++rep.parity_shards_repaired;
+  const ecc::RsCodec codec(h.parity_k, h.parity_m);
+  for (std::size_t g = 0; g < h.groups(); ++g) {
+    if (damage.bad_shards(g) == 0) continue;
+    governed_poll();
+    const obs::ScopedSpan repair_span(obs::Span::kFrameRepair);
+    const Shards parity =
+        group_parity(codec, group_frames(healed, h, g),
+                     static_cast<std::size_t>(h.shard_sizes[g]));
+    for (std::size_t j = 0; j < h.parity_m; ++j) {
+      if (!damage.shard_bad(g, j)) continue;
+      const detail::Section shard = h.shard(g, j);
+      if (crc32c(parity[j]) != shard.stored_crc) {
+        obs::LogContext ctx;
+        ctx.offset = shard.offset;
+        ctx.section = "parity";
+        obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
+                       ctx, "rebuilt parity shard fails its stored checksum");
+        throw ChecksumError(
+            "chunked container: rebuilt parity shard fails its stored "
+            "checksum");
       }
+      std::copy(parity[j].begin(), parity[j].end(),
+                healed.begin() + static_cast<std::ptrdiff_t>(shard.offset));
+      ++rep.parity_shards_repaired;
     }
   }
   return healed;
@@ -919,57 +615,40 @@ std::vector<std::uint8_t> chunked_repair(
 ScrubReport chunked_scrub(std::span<const std::uint8_t> container) {
   governed_poll();
   const obs::ScopedSpan archive_span(obs::Span::kArchiveRepair);
-  const ContainerHeader h = parse_header(container);
+  const ChunkedLayout h = parse(container);
   ScrubReport s;
   s.frames_total = h.frame_count;
   s.parity_k = h.parity_k;
   s.parity_m = h.parity_m;
-  s.groups = parity_group_count(h);
+  s.groups = h.groups();
 
-  std::vector<std::uint8_t> frame_ok(h.frame_count, 1);
-  for (std::size_t f = 0; f < h.frame_count; ++f) {
-    if (frame_crc_ok(frame_bytes(container, h, f), h, f)) continue;
-    frame_ok[f] = 0;
-    ++s.frames_damaged;
-  }
+  DamageMap damage(container, h);
+  s.frames_damaged = damage.bad_frames();
+  for (std::size_t g = 0; g < s.groups; ++g)
+    s.parity_shards_damaged += damage.bad_shards(g);
   if (h.parity_m == 0) return s;
-
-  std::vector<std::uint8_t> shard_ok(s.groups * h.parity_m, 1);
-  for (std::size_t g = 0; g < s.groups; ++g) {
-    for (std::size_t j = 0; j < h.parity_m; ++j) {
-      if (crc32c(parity_shard_bytes(container, h, g, j)) ==
-          h.parity_crcs[g * h.parity_m + j])
-        continue;
-      shard_ok[g * h.parity_m + j] = 0;
-      ++s.parity_shards_damaged;
-    }
-  }
 
   // Consistency audit: recompute each fully-intact group's parity from
   // the stored payloads and compare it to the intact stored shards —
   // no frame is ever decoded.
   const ecc::RsCodec codec(h.parity_k, h.parity_m);
   for (std::size_t g = 0; g < s.groups; ++g) {
-    const std::size_t first = g * h.parity_k;
-    const std::size_t last =
-        std::min(first + h.parity_k, h.frame_count);
+    const std::size_t begin = g * h.parity_k;
+    const std::size_t end = std::min(begin + h.parity_k, h.frame_count);
     bool inputs_ok = true;
-    for (std::size_t f = first; f < last; ++f)
-      inputs_ok &= frame_ok[f] != 0;
+    for (std::size_t f = begin; f < end; ++f)
+      inputs_ok &= !damage.frame_bad(f);
     if (!inputs_ok) continue;
     governed_poll();
     const obs::ScopedSpan group_span(obs::Span::kFrameRepair);
-    const std::vector<std::vector<std::uint8_t>> padded =
-        padded_group_shards(container, h, g);
-    std::vector<std::span<const std::uint8_t>> spans(h.parity_k);
-    for (std::size_t i = 0; i < h.parity_k; ++i) spans[i] = padded[i];
-    const std::vector<std::vector<std::uint8_t>> parity =
-        codec.encode(spans);
+    const Shards parity =
+        group_parity(codec, group_frames(container, h, g),
+                     static_cast<std::size_t>(h.shard_sizes[g]));
     for (std::size_t j = 0; j < h.parity_m; ++j) {
-      if (shard_ok[g * h.parity_m + j] == 0) continue;
-      const auto stored = parity_shard_bytes(container, h, g, j);
-      if (!std::equal(parity[j].begin(), parity[j].end(),
-                      stored.begin(), stored.end()))
+      if (damage.shard_bad(g, j)) continue;
+      const Bytes stored = detail::bytes_of(container, h.shard(g, j));
+      if (!std::equal(parity[j].begin(), parity[j].end(), stored.begin(),
+                      stored.end()))
         ++s.parity_mismatches;
     }
   }
@@ -977,19 +656,19 @@ ScrubReport chunked_scrub(std::span<const std::uint8_t> container) {
 }
 
 ParityInfo chunked_parity_info(std::span<const std::uint8_t> container) {
-  const ContainerHeader h = parse_header(container);
+  const ChunkedLayout h = parse(container);
   ParityInfo info;
   info.parity_k = h.parity_k;
   info.parity_m = h.parity_m;
-  info.groups = parity_group_count(h);
-  for (std::size_t g = 0; g < info.groups; ++g)
-    info.parity_bytes += h.parity_m * h.shard_sizes[g];
+  info.groups = h.groups();
+  for (const std::uint64_t shard_size : h.shard_sizes)
+    info.parity_bytes += h.parity_m * shard_size;
   return info;
 }
 
 DecodePreflight chunked_decode_preflight(
     std::span<const std::uint8_t> container) {
-  const ContainerHeader h = parse_header(container);
+  const ChunkedLayout h = parse(container);
   DecodePreflight pf;
   pf.decoded_bytes =
       static_cast<std::uint64_t>(h.total) * sizeof(float);

@@ -210,7 +210,7 @@ struct ChunkView {
 ChunkView chunked_decompress_frame(std::span<const std::uint8_t> container,
                                    std::size_t frame_index);
 
-/// Number of frames in a container (header-only parse).
+/// Number of frames in a container (layout parse; no frame is read).
 std::size_t chunked_frame_count(std::span<const std::uint8_t> container);
 
 /// Pre-flight resource estimate for decoding a whole container, from

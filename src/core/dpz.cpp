@@ -10,6 +10,7 @@
 #include "codec/shuffle.h"
 #include "codec/zlib_codec.h"
 #include "core/archive_detail.h"
+#include "core/layout.h"
 #include "core/sampling.h"
 #include "dsp/dct.h"
 #include "linalg/pca.h"
@@ -48,20 +49,10 @@ std::vector<std::uint8_t> serialize_side(const SideData& side,
 
 SideData deserialize_side(std::span<const std::uint8_t> bytes,
                           std::size_t m, std::size_t k, bool standardized) {
-  // The side section's layout is fully determined by (m, k, standardized):
-  // means, optional scales, the global score scale, and the f32 basis.
-  // Check the exact size up front so an inconsistent header cannot make a
-  // truncated payload partially parse or size an allocation it cannot
-  // back. m and k are validated by the caller (m < n, m*n bounded), so
-  // these products cannot overflow 64 bits.
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(m) * sizeof(double) *
-          (standardized ? 2 : 1) +
-      sizeof(double) + static_cast<std::uint64_t>(m) * k * sizeof(float);
-  if (bytes.size() != expected)
-    throw FormatError("DPZ side section size does not match m/k (have " +
-                      std::to_string(bytes.size()) + ", expected " +
-                      std::to_string(expected) + ")");
+  // The section's size is fully determined by (m, k, standardized): means,
+  // optional scales, the global score scale, and the f32 basis. The
+  // layout parse records that size and get_section holds the section to
+  // it before inflating; the bounded reader below rejects anything else.
   ByteReader r(bytes);
   SideData side;
   side.mean.resize(m);
@@ -118,63 +109,34 @@ void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
   w.put_blob(z);
 }
 
-std::vector<std::uint8_t> get_section(ByteReader& r, std::uint8_t version,
-                                      const char* what) {
-  const std::size_t section_start = r.position();
-  const std::uint64_t raw_size = r.get_u64();
-  const std::uint32_t stored_crc =
-      version >= kFormatVersion ? r.get_u32() : 0;
-  const std::vector<std::uint8_t> z = r.get_blob();
-  // A corrupted raw-size field must not drive the output allocation:
-  // deflate expands at most ~1032:1, so anything beyond that bound (plus
-  // slack for tiny sections) is a forged header.
-  if (raw_size > z.size() * 1100 + 4096)
-    throw FormatError("section raw size implausible for its payload");
+std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,
+                                      const Section& section) {
   // Verify-before-inflate: a damaged blob must never reach zlib (whose
   // failure modes on corrupt streams are a generic error at best) or
-  // drive the quantizer. tools/lint.sh rule 5 keeps every core section
-  // read on this path.
-  if (version >= kFormatVersion) {
-    const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-    obs::count(obs::Counter::kCrcChecks);
-    if (section_crc(raw_size, z) != stored_crc) {
-      obs::count(obs::Counter::kCrcFailures);
-      obs::LogContext ctx;
-      ctx.offset = section_start;
-      ctx.section = what;
-      obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
-                     ctx, "corrupted section blob");
-      throw ChecksumError("section checksum mismatch (corrupted blob)");
-    }
+  // drive the quantizer. dpz_analyze's unguarded-inflate check keeps
+  // every core section read on this path.
+  if (!crc_ok(archive, section)) {
+    obs::LogContext ctx;
+    ctx.offset = section.offset;
+    ctx.section = section.name;
+    obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
+                   ctx, "corrupted section blob");
+    throw ChecksumError("section checksum mismatch (corrupted blob)");
   }
-  return zlib_decompress(z, static_cast<std::size_t>(raw_size));
+  if (const std::string problem = raw_size_problem(section);
+      !problem.empty())
+    throw FormatError(problem);
+  return zlib_decompress(blob_of(archive, section),
+                         static_cast<std::size_t>(section.raw_size));
 }
 
 void put_header_crc(ByteWriter& w) { w.put_u32(crc32c(w.bytes())); }
-
-void check_header_crc(ByteReader& r, std::span<const std::uint8_t> archive,
-                      const char* what) {
-  const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-  obs::count(obs::Counter::kCrcChecks);
-  const std::size_t header_end = r.position();
-  const std::uint32_t computed = crc32c(archive.first(header_end));
-  if (r.get_u32() != computed) {
-    obs::count(obs::Counter::kCrcFailures);
-    obs::LogContext ctx;
-    ctx.offset = header_end;
-    ctx.section = "header";
-    obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
-                   ctx, what);
-    throw ChecksumError(std::string(what) + ": header checksum mismatch");
-  }
-}
 
 }  // namespace detail
 
 namespace {
 
 using detail::SideData;
-using detail::check_header_crc;
 using detail::deserialize_side;
 using detail::get_section;
 using detail::put_header_crc;
@@ -183,44 +145,6 @@ using detail::serialize_side;
 
 constexpr std::uint32_t kMagic = detail::kDpzMagic;
 constexpr std::uint8_t kVersion = detail::kFormatVersion;
-
-// Reads and validates the version byte: v1 (legacy, no checksums) and v2
-// (checksummed) archives both decode; anything else is from the future.
-std::uint8_t read_version(ByteReader& r) {
-  const std::uint8_t version = r.get_u8();
-  if (version != detail::kFormatVersionLegacy &&
-      version != detail::kFormatVersion)
-    throw FormatError("unsupported DPZ archive version");
-  return version;
-}
-
-constexpr std::uint8_t kFlagWideCodes = 0x01;
-constexpr std::uint8_t kFlagStandardized = 0x02;
-constexpr std::uint8_t kFlagStoredRaw = 0x04;
-constexpr std::uint8_t kFlagDouble = 0x08;
-
-// Upper bound on the element count an archive may claim. Prevents a
-// corrupted header from triggering a runaway allocation before any
-// payload validation can run (2^40 elements = 4 TiB of f32).
-constexpr std::uint64_t kMaxArchiveElements = 1ULL << 40;
-
-// Reads and validates a shape header; throws FormatError on nonsense.
-std::vector<std::size_t> read_shape(ByteReader& r) {
-  const std::uint8_t rank = r.get_u8();
-  if (rank == 0 || rank > 4) throw FormatError("unsupported data rank");
-  std::vector<std::size_t> shape(rank);
-  std::uint64_t total = 1;
-  for (auto& d : shape) {
-    const std::uint64_t e = r.get_u64();
-    if (e == 0 || e > kMaxArchiveElements)
-      throw FormatError("implausible extent in DPZ archive");
-    total *= e;
-    if (total > kMaxArchiveElements)
-      throw FormatError("implausible total size in DPZ archive");
-    d = static_cast<std::size_t>(e);
-  }
-  return shape;
-}
 
 template <typename T>
 void put_element(ByteWriter& w, double v) {
@@ -252,7 +176,8 @@ std::vector<std::uint8_t> make_stored_archive(const NdArray<T>& data,
   w.put_u32(kMagic);
   w.put_u8(kVersion);
   w.put_u8(static_cast<std::uint8_t>(
-      kFlagStoredRaw | (sizeof(T) == 8 ? kFlagDouble : 0)));
+      detail::kDpzFlagStoredRaw | (sizeof(T) == 8 ? detail::kDpzFlagDouble
+                                                  : 0)));
   w.put_f64(1.0);  // error bound slot (unused for stored archives)
   w.put_u8(static_cast<std::uint8_t>(data.shape().size()));
   for (const std::size_t d : data.shape()) w.put_u64(d);
@@ -416,9 +341,9 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
     w.put_u32(kMagic);
     w.put_u8(kVersion);
     std::uint8_t flags = 0;
-    if (qcfg.wide_codes) flags |= kFlagWideCodes;
-    if (standardized) flags |= kFlagStandardized;
-    if (sizeof(T) == 8) flags |= kFlagDouble;
+    if (qcfg.wide_codes) flags |= detail::kDpzFlagWideCodes;
+    if (standardized) flags |= detail::kDpzFlagStandardized;
+    if (sizeof(T) == 8) flags |= detail::kDpzFlagDouble;
     w.put_u8(flags);
     w.put_f64(qcfg.error_bound);
 
@@ -476,120 +401,59 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
   const GovernorScope governor_scope(limits);
   governed_poll();
   obs::count(obs::Counter::kDecompressCalls);
-  ByteReader r(archive);
-  if (r.get_u32() != kMagic) throw FormatError("not a DPZ archive");
-  const std::uint8_t version = read_version(r);
-  const std::uint8_t flags = r.get_u8();
-  const bool wide_codes = (flags & kFlagWideCodes) != 0;
-  const bool standardized = (flags & kFlagStandardized) != 0;
-  const bool is_double = (flags & kFlagDouble) != 0;
-  if (is_double != (sizeof(T) == 8))
-    throw FormatError(is_double
-                          ? "archive holds double-precision data; use "
-                            "dpz_decompress_f64"
-                          : "archive holds single-precision data; use "
-                            "dpz_decompress");
-
-  if ((flags & kFlagStoredRaw) != 0) {
-    r.get_f64();  // unused error-bound slot
-    const std::vector<std::size_t> shape = read_shape(r);
-    if (version >= kVersion)
-      check_header_crc(r, archive, "stored DPZ archive");
-    std::size_t total = 1;
-    for (const std::size_t d : shape) total *= d;
-    if (const ResourceGovernor* g = current_governor()) {
-      DpzArchiveInfo claim;
-      claim.stored_raw = true;
-      claim.double_precision = is_double;
-      claim.shape = shape;
-      g->admit(dpz_decode_preflight(claim).peak_bytes,
-               "stored DPZ archive");
-    }
-    const std::vector<std::uint8_t> raw =
-        get_section(r, version, "stored raw");
-    if (raw.size() != total * sizeof(T))
-      throw FormatError("stored DPZ archive size mismatch");
-    ByteReader raw_reader(raw);
-    NdArray<T> out(shape);
-    for (T& v : out.flat()) v = static_cast<T>(get_element<T>(raw_reader));
-    obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
-    return out;
-  }
-
   // One trace span per decode stage; emplace() closes the previous stage
   // and opens the next (optional<> because the stages share scope).
   std::optional<obs::ScopedSpan> span;
   span.emplace(obs::Span::kDecodeSections);
-
-  QuantizerConfig qcfg;
-  qcfg.error_bound = r.get_f64();
-  qcfg.wide_codes = wide_codes;
-  if (!(qcfg.error_bound > 0.0) || !std::isfinite(qcfg.error_bound))
-    throw FormatError("DPZ archive has an invalid error bound");
-
-  const std::vector<std::size_t> shape = read_shape(r);
-
-  BlockLayout layout;
-  layout.m = static_cast<std::size_t>(r.get_u64());
-  layout.n = static_cast<std::size_t>(r.get_u64());
-  layout.original_total = static_cast<std::size_t>(r.get_u64());
-  layout.padded = layout.m * layout.n != layout.original_total;
-  const std::size_t k = r.get_u32();
-  const std::uint64_t outlier_count = r.get_u64();
-  // The header seal comes first: a flipped bit in any fixed field is
-  // reported as corruption, not as whichever geometry invariant it
-  // happens to break. (Forged-but-resealed headers still hit the checks
-  // below — the CRC authenticates bytes, not semantics.)
-  if (version >= kVersion) check_header_crc(r, archive, "DPZ archive");
-
-  std::size_t shape_total = 1;
-  for (const std::size_t d : shape) shape_total *= d;
-  // Geometry invariants the compressor always satisfies; anything else is
-  // a corrupted header (and would otherwise size downstream allocations).
-  if (shape_total != layout.original_total || layout.m == 0 ||
-      layout.n == 0 || layout.m >= layout.n || k == 0 || k > layout.m ||
-      layout.m > kMaxArchiveElements / layout.n ||
-      layout.padded_total() < layout.original_total ||
-      layout.padded_total() > 4 * layout.original_total + 16 ||
-      outlier_count > static_cast<std::uint64_t>(k) * layout.n)
-    throw FormatError("inconsistent DPZ archive geometry");
+  const detail::DpzLayout parsed =
+      detail::parse_layout<detail::DpzLayout>(archive);
+  const DpzArchiveInfo& info = parsed.info;
+  if (info.double_precision != (sizeof(T) == 8))
+    throw FormatError(info.double_precision
+                          ? "archive holds double-precision data; use "
+                            "dpz_decompress_f64"
+                          : "archive holds single-precision data; use "
+                            "dpz_decompress");
 
   // Pre-flight admission: price the header-claimed decode and reject it
   // against the governing memory budget before get_section sizes the
   // first payload allocation from these (validated-but-untrusted) fields.
   // An archive claiming terabytes therefore fails with ResourceExhausted
   // here, never by attempting the allocation.
-  if (const ResourceGovernor* g = current_governor()) {
-    DpzArchiveInfo claim;
-    claim.wide_codes = wide_codes;
-    claim.standardized = standardized;
-    claim.double_precision = is_double;
-    claim.shape = shape;
-    claim.layout = layout;
-    claim.k = k;
-    claim.outlier_count = outlier_count;
-    g->admit(dpz_decode_preflight(claim).peak_bytes, "DPZ archive");
+  if (const ResourceGovernor* g = current_governor())
+    g->admit(dpz_decode_preflight(info).peak_bytes,
+             info.stored_raw ? "stored DPZ archive" : "DPZ archive");
+
+  if (info.stored_raw) {
+    const std::vector<std::uint8_t> raw =
+        get_section(archive, parsed.sections[1]);
+    ByteReader raw_reader(raw);
+    NdArray<T> out(info.shape);
+    for (T& v : out.flat()) v = static_cast<T>(get_element<T>(raw_reader));
+    obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
+    return out;
   }
 
-  const std::vector<std::uint8_t> side_bytes =
-      get_section(r, version, "side data");
-  const SideData side =
-      deserialize_side(side_bytes, layout.m, k, standardized);
+  QuantizerConfig qcfg;
+  qcfg.error_bound = info.error_bound;
+  qcfg.wide_codes = info.wide_codes;
+  const BlockLayout& layout = info.layout;
+  const std::size_t k = info.k;
+
+  // get_section holds each section to the exact size the validated
+  // header implies before inflating it, so the score matrices, outlier
+  // buffers and dequantize()'s size contract below never see any other.
+  const SideData side = deserialize_side(
+      get_section(archive, parsed.sections[1]), layout.m, k,
+      info.standardized);
 
   QuantizedStream qs;
   qs.count = k * layout.n;
-  qs.codes = get_section(r, version, "codes");
-  // Validate the code-section size against the claimed geometry *before*
-  // anything downstream (score matrices, outlier buffers) is sized from
-  // k*n — dequantize()'s size contract must never see archive data.
-  if (qs.codes.size() != qs.count * qcfg.code_bytes())
-    throw FormatError("DPZ code section size mismatch");
+  qs.codes = get_section(archive, parsed.sections[2]);
   const std::vector<std::uint8_t> outlier_raw =
-      get_section(r, version, "outliers");
-  if (outlier_raw.size() != outlier_count * sizeof(T))
-    throw FormatError("DPZ outlier section size mismatch");
+      get_section(archive, parsed.sections[3]);
   ByteReader outlier_reader(outlier_raw);
-  qs.outliers.resize(static_cast<std::size_t>(outlier_count));
+  qs.outliers.resize(static_cast<std::size_t>(info.outlier_count));
   for (double& v : qs.outliers) v = get_element<T>(outlier_reader);
 
   // Progressive reconstruction: score streams are stored in component
@@ -654,7 +518,7 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
     plan.inverse(row, row);
   });
 
-  NdArray<T> out(shape);
+  NdArray<T> out(info.shape);
   from_blocks(blocks, layout, out.flat());
   span.reset();
   obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
@@ -731,36 +595,7 @@ DecodePreflight dpz_decode_preflight(const DpzArchiveInfo& info) {
 }
 
 DpzArchiveInfo dpz_inspect(std::span<const std::uint8_t> archive) {
-  ByteReader r(archive);
-  if (r.get_u32() != kMagic) throw FormatError("not a DPZ archive");
-  const std::uint8_t version = read_version(r);
-  const std::uint8_t flags = r.get_u8();
-
-  DpzArchiveInfo info;
-  info.version = version;
-  info.archive_bytes = archive.size();
-  info.stored_raw = (flags & kFlagStoredRaw) != 0;
-  info.wide_codes = (flags & kFlagWideCodes) != 0;
-  info.standardized = (flags & kFlagStandardized) != 0;
-  info.double_precision = (flags & kFlagDouble) != 0;
-  info.error_bound = r.get_f64();
-
-  info.shape = read_shape(r);
-  if (info.stored_raw) {
-    if (version >= kVersion)
-      check_header_crc(r, archive, "stored DPZ archive");
-    return info;
-  }
-
-  info.layout.m = static_cast<std::size_t>(r.get_u64());
-  info.layout.n = static_cast<std::size_t>(r.get_u64());
-  info.layout.original_total = static_cast<std::size_t>(r.get_u64());
-  info.layout.padded =
-      info.layout.m * info.layout.n != info.layout.original_total;
-  info.k = r.get_u32();
-  info.outlier_count = r.get_u64();
-  if (version >= kVersion) check_header_crc(r, archive, "DPZ archive");
-  return info;
+  return detail::parse_layout<detail::DpzLayout>(archive).info;
 }
 
 }  // namespace dpz

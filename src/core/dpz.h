@@ -203,9 +203,10 @@ DoubleArray dpz_decompress_f64(std::span<const std::uint8_t> archive,
                                unsigned threads = 0,
                                const ResourceLimits& limits = {});
 
-/// Header-level description of an archive (no payload decoding). For
-/// format-v2 archives the header checksum is verified as part of the
-/// parse, so a corrupted header throws rather than reporting garbage.
+/// Header-level description of an archive (no payload decoding). It
+/// comes from the decoder's own layout parse (core/layout.h), so the
+/// header checksum, geometry and section framing are all validated: a
+/// damaged or truncated archive throws rather than reporting garbage.
 struct DpzArchiveInfo {
   int version = 0;  ///< archive format version (1 legacy, 2 checksummed)
   bool stored_raw = false;
@@ -220,7 +221,7 @@ struct DpzArchiveInfo {
   std::uint64_t archive_bytes = 0;
 };
 
-/// Parses an archive header; throws FormatError on malformed input.
+/// Parses an archive's layout; throws FormatError on malformed input.
 DpzArchiveInfo dpz_inspect(std::span<const std::uint8_t> archive);
 
 /// Pre-flight resource estimate for decoding an archive, computed from

@@ -1,0 +1,136 @@
+// Archive layouts: one validated parser per container format.
+//
+// Every reader of an archive — the DPZ decoders and dpz_inspect, the
+// chunked entry points, SharedBasisCodec, and verify_archive — locates
+// its sections through the parser for its format here, so each format is
+// validated in one place (docs/FORMAT.md §8, layers 2-6). A parse reads
+// fixed fields and framing only: it returns sections as byte ranges of
+// the input and computes no CRC besides the header seal. A section's
+// CRC verdict is computed when a caller asks for it (crc_ok).
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/dpz.h"
+
+namespace dpz::detail {
+
+/// Section::expected_raw when the header does not determine the size.
+inline constexpr std::uint64_t kAnyRawSize = ~std::uint64_t{0};
+
+/// One checksummed unit of an archive, as a byte range of the input.
+struct Section {
+  /// What the stored checksum covers.
+  enum class Crc : std::uint8_t {
+    kNone,    ///< v1 units carry no checksum
+    kHeader,  ///< the header seal: every byte before the stored CRC
+    kFramed,  ///< a compressed section: le64(raw_size) || blob
+    kBytes,   ///< the whole unit (chunked frames and parity shards)
+  };
+  const char* name = "";
+  std::uint64_t offset = 0;    ///< first byte of the unit in the input
+  std::uint64_t size = 0;      ///< wire size, framing included
+  std::uint64_t raw_size = 0;  ///< claimed inflated size (kFramed only)
+  std::uint64_t expected_raw = kAnyRawSize;  ///< size the header implies
+  Crc crc = Crc::kNone;
+  std::uint32_t stored_crc = 0;
+};
+
+/// What every parse records as it goes; after a throw it keeps what was
+/// parsed before the failure, so verify_archive can report those rows.
+struct Layout {
+  const char* kind = "unknown";  ///< VerifyReport::kind vocabulary
+  std::uint8_t version = 0;      ///< 0 until the version is known
+  /// The header (once its seal field was read), then each compressed
+  /// section in file order.
+  std::vector<Section> sections;
+  std::uint32_t seal_crc = 0;  ///< header CRC the parse computed (v2+)
+};
+
+/// Sections: header, then payload (stored-raw) or side, codes, outliers.
+struct DpzLayout : Layout {
+  DpzArchiveInfo info;
+};
+
+/// Sections: header only; the frame area is contiguous and exactly
+/// filled, and every frame fits its group's parity shard.
+struct ChunkedLayout : Layout {
+  std::vector<std::size_t> shape;
+  std::size_t total = 0;
+  std::size_t chunk_values = 0;
+  std::size_t frame_count = 0;
+  std::vector<Section> frames;  ///< frame_count entries
+  std::size_t parity_k = 0;  ///< both 0 when the container has no parity
+  std::size_t parity_m = 0;
+  std::vector<std::uint64_t> shard_sizes;    ///< per group
+  std::vector<std::uint64_t> shard_offsets;  ///< per group, of shard 0
+  std::vector<std::uint32_t> parity_crcs;    ///< group-major, m per group
+
+  [[nodiscard]] std::size_t groups() const {
+    return parity_m == 0 ? 0 : (frame_count + parity_k - 1) / parity_k;
+  }
+  [[nodiscard]] Section shard(std::size_t g, std::size_t j) const;
+  /// Flat value range of frame `f`: chunk_values each, the last frame
+  /// running to the end of the data.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> slot(
+      std::size_t f) const;
+};
+
+/// Sections: header, basis.
+struct BasisLayout : Layout {
+  bool wide_codes = false;
+  double error_bound = 0.0;
+  std::vector<std::size_t> shape;
+  BlockLayout layout;
+  std::size_t k = 0;
+};
+
+/// Sections: header, mean, codes, outliers. Their sizes follow from the
+/// codec's geometry, which the snapshot does not carry.
+struct SnapshotLayout : Layout {
+  double score_scale = 1.0;
+  std::uint64_t outlier_count = 0;
+};
+
+/// Container format named by the leading magic.
+enum class Format { kUnknown, kDpz, kChunked, kBasis, kSnapshot };
+Format format_of(std::span<const std::uint8_t> bytes);
+
+/// The parsers: each throws FormatError (ChecksumError for a broken
+/// header seal) at the first violation.
+void parse_layout(std::span<const std::uint8_t> bytes, DpzLayout& out);
+void parse_layout(std::span<const std::uint8_t> bytes, ChunkedLayout& out);
+void parse_layout(std::span<const std::uint8_t> bytes, BasisLayout& out);
+void parse_layout(std::span<const std::uint8_t> bytes, SnapshotLayout& out);
+
+template <typename L>
+L parse_layout(std::span<const std::uint8_t> bytes) {
+  L layout;
+  parse_layout(bytes, layout);
+  return layout;
+}
+
+/// The unit's bytes, framing included, and a kFramed unit's zlib stream.
+std::span<const std::uint8_t> bytes_of(std::span<const std::uint8_t> input,
+                                       const Section& section);
+std::span<const std::uint8_t> blob_of(std::span<const std::uint8_t> input,
+                                      const Section& section);
+
+/// CRC32C over what the section's checksum covers, counted as one
+/// crc_checks (plus a crc_failures on mismatch) under a crc_check span.
+std::uint32_t checked_crc(std::span<const std::uint8_t> input,
+                          const Section& section);
+/// True when the section has no checksum or its checksum matches.
+bool crc_ok(std::span<const std::uint8_t> input, const Section& section);
+
+/// Layer 6: the problem when the claimed raw size differs from the one
+/// the header implies, else empty.
+std::string raw_size_problem(const Section& section);
+
+std::uint64_t element_count(std::span<const std::size_t> shape);
+
+}  // namespace dpz::detail

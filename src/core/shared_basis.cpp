@@ -6,6 +6,7 @@
 #include "codec/bytes.h"
 #include "codec/shuffle.h"
 #include "core/archive_detail.h"
+#include "core/layout.h"
 #include "dsp/dct.h"
 #include "obs/metrics.h"
 #include "obs/stage_clock.h"
@@ -18,17 +19,6 @@
 namespace dpz {
 
 namespace {
-
-// Reads the version byte of a v2 blob/snapshot; v1 tags carry none, so
-// the magic alone selects the legacy parse.
-std::uint8_t read_shared_version(ByteReader& r, std::uint32_t magic,
-                                 std::uint32_t v2_magic) {
-  if (magic != v2_magic) return detail::kFormatVersionLegacy;
-  const std::uint8_t version = r.get_u8();
-  if (version != detail::kFormatVersion)
-    throw FormatError("unsupported shared-basis format version");
-  return version;
-}
 
 // Stage 1 helper shared by train/compress.
 Matrix dct_blocks_of(const FloatArray& data, const BlockLayout& layout,
@@ -144,58 +134,17 @@ std::vector<std::uint8_t> SharedBasisCodec::serialize() const {
 
 SharedBasisCodec SharedBasisCodec::deserialize(
     std::span<const std::uint8_t> blob) {
-  ByteReader r(blob);
-  const std::uint32_t magic = r.get_u32();
-  if (magic != detail::kBasisMagicV1 && magic != detail::kBasisMagicV2)
-    throw FormatError("not a shared-basis blob");
+  const detail::BasisLayout parsed =
+      detail::parse_layout<detail::BasisLayout>(blob);
   SharedBasisCodec codec;
-  const std::uint8_t version =
-      read_shared_version(r, magic, detail::kBasisMagicV2);
-  codec.qcfg_.wide_codes = r.get_u8() != 0;
-  codec.qcfg_.error_bound = r.get_f64();
-  if (!(codec.qcfg_.error_bound > 0.0))
-    throw FormatError("shared-basis blob: bad error bound");
+  codec.qcfg_.wide_codes = parsed.wide_codes;
+  codec.qcfg_.error_bound = parsed.error_bound;
+  codec.shape_ = parsed.shape;
+  codec.layout_ = parsed.layout;
+  const std::size_t k = parsed.k;
 
-  const std::uint8_t rank = r.get_u8();
-  if (rank == 0 || rank > 4)
-    throw FormatError("shared-basis blob: bad rank");
-  codec.shape_.resize(rank);
-  std::uint64_t total = 1;
-  constexpr std::uint64_t kMaxElements = 1ULL << 40;
-  for (auto& d : codec.shape_) {
-    const std::uint64_t e = r.get_u64();
-    if (e == 0 || e > kMaxElements)
-      throw FormatError("shared-basis blob: implausible extent");
-    total *= e;
-    if (total > kMaxElements)
-      throw FormatError("shared-basis blob: implausible total");
-    d = static_cast<std::size_t>(e);
-  }
-  codec.layout_.m = static_cast<std::size_t>(r.get_u64());
-  codec.layout_.n = static_cast<std::size_t>(r.get_u64());
-  codec.layout_.original_total = static_cast<std::size_t>(r.get_u64());
-  codec.layout_.padded =
-      codec.layout_.m * codec.layout_.n != codec.layout_.original_total;
-  const std::size_t k = r.get_u32();
-  if (version >= detail::kFormatVersion)
-    detail::check_header_crc(r, blob, "shared-basis blob");
-  // Same geometry envelope the DPZ decoder enforces: m < n keeps m (and
-  // with it every m*k product below) far from overflow, and the padded
-  // total must stay within the layout chooser's worst case.
-  const BlockLayout& lay = codec.layout_;
-  if (total != lay.original_total || lay.m == 0 || lay.n == 0 ||
-      lay.m >= lay.n || lay.m > kMaxElements / lay.n ||
-      lay.padded_total() < lay.original_total ||
-      lay.padded_total() > 4 * lay.original_total + 16 || k == 0 ||
-      k > lay.m)
-    throw FormatError("shared-basis blob: inconsistent geometry");
-
-  const std::vector<std::uint8_t> shuffled =
-      detail::get_section(r, version, "shared basis");
-  if (shuffled.size() != codec.layout_.m * k * sizeof(float))
-    throw FormatError("shared-basis blob: basis size mismatch");
-  const std::vector<std::uint8_t> raw =
-      unshuffle_bytes(shuffled, sizeof(float));
+  const std::vector<std::uint8_t> raw = unshuffle_bytes(
+      detail::get_section(blob, parsed.sections[1]), sizeof(float));
   ByteReader basis_reader(raw);
   codec.basis_ = Matrix(codec.layout_.m, k);
   for (std::size_t i = 0; i < codec.layout_.m; ++i)
@@ -294,19 +243,11 @@ FloatArray SharedBasisCodec::decompress(
   obs::count(obs::Counter::kDecompressCalls);
   std::optional<obs::ScopedSpan> span;
   span.emplace(obs::Span::kDecodeSections);
-  ByteReader r(archive);
-  const std::uint32_t magic = r.get_u32();
-  if (magic != detail::kSnapshotMagicV1 && magic != detail::kSnapshotMagicV2)
-    throw FormatError("not a shared-basis snapshot archive");
-  const std::uint8_t version =
-      read_shared_version(r, magic, detail::kSnapshotMagicV2);
-  const double score_scale = r.get_f64();
-  if (!(score_scale > 0.0))
-    throw FormatError("snapshot archive: bad score scale");
-  const std::uint64_t outlier_count = r.get_u64();
-  if (version >= detail::kFormatVersion)
-    detail::check_header_crc(r, archive, "snapshot archive");
-  if (outlier_count > basis_.cols() * layout_.n)
+  detail::SnapshotLayout parsed =
+      detail::parse_layout<detail::SnapshotLayout>(archive);
+  const std::uint64_t outlier_count = parsed.outlier_count;
+  const std::size_t k = basis_.cols();
+  if (outlier_count > k * layout_.n)
     throw FormatError("snapshot archive: implausible outlier count");
 
   // Pre-flight admission. The codec's own (already validated) geometry
@@ -316,7 +257,7 @@ FloatArray SharedBasisCodec::decompress(
   if (const ResourceGovernor* g = current_governor()) {
     const auto m = static_cast<std::uint64_t>(layout_.m);
     const auto n = static_cast<std::uint64_t>(layout_.n);
-    const auto kc = static_cast<std::uint64_t>(basis_.cols());
+    const auto kc = static_cast<std::uint64_t>(k);
     const std::uint64_t peak =
         static_cast<std::uint64_t>(layout_.original_total) *
             sizeof(float) +                      // output array
@@ -328,26 +269,24 @@ FloatArray SharedBasisCodec::decompress(
     g->admit(peak, "shared-basis snapshot");
   }
 
+  // A snapshot's section sizes follow from the codec's geometry rather
+  // than its own header; get_section holds each section to them before
+  // inflating, so dequantize()'s size contract never sees archive bytes.
+  QuantizedStream qs;
+  qs.count = k * layout_.n;
+  parsed.sections[1].expected_raw = layout_.m * sizeof(double);
+  parsed.sections[2].expected_raw = qs.count * qcfg_.code_bytes();
+  parsed.sections[3].expected_raw = outlier_count * sizeof(float);
+
   const std::vector<std::uint8_t> mean_raw =
-      detail::get_section(r, version, "means");
-  if (mean_raw.size() != layout_.m * sizeof(double))
-    throw FormatError("snapshot archive: mean size mismatch");
+      detail::get_section(archive, parsed.sections[1]);
   ByteReader mean_reader(mean_raw);
   std::vector<double> mean(layout_.m);
   for (double& v : mean) v = mean_reader.get_f64();
 
-  const std::size_t k = basis_.cols();
-  QuantizedStream qs;
-  qs.count = k * layout_.n;
-  qs.codes = detail::get_section(r, version, "codes");
-  // Check the section against the codec's geometry before dequantize()
-  // sees it: its size contract is for callers, not for archive bytes.
-  if (qs.codes.size() != qs.count * qcfg_.code_bytes())
-    throw FormatError("snapshot archive: code section size mismatch");
+  qs.codes = detail::get_section(archive, parsed.sections[2]);
   const std::vector<std::uint8_t> outlier_raw =
-      detail::get_section(r, version, "outliers");
-  if (outlier_raw.size() != outlier_count * sizeof(float))
-    throw FormatError("snapshot archive: outlier size mismatch");
+      detail::get_section(archive, parsed.sections[3]);
   ByteReader outlier_reader(outlier_raw);
   qs.outliers.resize(static_cast<std::size_t>(outlier_count));
   for (double& v : qs.outliers)
@@ -357,7 +296,7 @@ FloatArray SharedBasisCodec::decompress(
   governed_poll();
   Matrix scores(k, layout_.n);
   dequantize(qs, qcfg_, scores.flat());
-  for (double& v : scores.flat()) v *= score_scale;
+  for (double& v : scores.flat()) v *= parsed.score_scale;
 
   // Back-project: Z = D_k Y + mean, then inverse DCT + de-block.
   span.emplace(obs::Span::kDecodeBackproject);

@@ -1,296 +1,96 @@
 #include "core/verify.h"
 
-#include "codec/bytes.h"
-#include "core/archive_detail.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "util/crc32c.h"
+#include <algorithm>
+#include <utility>
+
+#include "core/layout.h"
 #include "util/error.h"
 
 namespace dpz {
 
 namespace {
 
-using detail::kFormatVersion;
-using detail::kFormatVersionLegacy;
+// One report row. The header row carries the seal verdict its parse
+// already computed (a broken seal fails the parse, which reports it);
+// every other checksummed row is CRC-checked here.
+void add_row(std::span<const std::uint8_t> bytes,
+             const detail::Section& section, std::string name,
+             std::uint32_t seal_crc, VerifyReport& rep) {
+  SectionStatus row;
+  row.name = std::move(name);
+  row.offset = section.offset;
+  row.size = section.size;
+  row.raw_size = section.raw_size;
+  row.has_crc = section.crc != detail::Section::Crc::kNone;
+  row.stored_crc = section.stored_crc;
+  if (section.crc == detail::Section::Crc::kHeader) {
+    row.computed_crc = seal_crc;
+  } else if (row.has_crc) {
+    row.computed_crc = detail::checked_crc(bytes, section);
+    if (row.computed_crc != row.stored_crc)
+      rep.problems.push_back(row.name + " checksum mismatch");
+  }
+  row.crc_ok = !row.has_crc || row.computed_crc == row.stored_crc;
+  if (const std::string problem = detail::raw_size_problem(section);
+      !problem.empty())
+    rep.problems.push_back(problem);
+  rep.sections.push_back(std::move(row));
+}
 
-// Records the fixed header (bytes [0, cursor) plus the v2 seal) as a
-// pseudo-section. Reads the stored CRC for v2, so the cursor lands on
-// the first section afterwards.
-void walk_header(ByteReader& r, std::span<const std::uint8_t> bytes,
-                 std::uint8_t version, VerifyReport& rep) {
-  SectionStatus s;
-  s.name = "header";
-  s.offset = 0;
-  if (version >= kFormatVersion) {
-    const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-    obs::count(obs::Counter::kCrcChecks);
-    s.has_crc = true;
-    s.computed_crc = crc32c(bytes.first(r.position()));
-    s.stored_crc = r.get_u32();
-    s.crc_ok = s.stored_crc == s.computed_crc;
-    if (!s.crc_ok) {
-      obs::count(obs::Counter::kCrcFailures);
-      rep.problems.push_back("header checksum mismatch");
+// Parses `bytes` as an `L` and reports its rows — on a parse failure,
+// the rows parsed before it, with the failure rethrown as the problem.
+template <typename L>
+L walk(std::span<const std::uint8_t> bytes, VerifyReport& rep) {
+  L layout;
+  const auto report = [&] {
+    rep.kind = layout.kind;
+    rep.version = layout.version;
+    for (const detail::Section& s : layout.sections)
+      add_row(bytes, s, s.name, layout.seal_crc, rep);
+  };
+  try {
+    detail::parse_layout(bytes, layout);
+  } catch (const Error&) {
+    report();
+    throw;
+  }
+  report();
+  return layout;
+}
+
+void walk_chunked(std::span<const std::uint8_t> bytes, VerifyReport& rep) {
+  const auto h = walk<detail::ChunkedLayout>(bytes, rep);
+  for (std::size_t f = 0; f < h.frame_count; ++f)
+    add_row(bytes, h.frames[f], "frame[" + std::to_string(f) + "]", 0, rep);
+  for (std::size_t g = 0; g < h.groups(); ++g)
+    for (std::size_t j = 0; j < h.parity_m; ++j)
+      add_row(bytes, h.shard(g, j),
+              "parity[" + std::to_string(g) + "." + std::to_string(j) + "]",
+              0, rep);
+
+  // Each frame is a DPZ archive: verify its own structure (so a v1
+  // container without CRCs still gets a meaningful check), and that the
+  // frames tile the container's shape exactly, as the decoder demands.
+  std::uint64_t values = 0;
+  bool parsed = true;
+  for (std::size_t f = 0; f < h.frame_count; ++f) {
+    VerifyReport inner;
+    try {
+      const auto frame =
+          walk<detail::DpzLayout>(detail::bytes_of(bytes, h.frames[f]), inner);
+      // Saturates just past the total, so the sum cannot wrap.
+      values = std::min<std::uint64_t>(
+          values + detail::element_count(frame.info.shape), h.total + 1);
+    } catch (const Error& e) {
+      inner.problems.push_back(e.what());
+      parsed = false;
     }
+    if (!inner.problems.empty())
+      rep.problems.push_back("frame[" + std::to_string(f) +
+                             "]: " + inner.problems.front());
   }
-  s.size = r.position();
-  rep.sections.push_back(s);
-}
-
-// Walks one compressed section (v1 or v2 framing) without inflating it.
-void walk_section(ByteReader& r, std::uint8_t version,
-                  const std::string& name, VerifyReport& rep) {
-  SectionStatus s;
-  s.name = name;
-  s.offset = r.position();
-  s.raw_size = r.get_u64();
-  if (version >= kFormatVersion) {
-    s.has_crc = true;
-    s.stored_crc = r.get_u32();
-  }
-  const std::vector<std::uint8_t> blob = r.get_blob();
-  if (s.raw_size > blob.size() * 1100 + 4096)
-    rep.problems.push_back("section '" + name +
-                           "': raw size implausible for its payload");
-  if (s.has_crc) {
-    const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-    obs::count(obs::Counter::kCrcChecks);
-    s.computed_crc = detail::section_crc(s.raw_size, blob);
-    s.crc_ok = s.computed_crc == s.stored_crc;
-    if (!s.crc_ok) {
-      obs::count(obs::Counter::kCrcFailures);
-      rep.problems.push_back("section '" + name + "' checksum mismatch");
-    }
-  }
-  s.size = r.position() - s.offset;
-  rep.sections.push_back(s);
-}
-
-// Shape fields shared by every header: rank byte + u64 extents. Returns
-// the element count; throws FormatError on nonsense (caught by the
-// top-level walker).
-std::uint64_t walk_shape(ByteReader& r) {
-  const std::uint8_t rank = r.get_u8();
-  if (rank == 0 || rank > 4) throw FormatError("bad rank");
-  std::uint64_t total = 1;
-  for (std::uint8_t d = 0; d < rank; ++d) {
-    const std::uint64_t e = r.get_u64();
-    if (e == 0 || e > (1ULL << 40)) throw FormatError("implausible extent");
-    total *= e;
-    if (total > (1ULL << 40)) throw FormatError("implausible total");
-  }
-  return total;
-}
-
-void require_consumed(ByteReader& r, VerifyReport& rep) {
-  if (r.remaining() != 0)
-    rep.problems.push_back(std::to_string(r.remaining()) +
-                           " trailing bytes after the last section");
-}
-
-void walk_dpz(ByteReader& r, std::span<const std::uint8_t> bytes,
-              VerifyReport& rep) {
-  const std::uint8_t version = r.get_u8();
-  if (version != kFormatVersionLegacy && version != kFormatVersion)
-    throw FormatError("unsupported version");
-  rep.version = version;
-  const std::uint8_t flags = r.get_u8();
-  const bool stored_raw = (flags & 0x04) != 0;
-  rep.kind = stored_raw ? "stored" : "dpz";
-  r.get_f64();  // error bound
-  walk_shape(r);
-  if (stored_raw) {
-    walk_header(r, bytes, version, rep);
-    walk_section(r, version, "payload", rep);
-  } else {
-    r.get_u64();  // m
-    r.get_u64();  // n
-    r.get_u64();  // original total
-    r.get_u32();  // k
-    r.get_u64();  // outlier count
-    walk_header(r, bytes, version, rep);
-    walk_section(r, version, "side", rep);
-    walk_section(r, version, "codes", rep);
-    walk_section(r, version, "outliers", rep);
-  }
-  require_consumed(r, rep);
-}
-
-void walk_chunked(ByteReader& r, std::span<const std::uint8_t> bytes,
-                  std::uint32_t magic, VerifyReport& rep) {
-  rep.kind = "chunked";
-  std::uint8_t version = kFormatVersionLegacy;
-  if (magic == detail::kChunkedMagicV2) {
-    version = r.get_u8();
-    if (version != kFormatVersion) throw FormatError("unsupported version");
-  } else if (magic == detail::kChunkedMagicV3) {
-    version = r.get_u8();
-    if (version != detail::kChunkedFormatVersion3)
-      throw FormatError("unsupported version");
-  }
-  rep.version = version;
-  walk_shape(r);
-  const std::uint64_t chunk_values = r.get_u64();
-  const std::uint64_t frame_count = r.get_u64();
-  const std::size_t entry = version >= kFormatVersion ? 20 : 16;
-  if (chunk_values < 8 || frame_count == 0 ||
-      frame_count > r.remaining() / entry)
-    throw FormatError("inconsistent chunking");
-
-  std::vector<std::uint64_t> offsets(frame_count);
-  std::vector<std::uint64_t> sizes(frame_count);
-  std::vector<std::uint32_t> crcs(frame_count, 0);
-  for (std::uint64_t f = 0; f < frame_count; ++f) {
-    offsets[f] = r.get_u64();
-    sizes[f] = r.get_u64();
-    if (version >= kFormatVersion) crcs[f] = r.get_u32();
-  }
-  // v3: parity geometry rides in the sealed header after the frame
-  // table — k, m, then each group's shard size and per-shard CRCs.
-  std::uint64_t parity_k = 0;
-  std::uint64_t parity_m = 0;
-  std::uint64_t parity_bytes = 0;
-  std::vector<std::uint64_t> shard_sizes;
-  std::vector<std::uint32_t> parity_crcs;
-  if (version >= detail::kChunkedFormatVersion3) {
-    parity_k = r.get_u8();
-    parity_m = r.get_u8();
-    if (parity_k < 1 || parity_m < 1 || parity_k + parity_m > 255)
-      throw FormatError("bad parity geometry");
-    const std::uint64_t groups = (frame_count + parity_k - 1) / parity_k;
-    if (groups > r.remaining() / 8)
-      throw FormatError("bad parity geometry");
-    shard_sizes.resize(groups);
-    parity_crcs.resize(groups * parity_m);
-    for (std::uint64_t g = 0; g < groups; ++g) {
-      shard_sizes[g] = r.get_u64();
-      if (shard_sizes[g] > (1ULL << 40))
-        throw FormatError("implausible parity shard");
-      // Archive data: the running total must not wrap 64 bits, or the
-      // parity-vs-container bound below checks a wrapped sum.
-      const std::uint64_t group_bytes = parity_m * shard_sizes[g];
-      if (group_bytes > UINT64_MAX - parity_bytes)
-        throw FormatError("parity exceeds the container");
-      parity_bytes += group_bytes;
-      for (std::uint64_t j = 0; j < parity_m; ++j)
-        parity_crcs[g * parity_m + j] = r.get_u32();
-    }
-  }
-  walk_header(r, bytes, version, rep);
-
-  const std::size_t frames_begin = r.position();
-  const std::uint64_t tail = bytes.size() - frames_begin;
-  if (parity_bytes > tail)
-    throw FormatError("parity exceeds the container");
-  const std::uint64_t frame_area = tail - parity_bytes;
-  std::uint64_t expected = 0;
-  for (std::uint64_t f = 0; f < frame_count; ++f) {
-    if (offsets[f] != expected)
-      throw FormatError("non-contiguous frame table");
-    if (sizes[f] > frame_area - expected)
-      throw FormatError("frame exceeds the container");
-    expected += sizes[f];
-
-    SectionStatus s;
-    s.name = "frame[" + std::to_string(f) + "]";
-    s.offset = frames_begin + offsets[f];
-    s.size = sizes[f];
-    const auto frame =
-        bytes.subspan(static_cast<std::size_t>(s.offset),
-                      static_cast<std::size_t>(s.size));
-    if (version >= kFormatVersion) {
-      const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-      obs::count(obs::Counter::kCrcChecks);
-      s.has_crc = true;
-      s.stored_crc = crcs[f];
-      s.computed_crc = crc32c(frame);
-      s.crc_ok = s.computed_crc == s.stored_crc;
-      if (!s.crc_ok) {
-        obs::count(obs::Counter::kCrcFailures);
-        rep.problems.push_back(s.name + " checksum mismatch");
-      }
-    }
-    rep.sections.push_back(s);
-
-    // Each frame is a self-contained DPZ archive; verify its structure
-    // too so a v1 container (no CRCs) still gets a meaningful check.
-    const VerifyReport inner = verify_archive(frame);
-    if (!inner.ok)
-      rep.problems.push_back(
-          s.name + ": " +
-          (inner.problems.empty() ? "malformed frame"
-                                  : inner.problems.front()));
-  }
-  if (expected != frame_area)
-    throw FormatError("frame area size mismatch");
-
-  // Parity shards follow the frames; each carries a header-sealed CRC,
-  // so a damaged shard is reported without touching any frame.
-  std::uint64_t parity_off = frames_begin + frame_area;
-  for (std::size_t g = 0; g < shard_sizes.size(); ++g) {
-    for (std::uint64_t j = 0; j < parity_m; ++j) {
-      SectionStatus s;
-      s.name = "parity[" + std::to_string(g) + "." + std::to_string(j) +
-               "]";
-      s.offset = parity_off;
-      s.size = shard_sizes[g];
-      const auto shard =
-          bytes.subspan(static_cast<std::size_t>(s.offset),
-                        static_cast<std::size_t>(s.size));
-      const obs::ScopedSpan crc_span(obs::Span::kCrcCheck);
-      obs::count(obs::Counter::kCrcChecks);
-      s.has_crc = true;
-      s.stored_crc = parity_crcs[g * parity_m + j];
-      s.computed_crc = crc32c(shard);
-      s.crc_ok = s.computed_crc == s.stored_crc;
-      if (!s.crc_ok) {
-        obs::count(obs::Counter::kCrcFailures);
-        rep.problems.push_back(s.name + " checksum mismatch");
-      }
-      rep.sections.push_back(s);
-      parity_off += shard_sizes[g];
-    }
-  }
-}
-
-void walk_basis(ByteReader& r, std::span<const std::uint8_t> bytes,
-                bool v2, VerifyReport& rep) {
-  rep.kind = "shared-basis";
-  std::uint8_t version = kFormatVersionLegacy;
-  if (v2) {
-    version = r.get_u8();
-    if (version != kFormatVersion) throw FormatError("unsupported version");
-  }
-  rep.version = version;
-  r.get_u8();   // wide codes
-  r.get_f64();  // error bound
-  walk_shape(r);
-  r.get_u64();  // m
-  r.get_u64();  // n
-  r.get_u64();  // original total
-  r.get_u32();  // k
-  walk_header(r, bytes, version, rep);
-  walk_section(r, version, "basis", rep);
-  require_consumed(r, rep);
-}
-
-void walk_snapshot(ByteReader& r, std::span<const std::uint8_t> bytes,
-                   bool v2, VerifyReport& rep) {
-  rep.kind = "snapshot";
-  std::uint8_t version = kFormatVersionLegacy;
-  if (v2) {
-    version = r.get_u8();
-    if (version != kFormatVersion) throw FormatError("unsupported version");
-  }
-  rep.version = version;
-  r.get_f64();  // score scale
-  r.get_u64();  // outlier count
-  walk_header(r, bytes, version, rep);
-  walk_section(r, version, "mean", rep);
-  walk_section(r, version, "codes", rep);
-  walk_section(r, version, "outliers", rep);
-  require_consumed(r, rep);
+  if (parsed && values != h.total)
+    rep.problems.push_back("chunked container: frames do not cover the shape");
 }
 
 }  // namespace
@@ -299,26 +99,20 @@ VerifyReport verify_archive(std::span<const std::uint8_t> bytes) {
   VerifyReport rep;
   rep.kind = "unknown";
   try {
-    ByteReader r(bytes);
-    const std::uint32_t magic = r.get_u32();
-    switch (magic) {
-      case detail::kDpzMagic:
-        walk_dpz(r, bytes, rep);
+    switch (detail::format_of(bytes)) {
+      case detail::Format::kDpz:
+        walk<detail::DpzLayout>(bytes, rep);
         break;
-      case detail::kChunkedMagicV1:
-      case detail::kChunkedMagicV2:
-      case detail::kChunkedMagicV3:
-        walk_chunked(r, bytes, magic, rep);
+      case detail::Format::kChunked:
+        walk_chunked(bytes, rep);
         break;
-      case detail::kBasisMagicV1:
-      case detail::kBasisMagicV2:
-        walk_basis(r, bytes, magic == detail::kBasisMagicV2, rep);
+      case detail::Format::kBasis:
+        walk<detail::BasisLayout>(bytes, rep);
         break;
-      case detail::kSnapshotMagicV1:
-      case detail::kSnapshotMagicV2:
-        walk_snapshot(r, bytes, magic == detail::kSnapshotMagicV2, rep);
+      case detail::Format::kSnapshot:
+        walk<detail::SnapshotLayout>(bytes, rep);
         break;
-      default:
+      case detail::Format::kUnknown:
         throw FormatError("not a recognized DPZ container");
     }
   } catch (const Error& e) {
@@ -331,13 +125,10 @@ VerifyReport verify_archive(std::span<const std::uint8_t> bytes) {
 std::optional<DecodePreflight> decode_preflight(
     std::span<const std::uint8_t> bytes) {
   try {
-    ByteReader r(bytes);
-    switch (r.get_u32()) {
-      case detail::kDpzMagic:
+    switch (detail::format_of(bytes)) {
+      case detail::Format::kDpz:
         return dpz_decode_preflight(dpz_inspect(bytes));
-      case detail::kChunkedMagicV1:
-      case detail::kChunkedMagicV2:
-      case detail::kChunkedMagicV3:
+      case detail::Format::kChunked:
         return chunked_decode_preflight(bytes);
       default:
         return std::nullopt;

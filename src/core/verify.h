@@ -38,7 +38,8 @@ struct SectionStatus {
 struct VerifyReport {
   std::string kind;  ///< "dpz", "stored", "chunked", "shared-basis",
                      ///< "snapshot", or "unknown"
-  int version = 0;   ///< 1 (legacy) or 2 (checksummed); 0 when unknown
+  int version = 0;   ///< 1 (legacy), 2 (checksummed), or 3 (DZC3 parity
+                     ///< container); 0 when unknown
   bool ok = false;
   std::vector<SectionStatus> sections;
   std::vector<std::string> problems;
@@ -47,7 +48,10 @@ struct VerifyReport {
 /// Walks `bytes` and reports its integrity. Never throws: malformed or
 /// truncated input produces ok == false with the failure described in
 /// `problems`, and the sections walked up to that point are retained.
-/// Chunked containers additionally verify each frame's own structure.
+/// The walk is the decoders' own layout parse (core/layout.h), so it
+/// applies every structural check they do — trailing bytes included.
+/// Chunked containers additionally verify each frame's own structure
+/// and that the frames tile the container's shape.
 VerifyReport verify_archive(std::span<const std::uint8_t> bytes);
 
 /// Pre-flight resource estimate for decoding `bytes`, dispatched on the

@@ -53,7 +53,8 @@ void put_json_string(std::ostream& out, const char* text) {
 
 void copy_truncated(char* dst, std::size_t cap, std::string_view src) {
   const std::size_t n = std::min(cap - 1, src.size());
-  std::memcpy(dst, src.data(), n);
+  // An empty detail's data() may be null, which memcpy must never see.
+  if (n != 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

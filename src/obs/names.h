@@ -31,7 +31,7 @@ enum class Span : std::uint8_t {
   // Container-level work (chunked.cpp).
   kFrameEncode,       ///< one chunked frame compressed
   kFrameDecode,       ///< one chunked frame decoded
-  // Integrity (dpz.cpp, chunked.cpp, verify.cpp).
+  // Integrity (layout.cpp, chunked.cpp).
   kCrcCheck,          ///< one CRC32C verification
   kFrameRepair,       ///< one frame or parity group reconstructed
   kArchiveRepair,     ///< one whole-archive repair or scrub pass

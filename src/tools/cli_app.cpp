@@ -581,20 +581,23 @@ int cmd_inspect(const CliArgs& args, std::ostream& out) {
   out << "kind:     " << rep.kind << "\n"
       << "format:   v" << rep.version << "\n"
       << "bytes:    " << bytes.size() << "\n";
-  if (rep.kind == "dpz" || rep.kind == "stored") {
-    // The header parsed (verify walked it), so dpz_inspect's richer
-    // geometry view is available too.
-    const DpzArchiveInfo info = dpz_inspect(bytes);
-    out << "dtype:    " << (info.double_precision ? "f64" : "f32") << "\n";
-    out << "shape:    ";
-    for (std::size_t d = 0; d < info.shape.size(); ++d)
-      out << (d ? " x " : "") << info.shape[d];
-    out << "\n";
-    if (!info.stored_raw)
-      out << "blocks:   " << info.layout.m << " x " << info.layout.n
-          << (info.layout.padded ? " (padded)" : "") << "\n"
-          << "k:        " << info.k << "\n"
-          << "outliers: " << info.outlier_count << "\n";
+  // Geometry comes from the parsed layout, so it prints only when the
+  // parse succeeded; otherwise the problems list below says why.
+  try {
+    if (rep.kind == "dpz" || rep.kind == "stored") {
+      const DpzArchiveInfo info = dpz_inspect(bytes);
+      out << "dtype:    " << (info.double_precision ? "f64" : "f32") << "\n";
+      out << "shape:    ";
+      for (std::size_t d = 0; d < info.shape.size(); ++d)
+        out << (d ? " x " : "") << info.shape[d];
+      out << "\n";
+      if (!info.stored_raw)
+        out << "blocks:   " << info.layout.m << " x " << info.layout.n
+            << (info.layout.padded ? " (padded)" : "") << "\n"
+            << "k:        " << info.k << "\n"
+            << "outliers: " << info.outlier_count << "\n";
+    }
+  } catch (const Error&) {
   }
   // Header-claimed decode cost: what the archive says it will expand to
   // and the pre-flight working-set estimate a --max-memory budget admits

@@ -54,6 +54,23 @@ FloatArray wave(std::vector<std::size_t> shape, std::uint64_t seed) {
   return a;
 }
 
+// Incompressible noise: trips the stored-raw fallback.
+FloatArray noise(std::vector<std::size_t> shape, std::uint64_t seed) {
+  FloatArray a(shape);
+  Rng rng(seed);
+  for (float& v : a.flat()) v = static_cast<float>(rng.normal());
+  return a;
+}
+
+bool succeeds(const std::function<void()>& decode) {
+  try {
+    decode();
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
 DoubleArray wave_f64(std::vector<std::size_t> shape, std::uint64_t seed) {
   const FloatArray f = wave(std::move(shape), seed);
   DoubleArray a(f.shape());
@@ -358,6 +375,12 @@ TEST(FuzzDecode, VerifyArchiveNeverThrows) {
   const SharedBasisCodec codec =
       SharedBasisCodec::train(wave({64, 64}, 35), DpzConfig::strict());
   archives.push_back(codec.serialize());
+  config.parity_k = 2;
+  config.parity_m = 1;
+  archives.push_back(chunked_compress(wave({3 * 4096}, 39), config));
+  archives.push_back(codec.compress(wave({64, 64}, 40)));
+  archives.push_back(dpz_compress(noise({40, 50}, 41), DpzConfig::strict()));
+  ASSERT_TRUE(dpz_inspect(archives.back()).stored_raw);
 
   std::uint64_t seed = 122;
   for (const auto& archive : archives) {
@@ -375,6 +398,138 @@ TEST(FuzzDecode, VerifyArchiveNeverThrows) {
     EXPECT_GT(detected, kMutationsPerShape / 20);
     ++seed;
   }
+}
+
+// Differential oracle: verify_archive walks the decoders' own layout
+// parser, so its verdict must agree with the strict decoder's on every
+// mutation of the sweeps above (same archives, same seeds; stored-raw is
+// new). This covers v2 inputs; a mutation that turns the version byte
+// into 1 leaves a legacy archive with no checksums to judge it by.
+TEST(FuzzDecode, DifferentialVerifyMatchesStrictDecode) {
+  const SharedBasisCodec trained =
+      SharedBasisCodec::train(wave({64, 64}, 20), DpzConfig::strict());
+  const FloatArray reference = wave({64, 64}, 21);
+  const SharedBasisCodec codec =
+      SharedBasisCodec::train(reference, DpzConfig::strict());
+  ChunkedConfig chunked;
+  chunked.chunk_values = 4096;
+  struct Case {
+    const char* name;
+    std::uint64_t seed;
+    std::vector<std::uint8_t> archive;
+    std::function<void(std::span<const std::uint8_t>)> decode;
+  };
+  const std::vector<Case> cases = {
+      {"dpz-2d", 102, dpz_compress(wave({64, 96}, 12), DpzConfig::strict()),
+       [](std::span<const std::uint8_t> b) { (void)dpz_decompress(b); }},
+      {"stored-raw", 130,
+       dpz_compress(noise({40, 50}, 44), DpzConfig::strict()),
+       [](std::span<const std::uint8_t> b) { (void)dpz_decompress(b); }},
+      {"dzc2", 107, chunked_compress(wave({3 * 4096 + 100}, 17), chunked),
+       [](std::span<const std::uint8_t> b) { (void)chunked_decompress(b); }},
+      {"basis-blob", 110, trained.serialize(),
+       [](std::span<const std::uint8_t> b) {
+         (void)SharedBasisCodec::deserialize(b);
+       }},
+      {"snapshot", 111, codec.compress(reference),
+       [&codec](std::span<const std::uint8_t> b) {
+         (void)codec.decompress(b);
+       }},
+  };
+  ASSERT_TRUE(dpz_inspect(cases[1].archive).stored_raw);
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(verify_archive(c.archive).ok);
+    std::size_t compared = 0;
+    for (std::size_t i = 0; i < kMutationsPerShape; ++i) {
+      ArchiveMutator mutator(c.seed * 1000003ULL + i);
+      const std::vector<std::uint8_t> mutated = mutator.mutate(c.archive);
+      const VerifyReport rep = verify_archive(mutated);
+      if (rep.version == 1) continue;
+      ++compared;
+      EXPECT_EQ(rep.ok, succeeds([&] { c.decode(mutated); }))
+          << "mutation " << i << " (" << mutator.trace() << "): "
+          << (rep.problems.empty() ? "verify ok" : rep.problems.front());
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(compared, kMutationsPerShape * 9 / 10);
+  }
+}
+
+// The same oracle over ChunkedWithParity's DZC3 sweep, where damage
+// within the parity budget decodes: verify's CRC-bad frames are exactly best effort's
+// repaired and lost frames, scrub counts what verify flags, and strict
+// decode succeeds exactly when verify's walk completed (header seal ok,
+// every frame and parity row present) and every group either is intact
+// or lost no more frames and parity shards than it has parity.
+TEST(FuzzDecode, DifferentialParityOracle) {
+  ChunkedConfig config;
+  config.chunk_values = 4096;
+  config.parity_k = 2;
+  config.parity_m = 1;
+  const auto container = chunked_compress(wave({4 * 4096 + 64}, 36), config);
+  ChunkedConfig best = config;
+  best.decode_policy = DecodePolicy::kBestEffort;
+  const std::size_t frames = chunked_frame_count(container);
+  const std::size_t groups = chunked_parity_info(container).groups;
+  const std::size_t rows = 1 + frames + groups * config.parity_m;
+  ASSERT_EQ(verify_archive(container).sections.size(), rows);
+
+  std::size_t walked_count = 0;
+  for (std::size_t i = 0; i < kMutationsPerShape; ++i) {
+    ArchiveMutator mutator(123 * 1000003ULL + i);
+    const std::vector<std::uint8_t> mutated = mutator.mutate(container);
+    SCOPED_TRACE("mutation " + std::to_string(i) + " (" + mutator.trace() +
+                 ")");
+    const VerifyReport rep = verify_archive(mutated);
+    const bool walked =
+        rep.sections.size() == rows && rep.sections.front().crc_ok;
+    std::set<std::size_t> bad_frames;
+    std::vector<std::size_t> group_frames(groups, 0);
+    std::vector<std::size_t> group_shards(groups, 0);
+    std::size_t bad_shards = 0;
+    for (const SectionStatus& s : rep.sections) {
+      if (s.crc_ok) continue;
+      if (s.name.rfind("frame[", 0) == 0) {
+        const std::size_t f = std::stoul(s.name.substr(6));
+        bad_frames.insert(f);
+        ++group_frames[f / config.parity_k];
+      } else if (s.name.rfind("parity[", 0) == 0) {
+        ++group_shards[std::stoul(s.name.substr(7))];
+        ++bad_shards;
+      }
+    }
+
+    DecodeReport report;
+    EXPECT_EQ(succeeds([&] { (void)chunked_decompress(mutated, best,
+                                                      &report); }),
+              walked);
+    ScrubReport scrub;
+    EXPECT_EQ(succeeds([&] { scrub = chunked_scrub(mutated); }), walked);
+    if (walked) {
+      ++walked_count;
+      std::set<std::size_t> touched(report.repaired.begin(),
+                                    report.repaired.end());
+      for (const DecodeReport::FrameError& lost : report.lost)
+        touched.insert(lost.frame);
+      EXPECT_EQ(touched, bad_frames);
+      EXPECT_EQ(scrub.frames_damaged, bad_frames.size());
+      EXPECT_EQ(scrub.parity_shards_damaged, bad_shards);
+    }
+
+    bool recoverable = walked;
+    for (std::size_t g = 0; g < groups; ++g)
+      if (group_frames[g] != 0 &&
+          group_frames[g] + group_shards[g] > config.parity_m)
+        recoverable = false;
+    EXPECT_EQ(succeeds([&] { (void)chunked_decompress(mutated, config); }),
+              recoverable);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Harness sanity: enough mutations leave the tables readable for the
+  // frame-level comparisons to mean something.
+  EXPECT_GT(walked_count, kMutationsPerShape / 10);
 }
 
 // Truncation sweep over the committed golden fixtures (both the frozen v1

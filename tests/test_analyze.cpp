@@ -59,6 +59,7 @@ TEST(Analyze, BadTreeEveryPlantedViolationFlagged) {
       {"telemetry-name", "src/core/log_site.cpp", 6,
        "\"decode_abort\""},
       {"telemetry-name", "src/core/record.cpp", 6, "\"bytes_in\""},
+      {"single-parser", "src/core/reparse.cpp", 7, "check_header_crc"},
       {"simd-isolated", "src/core/vector.cpp", 1, "immintrin"},
       {"simd-isolated", "src/core/vector.cpp", 6, "__m256d"},
       {"simd-isolated", "src/core/vector.cpp", 6, "_mm256_loadu_pd"},

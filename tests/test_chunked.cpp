@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <utility>
 
 #include "core/chunked.h"
 #include "core/verify.h"
 #include "metrics/metrics.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "util/rng.h"
 
 namespace dpz {
@@ -474,6 +477,44 @@ TEST(Chunked, WhiteNoiseFramesFallBackWithoutBreakingContainer) {
   const FloatArray back = chunked_decompress(container);
   for (std::size_t i = 0; i < data.size(); ++i)
     EXPECT_EQ(data[i], back[i]);  // stored frames are bit-exact
+}
+
+// CRC32C verifications one call performs.
+std::uint64_t crc_checks(const std::function<void()>& call) {
+  obs::MetricsRegistry::instance().reset();
+  call();
+  return obs::MetricsRegistry::instance().snapshot().counter(
+      obs::Counter::kCrcChecks);
+}
+
+TEST(ChunkedLayout, SharedParserAddsNoCrcWork) {
+  // Every header seal, section, frame and parity shard a call reads is
+  // checked once, and random access checks only the frame it reads.
+  const obs::ScopedTelemetry telemetry(true);
+  const auto dzc3 =
+      chunked_compress(long_signal(4 * 4096, 41), parity_config(2, 1));
+  const auto dpz = dpz_compress(long_signal(6144, 42), DpzConfig::strict());
+  ASSERT_EQ(chunked_frame_count(dzc3), 4U);
+  ASSERT_FALSE(dpz_inspect(dpz).stored_raw);
+
+  // DZC3: the seal, 4 frame CRCs, then per frame its header pre-pass
+  // (its seal) and its decode (seal + side, codes, outliers).
+  EXPECT_EQ(crc_checks([&] { (void)chunked_decompress(dzc3); }), 25U);
+  // The seal, the one frame, its decode.
+  EXPECT_EQ(crc_checks([&] { (void)chunked_decompress_frame(dzc3, 2); }),
+            6U);
+  // The seal, per frame its CRC plus its own seal and three sections,
+  // and the two parity shards.
+  EXPECT_EQ(crc_checks([&] { (void)verify_archive(dzc3); }), 23U);
+  EXPECT_EQ(crc_checks([&] { (void)dpz_decompress(dpz); }), 4U);
+  EXPECT_EQ(crc_checks([&] { (void)verify_archive(dpz); }), 4U);
+
+  // Only a failing frame widens the scan, to its group-mate and the
+  // group's parity shard.
+  auto damaged = dzc3;
+  damage_frame(damaged, 2);
+  EXPECT_EQ(crc_checks([&] { (void)chunked_decompress_frame(damaged, 2); }),
+            8U);
 }
 
 }  // namespace

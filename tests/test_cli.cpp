@@ -467,6 +467,26 @@ TEST_F(CliFlowTest, InspectPrintsDecodePreflight) {
   EXPECT_NE(out_.str().find("peak est:"), std::string::npos);
 }
 
+TEST_F(CliFlowTest, InspectReportsProblemsForTruncatedHeader) {
+  ASSERT_EQ(run({"compress", path("in.f32"), path("t.dpz"),
+                 "--shape=64x96"}),
+            0)
+      << err_.str();
+  auto bytes = read_bytes(path("t.dpz"));
+  bytes.resize(10);  // cut inside the error-bound field
+  write_bytes(path("t.dpz"), bytes);
+
+  // The report names the damage itself instead of dying on a second
+  // parse: no geometry lines, a problem line, exit 1.
+  EXPECT_EQ(run({"inspect", path("t.dpz")}), 1);
+  EXPECT_NE(out_.str().find("kind:     dpz"), std::string::npos);
+  EXPECT_NE(out_.str().find("problem:  byte stream truncated"),
+            std::string::npos)
+      << out_.str();
+  EXPECT_EQ(out_.str().find("shape:"), std::string::npos);
+  EXPECT_EQ(err_.str().find("error:"), std::string::npos) << err_.str();
+}
+
 TEST_F(CliFlowTest, VerifyMissingOperandFails) {
   EXPECT_EQ(run({"verify"}), 1);
   EXPECT_EQ(run({"inspect"}), 1);

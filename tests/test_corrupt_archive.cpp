@@ -18,6 +18,7 @@
 #include "capi/dpz_c.h"
 #include "core/chunked.h"
 #include "core/dpz.h"
+#include "core/verify.h"
 #include "util/crc32c.h"
 #include "util/error.h"
 #include "util/mutator.h"
@@ -86,10 +87,14 @@ void run_cases(const std::vector<std::uint8_t>& valid,
                    decode) {
   // The pristine archive must decode — otherwise the table tests nothing.
   ASSERT_NO_THROW(decode(valid));
+  ASSERT_TRUE(verify_archive(valid).ok);
   for (const CorruptionCase& c : cases) {
     SCOPED_TRACE(c.name);
     std::vector<std::uint8_t> bytes = valid;
     c.corrupt(bytes);
+    // verify_archive walks the decoder's own layout parse, so it must
+    // flag every row the decoder rejects.
+    EXPECT_FALSE(verify_archive(bytes).ok);
     try {
       decode(bytes);
       FAIL() << "corrupted archive decoded without error";
@@ -190,6 +195,9 @@ TEST_F(CorruptDpzArchive, TableDriven) {
       {"forged-side-section-crc",
        [](auto& b) { b[kOffSideRawSize + 8] ^= 0xFF; },
        "section checksum mismatch"},
+      // Bytes after the last section are damage, not padding.
+      {"appended-bytes", [](auto& b) { b.insert(b.end(), {0x00, 0x5A}); },
+       "trailing bytes"},
   };
   run_cases(archive_, cases, [](std::span<const std::uint8_t> bytes) {
     (void)dpz_decompress(bytes);
@@ -248,6 +256,7 @@ TEST_F(CorruptDpzArchive, TruncatedSideSectionIsRejected) {
 constexpr std::size_t kChkOffVersion = 4;
 constexpr std::size_t kChkOffRank = 5;
 constexpr std::size_t kChkOffDim0 = 6;
+constexpr std::size_t kChkOffChunk = 14;
 constexpr std::size_t kChkOffCount = 22;
 constexpr std::size_t kChkOffTable = 30;
 constexpr std::size_t kChkEntryBytes = 20;
@@ -401,6 +410,13 @@ TEST(CorruptChunkedContainer, ParityGeometryTableDriven) {
       {"truncated-into-parity-area",
        [](auto& b) { b.resize(b.size() - 10); }, nullptr},
       {"v2-magic-on-v3-body", [](auto& b) { b[3] = 0x32; }, "version"},
+      // Resealed: 4 frames of 4096 values cannot come from chunks of 8192.
+      {"chunk-values-doubled",
+       [](auto& b) {
+         write_u64_at(b, kChkOffChunk, 2 * read_u64_at(b, kChkOffChunk));
+         reseal_v3_header(b);
+       },
+       "inconsistent chunking"},
   };
   run_cases(valid, cases, [](std::span<const std::uint8_t> bytes) {
     (void)chunked_decompress(bytes);

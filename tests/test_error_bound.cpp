@@ -19,10 +19,12 @@
 #include "core/archive_detail.h"
 #include "core/blocking.h"
 #include "core/dpz.h"
+#include "core/layout.h"
 #include "data/datasets.h"
 #include "dsp/dct.h"
 #include "linalg/pca.h"
 #include "metrics/metrics.h"
+#include "util/mutator.h"
 #include "util/rng.h"
 
 namespace dpz {
@@ -54,34 +56,29 @@ struct Payload {
 
 Payload parse_payload(std::span<const std::uint8_t> archive) {
   Payload p;
-  ByteReader r(archive);
-  EXPECT_EQ(r.get_u32(), 0x315A5044U);  // "DPZ1"
-  const std::uint8_t version = r.get_u8();
-  EXPECT_EQ(version, detail::kFormatVersion);
-  const std::uint8_t flags = r.get_u8();
-  EXPECT_EQ(flags & 0x04, 0) << "stored-raw fallback fired unexpectedly";
-  p.qcfg.wide_codes = (flags & 0x01) != 0;
-  const bool standardized = (flags & 0x02) != 0;
-  p.qcfg.error_bound = r.get_f64();
-  const std::uint8_t rank = r.get_u8();
-  for (std::uint8_t d = 0; d < rank; ++d) r.get_u64();
-  const auto m = static_cast<std::size_t>(r.get_u64());
-  p.n = static_cast<std::size_t>(r.get_u64());
-  r.get_u64();  // original_total
-  p.k = r.get_u32();
-  const std::uint64_t outlier_count = r.get_u64();
-  r.get_u32();  // header_crc (v2)
+  const auto layout = detail::parse_layout<detail::DpzLayout>(archive);
+  const DpzArchiveInfo& info = layout.info;
+  EXPECT_EQ(read_u32_at(archive, 0), 0x315A5044U);  // "DPZ1"
+  EXPECT_EQ(info.version, detail::kFormatVersion);
+  EXPECT_FALSE(info.stored_raw) << "stored-raw fallback fired unexpectedly";
+  p.qcfg.wide_codes = info.wide_codes;
+  p.qcfg.error_bound = info.error_bound;
+  const std::size_t m = info.layout.m;
+  p.n = info.layout.n;
+  p.k = info.k;
+  const std::uint64_t outlier_count = info.outlier_count;
 
   const detail::SideData side = detail::deserialize_side(
-      detail::get_section(r, version), m, p.k, standardized);
+      detail::get_section(archive, layout.sections[1]), m, p.k,
+      info.standardized);
   p.score_scale = side.score_scale;
 
   p.stream.count = p.k * p.n;
-  p.stream.codes = detail::get_section(r, version);
+  p.stream.codes = detail::get_section(archive, layout.sections[2]);
   EXPECT_EQ(p.stream.codes.size(), p.stream.count * p.qcfg.code_bytes());
 
   const std::vector<std::uint8_t> outlier_raw =
-      detail::get_section(r, version);
+      detail::get_section(archive, layout.sections[3]);
   EXPECT_EQ(outlier_raw.size(), outlier_count * sizeof(float));
   ByteReader outlier_reader(outlier_raw);
   p.stream.outliers.resize(static_cast<std::size_t>(outlier_count));

@@ -31,6 +31,10 @@ const std::vector<CheckInfo> kChecks = {
     {"unguarded-inflate",
      "zlib_decompress is banned in src/core outside dpz.cpp; sections "
      "inflate only behind detail::get_section's CRC32C gate"},
+    {"single-parser",
+     "check_header_crc appears in src/core only in the layout module "
+     "(core/layout.{h,cpp}); every reader locates sections through its "
+     "format's detail::parse_layout (writers' put_header_crc is fine)"},
     {"telemetry-dup",
      "span/counter/histogram display names in obs/names.h must be "
      "unique; duplicates merge silently in every JSON artifact"},
@@ -205,6 +209,25 @@ void check_unguarded_inflate(const FileMap& files,
             "zlib_decompress in src/core outside dpz.cpp; route "
             "section reads through detail::get_section so the CRC "
             "is verified before inflation");
+  }
+}
+
+// ---- single-parser: one layout parser per container format -------------
+
+// The header seal is checked inside the per-format layout parsers; a
+// check_header_crc call anywhere else in src/core is a second hand-rolled
+// parse of some header, free to drift from the one verify and decode use.
+void check_single_parser(const FileMap& files, std::vector<Finding>* out) {
+  for (const auto& [path, file] : files) {
+    if (!starts_with(path, "src/core/") || path == "src/core/layout.h" ||
+        path == "src/core/layout.cpp")
+      continue;
+    for (const Token& t : file.tokens)
+      if (t.kind == TokKind::kIdent && t.text == "check_header_crc")
+        add(out, "single-parser", path, t.line,
+            "check_header_crc outside the layout module; parse the "
+            "archive with detail::parse_layout (core/layout.h) instead "
+            "of re-reading its header");
   }
 }
 
@@ -540,6 +563,7 @@ std::vector<Finding> run_checks(const Options& options,
   if (options.golden_check)
     check_golden_tracked(options.root, &findings);
   check_unguarded_inflate(files, &findings);
+  check_single_parser(files, &findings);
   check_telemetry_names(files, &findings);
   check_status_exhaustive(files, &findings);
   check_concurrency_primitives(files, &findings);
