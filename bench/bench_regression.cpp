@@ -5,7 +5,7 @@
 //
 // For every (dataset, pipeline, threads) cell it records compress and
 // decompress wall time, throughput in MB/s, the per-stage seconds from
-// the compressor's obs::StageAccumulator, CR, PSNR, and an FNV-1a hash
+// the compressor's DpzStats::timers, CR, PSNR, and an FNV-1a hash
 // of the archive bytes. The hash doubles as a determinism check: every
 // thread count must produce byte-identical archives and decodes, and
 // the harness exits non-zero when any cell disagrees with the 1-thread
@@ -58,6 +58,10 @@ std::uint64_t fnv1a_f32(std::span<const float> values) {
                 values.size() * sizeof(float)});
 }
 
+constexpr obs::Span kCompressStages[] = {
+    obs::Span::kStage1Dct, obs::Span::kStage2Pca, obs::Span::kStage3Quantize,
+    obs::Span::kZlibEncode};
+
 struct CellResult {
   std::string dataset;
   std::string pipeline;
@@ -72,7 +76,7 @@ struct CellResult {
   std::uint64_t archive_bytes = 0;
   std::uint64_t archive_hash = 0;
   std::uint64_t decode_hash = 0;
-  std::map<std::string, double> stage_seconds;
+  obs::StageTimes stages;  // compress stages; empty for chunked cells
 };
 
 CellResult run_cell(const Dataset& ds, const std::string& pipeline,
@@ -95,7 +99,7 @@ CellResult run_cell(const Dataset& ds, const std::string& pipeline,
   for (int rep = 0; rep < repeats; ++rep) {
     double compress_s = 0.0;
     double decompress_s = 0.0;
-    std::map<std::string, double> stage_seconds;
+    DpzStats stats;
     if (pipeline == "chunked") {
       ChunkedConfig config;
       config.dpz = DpzConfig::strict();
@@ -112,17 +116,15 @@ CellResult run_cell(const Dataset& ds, const std::string& pipeline,
       DpzConfig config =
           pipeline == "DPZ-l" ? DpzConfig::loose() : DpzConfig::strict();
       config.threads = threads;
-      DpzStats stats;
       Timer timer;
       archive = dpz_compress(ds.data, config, &stats);
       compress_s = timer.reset();
       back = dpz_decompress(archive, 0, threads);
       decompress_s = timer.elapsed();
-      stage_seconds = stats.timers.buckets();
     }
     if (rep == 0 || compress_s < r.compress_s) {
       r.compress_s = compress_s;
-      r.stage_seconds = std::move(stage_seconds);
+      r.stages = stats.timers;
     }
     if (rep == 0 || decompress_s < r.decompress_s)
       r.decompress_s = decompress_s;
@@ -176,10 +178,15 @@ void write_json(std::ostream& out, const std::vector<CellResult>& cells,
         << "      \"archive_fnv1a\": \"" << r.archive_hash << "\",\n"
         << "      \"decode_fnv1a\": \"" << r.decode_hash << "\",\n"
         << "      \"stages\": {";
+    // Non-zero compress stages in enum order, which is also the
+    // alphabetical key order earlier artifacts used.
     std::size_t j = 0;
-    for (const auto& [stage, seconds] : r.stage_seconds)
-      out << (j++ ? ", " : "") << "\"" << stage
+    for (const obs::Span stage : kCompressStages) {
+      const double seconds = r.stages.seconds(stage);
+      if (seconds == 0.0) continue;
+      out << (j++ ? ", " : "") << "\"" << obs::span_name(stage)
           << "\": " << scientific(seconds, 6);
+    }
     out << "}\n    }" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -285,9 +292,9 @@ std::vector<std::string> gate_against_baseline(
     if (stages == nullptr || !stages->is_object()) continue;
     for (const auto& [stage, secs] : stages->members) {
       if (!secs.is_number() || secs.number < kMinGateSeconds) continue;
-      const auto it = r.stage_seconds.find(stage);
-      if (it == r.stage_seconds.end() || it->second <= 0.0) continue;
-      add_ratio(stage, r.mb / secs.number, r.mb / it->second);
+      const double seconds = r.stages.total(stage);
+      if (seconds <= 0.0) continue;
+      add_ratio(stage, r.mb / secs.number, r.mb / seconds);
     }
   }
   for (const auto& [what, v] : ratios) {

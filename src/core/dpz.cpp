@@ -16,7 +16,6 @@
 #include "linalg/pca.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/stage_clock.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
 #include "stats/descriptive.h"
@@ -210,16 +209,13 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   st.original_bytes = data.size() * sizeof(T);
   obs::count(obs::Counter::kCompressCalls);
   obs::count(obs::Counter::kBytesIn, st.original_bytes);
-  // Stage accounting accumulates here (thread-safe) and is copied into
-  // st.timers once at the end — StageTimer itself is not synchronized.
-  obs::StageAccumulator acc;
 
   // ---- Stage 1: block decomposition + per-block DCT -------------------
   Matrix blocks;
   BlockLayout layout;
   std::vector<double> spatial_vifs;
   {
-    const obs::StageSpan stage(acc, obs::Span::kStage1Dct);
+    const obs::ScopedSpan stage(obs::Span::kStage1Dct, &st.timers);
     governed_poll();
     layout = choose_block_layout(data.size());
     blocks = to_blocks(data.flat(), layout);
@@ -262,7 +258,7 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   std::size_t k = 1;
   bool standardized = config.standardize > 0;
   {
-    const obs::StageSpan stage(acc, obs::Span::kStage2Pca);
+    const obs::ScopedSpan stage(obs::Span::kStage2Pca, &st.timers);
     governed_poll();
     if (config.use_sampling && layout.m >= 2 * config.subset_count) {
       SamplingConfig scfg;
@@ -315,7 +311,7 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   side.scale = model.scale;
   QuantizedStream qs;
   {
-    const obs::StageSpan stage(acc, obs::Span::kStage3Quantize);
+    const obs::ScopedSpan stage(obs::Span::kStage3Quantize, &st.timers);
     governed_poll();
     side.score_scale = detail::component_scale(scores.row(0));
     const double inv = 1.0 / side.score_scale;
@@ -336,7 +332,7 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   // ---- Serialization + zlib add-on -------------------------------------
   ByteWriter w;
   {
-    const obs::StageSpan stage(acc, obs::Span::kZlibEncode);
+    const obs::ScopedSpan stage(obs::Span::kZlibEncode, &st.timers);
     governed_poll();
     w.put_u32(kMagic);
     w.put_u8(kVersion);
@@ -379,7 +375,6 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   }
   st.archive_bytes = archive.size();
 
-  for (const auto& [name, secs] : acc.buckets()) st.timers.add(name, secs);
   obs::count(obs::Counter::kBytesArchive, st.archive_bytes);
   obs::count(obs::Counter::kBytesStage12, st.stage12_bytes);
   obs::count(obs::Counter::kBytesStage3, st.stage3_bytes);

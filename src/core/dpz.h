@@ -27,9 +27,9 @@
 
 #include "core/blocking.h"
 #include "core/compressor.h"
+#include "obs/trace.h"
 #include "stats/knee.h"
 #include "util/resource.h"
-#include "util/timer.h"
 
 namespace dpz {
 
@@ -138,7 +138,9 @@ struct DpzStats {
   /// Full archive size (header + side + payload).
   std::uint64_t archive_bytes = 0;
 
-  StageTimer timers;
+  /// Compress stage times (stage1_dct .. zlib_encode), written by the
+  /// same ScopedSpan scopes that feed the trace.
+  obs::StageTimes timers;
 
   /// Paper-style per-stage factors (Table III rows).
   [[nodiscard]] double cr_stage12() const {

@@ -9,7 +9,6 @@
 #include "core/layout.h"
 #include "dsp/dct.h"
 #include "obs/metrics.h"
-#include "obs/stage_clock.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
 #include "stats/knee.h"
@@ -171,15 +170,14 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
       static_cast<std::uint64_t>(st.k) * layout_.n * sizeof(float);
   obs::count(obs::Counter::kCompressCalls);
   obs::count(obs::Counter::kBytesIn, st.original_bytes);
-  obs::StageAccumulator acc;
 
-  std::optional<obs::StageSpan> stage;
-  stage.emplace(acc, obs::Span::kStage1Dct);
+  std::optional<obs::ScopedSpan> stage;
+  stage.emplace(obs::Span::kStage1Dct, &st.timers);
   const Matrix blocks = dct_blocks_of(snapshot, layout_, *plan_);
   const std::vector<double> mean = row_means(blocks);
 
   // Scores against the frozen basis: Y = D_k^T (Z - mean).
-  stage.emplace(acc, obs::Span::kStage2Pca);
+  stage.emplace(obs::Span::kStage2Pca, &st.timers);
   governed_poll();
   const std::size_t k = basis_.cols();
   const simd::KernelTable& ops = simd::kernels();
@@ -193,7 +191,7 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
     }
   });
 
-  stage.emplace(acc, obs::Span::kStage3Quantize);
+  stage.emplace(obs::Span::kStage3Quantize, &st.timers);
   governed_poll();
   const double score_scale = detail::component_scale(scores.row(0));
   const double inv = 1.0 / score_scale;
@@ -202,7 +200,7 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
   st.outlier_count = qs.outliers.size();
   st.stage3_bytes = qs.codes.size() + qs.outliers.size() * sizeof(float);
 
-  stage.emplace(acc, obs::Span::kZlibEncode);
+  stage.emplace(obs::Span::kZlibEncode, &st.timers);
   governed_poll();
   ByteWriter w;
   w.put_u32(detail::kSnapshotMagicV2);
@@ -226,7 +224,6 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
 
   std::vector<std::uint8_t> archive = w.take();
   st.archive_bytes = archive.size();
-  for (const auto& [name, secs] : acc.buckets()) st.timers.add(name, secs);
   obs::count(obs::Counter::kBytesArchive, st.archive_bytes);
   obs::count(obs::Counter::kBytesStage3, st.stage3_bytes);
   obs::count(obs::Counter::kBytesZlibPayload, st.zlib_payload_bytes);

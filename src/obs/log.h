@@ -16,14 +16,15 @@
 // what makes the ring a flight recorder: when a decode fails, the last
 // few hundred events are already there, no flag required.
 //
-// Breadcrumbs: ScopedSpan and StageSpan maintain a small thread-local
-// span stack unconditionally (two TLS writes per scope), so an error
-// record snapshots which spans were active on the failing thread. The
-// most recent error-level record is additionally kept aside and rendered
-// by last_error_report() — the backing for dpz_last_error_report and the
-// CLI --diagnose flag. Logging never reads or writes the data being
-// compressed, so output bytes are identical with any level installed
-// (the determinism suite runs with logging on as proof).
+// Breadcrumbs: obs::ScopedSpan (obs/trace.h), the one span scope, keeps
+// a small thread-local span stack unconditionally (two TLS writes per
+// scope), so an error record snapshots which spans were active on the
+// failing thread. The most recent error-level record is additionally
+// kept aside and rendered by last_error_report() — the backing for
+// dpz_last_error_report and the CLI --diagnose flag. Logging never
+// reads or writes the data being compressed, so output bytes are
+// identical with any level installed (the determinism suite runs with
+// logging on as proof).
 #pragma once
 
 #include <atomic>
@@ -56,7 +57,7 @@ inline std::atomic<std::uint8_t> g_log_level{
     static_cast<std::uint8_t>(LogLevel::kWarn)};
 
 /// Breadcrumb span stack for the calling thread. Maintained by every
-/// ScopedSpan / StageSpan regardless of the telemetry switch; depth may
+/// ScopedSpan regardless of the telemetry switch and stage sink; depth may
 /// run past the fixed capacity (deep nesting), in which case the
 /// overflowing ids are simply not named in breadcrumbs.
 inline constexpr std::size_t kSpanStackCapacity = 16;

@@ -12,12 +12,20 @@
 // nanoseconds since the recorder's epoch (first use in the process).
 // Recording never perturbs compressed output: spans observe wall-clock
 // and ids only, never data.
+//
+// ScopedSpan is the one stage/trace scope: it maintains the breadcrumb
+// stack, records to this recorder when telemetry is on, and adds the
+// same duration to an optional StageTimes sink (DpzStats::timers, the
+// numbers behind Figure 9), so the stats and the trace share clock reads.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/log.h"
@@ -83,24 +91,72 @@ class TraceRecorder {
       DPZ_GUARDED_BY(registry_m_);
 };
 
-/// Trace-only RAII span, gated on the telemetry switch: when off,
-/// construction and destruction are a relaxed load plus two TLS writes
-/// each — no clock reads, no allocation, no shared state. The TLS
-/// writes maintain the breadcrumb span stack (obs/log.h) so error
-/// records can name the active spans even with telemetry off.
+/// Per-stage nanosecond totals, one relaxed-atomic slot per Span id, so
+/// any number of threads may add concurrently. Copies are snapshots.
+class StageTimes {
+ public:
+  StageTimes() = default;
+  StageTimes(const StageTimes& other) { *this = other; }
+  StageTimes& operator=(const StageTimes& other) {
+    for (std::size_t i = 0; i < kSpanCount; ++i)
+      ns_[i].store(other.ns_[i].load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+    return *this;
+  }
+
+  void add(Span id, std::uint64_t ns) {
+    ns_[static_cast<std::size_t>(id)].fetch_add(ns,
+                                                std::memory_order_relaxed);
+  }
+
+  [[nodiscard]] double seconds(Span id) const {
+    return 1e-9 * static_cast<double>(
+                      ns_[static_cast<std::size_t>(id)].load(
+                          std::memory_order_relaxed));
+  }
+
+  /// Seconds for the span whose display name is `name` (0 when unknown).
+  [[nodiscard]] double total(std::string_view name) const {
+    for (std::size_t i = 0; i < kSpanCount; ++i)
+      if (name == kSpanInfo[i].name) return seconds(static_cast<Span>(i));
+    return 0.0;
+  }
+
+  /// Sum over every span.
+  [[nodiscard]] double grand_total() const {
+    double s = 0.0;
+    for (std::size_t i = 0; i < kSpanCount; ++i)
+      s += seconds(static_cast<Span>(i));
+    return s;
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kSpanCount> ns_{};
+};
+
+/// The RAII span scope. Always pushes and pops the breadcrumb span stack
+/// (obs/log.h), so error records can name the active spans even with
+/// telemetry off. Reads the clock only when `sink` is given or telemetry
+/// is on; the duration goes to `sink` and, with telemetry on, to the
+/// trace recorder. With neither, construction and destruction are a
+/// relaxed load plus two TLS writes each — no clock reads, no
+/// allocation, no shared state.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(Span id)
+  explicit ScopedSpan(Span id, StageTimes* sink = nullptr)
       : id_(id),
-        armed_(telemetry_enabled()),
-        start_ns_(armed_ ? TraceRecorder::now_ns() : 0) {
+        traced_(telemetry_enabled()),
+        sink_(sink),
+        start_ns_(traced_ || sink_ != nullptr ? TraceRecorder::now_ns()
+                                              : 0) {
     detail::span_push(id);
   }
   ~ScopedSpan() {
     detail::span_pop();
-    if (armed_)
-      TraceRecorder::instance().record(
-          id_, start_ns_, TraceRecorder::now_ns() - start_ns_);
+    if (!traced_ && sink_ == nullptr) return;
+    const std::uint64_t dur = TraceRecorder::now_ns() - start_ns_;
+    if (sink_ != nullptr) sink_->add(id_, dur);
+    if (traced_) TraceRecorder::instance().record(id_, start_ns_, dur);
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -108,7 +164,8 @@ class ScopedSpan {
 
  private:
   Span id_;
-  bool armed_;
+  bool traced_;
+  StageTimes* sink_;
   std::uint64_t start_ns_;
 };
 

@@ -59,7 +59,7 @@ struct Dispatch {
   // or unsupported forced ISA) propagates to the caller and the next
   // kernels() call retries.
   Dispatch() {
-    const std::uint64_t start = obs::TraceRecorder::now_ns();
+    const obs::ScopedSpan span(obs::Span::kSimdDispatch);
     features = detect_cpu_features();
     // An ISA the binary cannot execute is indistinguishable from a CPU
     // that lacks it: mask it out before selection.
@@ -77,9 +77,6 @@ struct Dispatch {
     table.store(table_for(selected), std::memory_order_release);
     isa.store(static_cast<std::uint8_t>(selected),
               std::memory_order_release);
-    obs::TraceRecorder::instance().record(
-        obs::Span::kSimdDispatch, start,
-        obs::TraceRecorder::now_ns() - start);
   }
 };
 

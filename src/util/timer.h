@@ -1,10 +1,9 @@
-// Wall-clock timing utilities used by the benchmark harnesses and by the
-// per-stage accounting inside the compressor (Figure 8/9 of the paper).
+// Wall-clock stopwatch used by the benchmark harnesses (Figure 8/9 of
+// the paper). Per-stage accounting inside the compressor is
+// obs::StageTimes, filled by obs::ScopedSpan (obs/trace.h).
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace dpz {
 
@@ -35,42 +34,6 @@ class Timer {
   }
 
   TimePoint start_;
-};
-
-/// Copyable aggregation *result* of per-stage accounting: named duration
-/// buckets, used to regenerate the paper's Figure 9 (compression-time
-/// breakdown). Hot-path accumulation happens in the thread-safe
-/// obs::StageAccumulator (src/obs/stage_clock.h); its buckets() output is
-/// copied into a StageTimer once the parallel work has joined. Do not add
-/// to a StageTimer from concurrent code — the map is unsynchronized.
-class StageTimer {
- public:
-  /// Adds `seconds` to the bucket named `stage`.
-  void add(const std::string& stage, double seconds) {
-    totals_[stage] += seconds;
-  }
-
-  /// Total seconds recorded for `stage` (0 when never recorded).
-  [[nodiscard]] double total(const std::string& stage) const {
-    const auto it = totals_.find(stage);
-    return it == totals_.end() ? 0.0 : it->second;
-  }
-
-  /// Sum over every bucket.
-  [[nodiscard]] double grand_total() const {
-    double s = 0.0;
-    for (const auto& [_, v] : totals_) s += v;
-    return s;
-  }
-
-  [[nodiscard]] const std::map<std::string, double>& buckets() const {
-    return totals_;
-  }
-
-  void clear() { totals_.clear(); }
-
- private:
-  std::map<std::string, double> totals_;
 };
 
 }  // namespace dpz

@@ -1,5 +1,7 @@
 // Boundary: util/thread_pool.cpp is the one home of std::thread
-// (raw-thread); workers are joined, never detached.
+// (raw-thread); workers are joined, never detached. It is also the one
+// TraceRecorder record outside src/obs/ (single-span): pool_task spans
+// carry queue-wait, which the span scope does not.
 #include <thread>
 #include <vector>
 
@@ -9,6 +11,12 @@ void run_joined(void (*fn)(), int n) {
   std::vector<std::thread> workers;
   for (int i = 0; i < n; ++i) workers.emplace_back(fn);
   for (std::thread& worker : workers) worker.join();
+}
+
+void record_pool_task(std::uint64_t start_ns, std::uint64_t end_ns,
+                      std::uint64_t wait_ns) {
+  obs::TraceRecorder::instance().record(obs::Span::kPoolTask, start_ns,
+                                        end_ns - start_ns, wait_ns);
 }
 
 }  // namespace dpz

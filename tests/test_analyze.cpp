@@ -65,6 +65,9 @@ TEST(Analyze, BadTreeEveryPlantedViolationFlagged) {
       {"simd-isolated", "src/core/vector.cpp", 6, "_mm256_loadu_pd"},
       {"simd-isolated", "src/core/vector.cpp", 8, "_mm256_storeu_pd"},
       {"telemetry-dup", "src/obs/names.h", 12, "\"encode_plan\""},
+      {"single-span", "src/simd/dispatch.cpp", 7, "span_push"},
+      {"single-span", "src/simd/dispatch.cpp", 9, "span_pop"},
+      {"single-span", "src/simd/dispatch.cpp", 10, "TraceRecorder record"},
       {"status-exhaustive", "src/tools/cli_app.cpp", 6,
        "StatusCode::kBoom"},
       {"status-exhaustive", "src/util/error.h", 8, "StatusCode::kLost"},

@@ -162,12 +162,15 @@ TEST(Dpz, StatsAccountingInvariants) {
   EXPECT_DOUBLE_EQ(
       stats.cr_stage12(),
       static_cast<double>(stats.layout.m) / static_cast<double>(stats.k));
-  // Stage timers recorded every stage.
-  EXPECT_GT(stats.timers.total("stage1_dct") +
-                stats.timers.total("stage2_pca") +
-                stats.timers.total("stage3_quantize") +
-                stats.timers.total("zlib_encode"),
-            0.0);
+  // Stage timers recorded every compress stage, and only those.
+  for (const obs::Span s :
+       {obs::Span::kStage1Dct, obs::Span::kStage2Pca,
+        obs::Span::kStage3Quantize, obs::Span::kZlibEncode})
+    EXPECT_GT(stats.timers.seconds(s), 0.0) << obs::span_name(s);
+  for (const obs::Span s :
+       {obs::Span::kDecodeSections, obs::Span::kDecodeDequantize,
+        obs::Span::kDecodeBackproject, obs::Span::kDecodeIdct})
+    EXPECT_EQ(stats.timers.seconds(s), 0.0) << obs::span_name(s);
 }
 
 TEST(Dpz, LooseCodesAreSmallerThanStrict) {

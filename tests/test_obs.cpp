@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,9 +18,9 @@
 #include "data/datasets.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/stage_clock.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "tools/cli_app.h"
 #include "util/json_mini.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -136,15 +138,16 @@ TEST(ObsMetrics, SnapshotAndResetAreRaceFreeUnderEightThreads) {
 
 TEST(ObsTrace, CompressDecodeEmitsValidChromeTraceWithPoolSpans) {
   const obs::ScopedTelemetry telemetry(true);
-  obs::TraceRecorder::instance().clear();
 
   // 3-D f32 input through a 4-participant pool: stage spans, decode
   // spans, and pool_task spans with queue-wait attribution must all
   // appear even on a single-core host (explicit thread counts always
-  // spawn workers).
+  // spawn workers). Cleared after synthesis: on a multi-core host the
+  // dataset's own parallel_for records pool_task spans before t0.
   const Dataset ds = make_dataset("Isotropic", 0.05, 2021);
   DpzConfig config = DpzConfig::strict();
   config.threads = 4;
+  obs::TraceRecorder::instance().clear();
   const std::uint64_t t0 = obs::TraceRecorder::now_ns();
   const std::vector<std::uint8_t> archive = dpz_compress(ds.data, config);
   const FloatArray back = dpz_decompress(archive, 0, 4);
@@ -343,24 +346,90 @@ TEST(ObsMetrics, CountersAreExactUnderAnEightThreadPool) {
       10000U);
 }
 
-TEST(ObsStageClock, AccumulatorIsRaceFreeAcrossEightThreads) {
-  // The direct replacement for the old StageTimer hot path: many
-  // workers timing into one accumulator while the trace recorder also
-  // runs. TSan verifies the absence of the map data race this design
-  // removed.
+TEST(ObsStageTimes, ScopedSpanSinkIsRaceFreeAcrossEightThreads) {
+  // Many workers timing into one StageTimes sink while the trace
+  // recorder also runs: TSan verifies the slots are race-free.
   const obs::ScopedTelemetry telemetry(true);
-  obs::StageAccumulator acc;
+  obs::StageTimes times;
   std::vector<double> sink(256, 0.0);
   const ScopedThreads scope(8);
   parallel_for(0, sink.size(), [&](std::size_t i) {
-    const obs::StageSpan span(acc, Span::kStage1Dct);
+    const obs::ScopedSpan span(Span::kStage1Dct, &times);
     for (int r = 0; r < 100; ++r)
       sink[i] += static_cast<double>(i * r) * 1e-9;
   });
-  EXPECT_GT(acc.seconds(Span::kStage1Dct), 0.0);
-  const std::map<std::string, double> buckets = acc.buckets();
-  ASSERT_EQ(buckets.size(), 1U);
-  EXPECT_EQ(buckets.begin()->first, "stage1_dct");
+  EXPECT_GT(times.seconds(Span::kStage1Dct), 0.0);
+  EXPECT_EQ(times.grand_total(), times.seconds(Span::kStage1Dct));
+
+  // A copy is a snapshot, and names resolve through kSpanInfo.
+  const obs::StageTimes snapshot = times;
+  EXPECT_EQ(snapshot.total("stage1_dct"), times.seconds(Span::kStage1Dct));
+  EXPECT_EQ(snapshot.total("no_such_span"), 0.0);
+
+  // With telemetry off the sink still times, and nothing is traced.
+  const obs::ScopedTelemetry off(false);
+  obs::TraceRecorder::instance().clear();
+  {
+    const obs::ScopedSpan span(Span::kZlibEncode, &times);
+    const std::uint64_t start = obs::TraceRecorder::now_ns();
+    while (obs::TraceRecorder::now_ns() == start) {
+    }
+  }
+  EXPECT_GT(times.seconds(Span::kZlibEncode), 0.0);
+  EXPECT_EQ(obs::TraceRecorder::instance().event_count(), 0U);
+}
+
+// DpzStats, the trace and `dpz trace-report` come from the same clock
+// reads, so they agree per compress stage. Wall time, not self time:
+// pool_task and crc_check spans nest inside stage spans.
+TEST(ObsStageTimes, StatsTraceAndTraceReportAgreePerStage) {
+  const obs::ScopedTelemetry telemetry(true);
+  const Dataset ds = make_dataset("Isotropic", 0.05, 2021);
+  DpzConfig config = DpzConfig::strict();
+  config.threads = 4;
+  obs::TraceRecorder::instance().clear();
+  DpzStats stats;
+  const std::vector<std::uint8_t> archive =
+      dpz_compress(ds.data, config, &stats);
+  ASSERT_EQ(dpz_decompress(archive, 0, 4).size(), ds.data.size());
+
+  const std::string path = testing::TempDir() + "dpz_agreement_trace.json";
+  ASSERT_TRUE(obs::TraceRecorder::instance().write_file(path));
+  std::ostringstream out;
+  std::ostringstream err;
+  const char* argv[] = {"dpz", "trace-report", path.c_str()};
+  const int rc = tools::run_cli(3, argv, out, err);
+  std::remove(path.c_str());
+  ASSERT_EQ(rc, 0) << err.str();
+  // Table rows: name, count, wall ms, self ms.
+  std::map<std::string, double> wall_ms;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream row(line);
+    std::string name;
+    double count = 0.0;
+    double wall = 0.0;
+    if (row >> name >> count >> wall) wall_ms.emplace(name, wall);
+  }
+
+  const json::Value doc = json::parse(obs::TraceRecorder::instance().json());
+  for (const Span s : {Span::kStage1Dct, Span::kStage2Pca,
+                       Span::kStage3Quantize, Span::kZlibEncode}) {
+    const std::string name = obs::span_name(s);
+    SCOPED_TRACE(name);
+    double trace_ns = 0.0;
+    int spans = 0;
+    for (const json::Value& e : require(doc, "traceEvents")->items)
+      if (e.find("name")->text == name) {
+        trace_ns += e.find("dur")->number * 1000.0;
+        ++spans;
+      }
+    ASSERT_GE(spans, 1);
+    EXPECT_NEAR(stats.timers.seconds(s) * 1e9, trace_ns, 1.0 * spans);
+    ASSERT_EQ(wall_ms.count(name), 1U) << out.str();
+    // trace-report prints wall ms to three decimals.
+    EXPECT_NEAR(stats.timers.seconds(s) * 1e3, wall_ms[name], 0.0005 + 1e-9);
+  }
 }
 
 // ---- repair visibility (trace spans on the recovery paths) --------------

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/stage_clock.h"
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/format.h"
@@ -304,28 +303,6 @@ TEST(Timer, ElapsedIsMonotonic) {
   const double b = t.elapsed();
   EXPECT_GE(b, a);
   EXPECT_GE(a, 0.0);
-}
-
-TEST(StageTimer, AccumulatesBuckets) {
-  StageTimer st;
-  st.add("a", 1.0);
-  st.add("a", 0.5);
-  st.add("b", 2.0);
-  EXPECT_DOUBLE_EQ(st.total("a"), 1.5);
-  EXPECT_DOUBLE_EQ(st.total("b"), 2.0);
-  EXPECT_DOUBLE_EQ(st.total("absent"), 0.0);
-  EXPECT_DOUBLE_EQ(st.grand_total(), 3.5);
-}
-
-TEST(StageTimer, StageSpanAccumulatesIntoBuckets) {
-  obs::StageAccumulator acc;
-  {
-    const obs::StageSpan scope(acc, obs::Span::kStage1Dct);
-  }
-  StageTimer st;
-  for (const auto& [name, secs] : acc.buckets()) st.add(name, secs);
-  EXPECT_GE(st.total("stage1_dct"), 0.0);
-  EXPECT_EQ(st.buckets().size(), 1U);
 }
 
 // ---- Format -----------------------------------------------------------------

@@ -35,6 +35,11 @@ const std::vector<CheckInfo> kChecks = {
      "check_header_crc appears in src/core only in the layout module "
      "(core/layout.{h,cpp}); every reader locates sections through its "
      "format's detail::parse_layout (writers' put_header_crc is fine)"},
+    {"single-span",
+     "TraceRecorder::...record( and detail::span_push/span_pop appear "
+     "in src/ only under src/obs/ (plus util/thread_pool.cpp, whose "
+     "pool_task span carries queue-wait); everything else times through "
+     "obs::ScopedSpan"},
     {"telemetry-dup",
      "span/counter/histogram display names in obs/names.h must be "
      "unique; duplicates merge silently in every JSON artifact"},
@@ -228,6 +233,42 @@ void check_single_parser(const FileMap& files, std::vector<Finding>* out) {
             "check_header_crc outside the layout module; parse the "
             "archive with detail::parse_layout (core/layout.h) instead "
             "of re-reading its header");
+  }
+}
+
+// ---- single-span: one span scope feeds stats, trace and breadcrumbs ---
+
+// A direct TraceRecorder record or breadcrumb push outside src/obs/ is a
+// second span mechanism: it can record with telemetry off, skip the
+// breadcrumb, or time apart from the DpzStats sink. The thread pool keeps
+// its own record because its pool_task span carries queue-wait.
+void check_single_span(const FileMap& files, std::vector<Finding>* out) {
+  for (const auto& [path, file] : files) {
+    if (starts_with(path, "src/obs/") || path == "src/util/thread_pool.cpp")
+      continue;
+    const std::vector<Token>& toks = file.tokens;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].kind != TokKind::kIdent || toks[i + 1].text != "(")
+        continue;
+      if (toks[i].text == "span_push" || toks[i].text == "span_pop")
+        add(out, "single-span", path, toks[i].line,
+            toks[i].text +
+                " outside src/obs/; obs::ScopedSpan maintains the "
+                "breadcrumb stack");
+      if (toks[i].text != "record") continue;
+      // Walk the call chain back to its head: obs::TraceRecorder::
+      // instance().record( names TraceRecorder within the statement.
+      for (std::size_t j = i; j-- > 0;) {
+        const std::string& t = toks[j].text;
+        if (t == ";" || t == "{" || t == "}") break;
+        if (t == "TraceRecorder") {
+          add(out, "single-span", path, toks[i].line,
+              "TraceRecorder record outside src/obs/; time the scope "
+              "with obs::ScopedSpan (optionally into a StageTimes sink)");
+          break;
+        }
+      }
+    }
   }
 }
 
@@ -564,6 +605,7 @@ std::vector<Finding> run_checks(const Options& options,
     check_golden_tracked(options.root, &findings);
   check_unguarded_inflate(files, &findings);
   check_single_parser(files, &findings);
+  check_single_span(files, &findings);
   check_telemetry_names(files, &findings);
   check_status_exhaustive(files, &findings);
   check_concurrency_primitives(files, &findings);
