@@ -9,7 +9,6 @@
 
 #include "linalg/eigen_sym.h"
 #include "linalg/pca.h"
-#include "linalg/subspace_iteration.h"
 #include "simd/simd.h"
 #include "util/rng.h"
 
@@ -149,16 +148,6 @@ BENCHMARK(BM_KernelAccumCentered)
     ->Arg(static_cast<int>(simd::Isa::kScalar))
     ->Arg(static_cast<int>(simd::Isa::kAvx2))
     ->Arg(static_cast<int>(simd::Isa::kNeon));
-
-void BM_JacobiReference(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const Matrix a = random_spd(m, 5);
-  for (auto _ : state) {
-    const SymmetricEigen eig = eigen_sym_jacobi(a);
-    benchmark::DoNotOptimize(eig.values.data());
-  }
-}
-BENCHMARK(BM_JacobiReference)->Arg(64);
 
 }  // namespace
 

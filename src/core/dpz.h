@@ -17,7 +17,8 @@
 //
 // The optional sampling strategy (Algorithm 2) estimates k from T of S
 // feature subsets and then computes only the leading eigenpairs by
-// subspace iteration, avoiding the full O(M^3) eigenanalysis.
+// inverse iteration on the tridiagonal, avoiding the O(M^3) eigenvector
+// accumulation.
 #pragma once
 
 #include <cstdint>

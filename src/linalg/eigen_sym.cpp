@@ -196,26 +196,6 @@ SymmetricEigen sort_descending_rows(std::vector<double> d, Matrix qt) {
   return out;
 }
 
-// Column-layout variant kept for the Jacobi oracle, which still
-// accumulates its rotations in classic column order.
-SymmetricEigen sort_descending(std::vector<double> d, Matrix z) {
-  const std::size_t n = d.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return d[a] > d[b]; });
-
-  SymmetricEigen out;
-  out.values.resize(n);
-  out.vectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = d[order[j]];
-    for (std::size_t i = 0; i < n; ++i)
-      out.vectors(i, j) = z(i, order[j]);
-  }
-  return out;
-}
-
 }  // namespace
 
 TridiagonalReduction tridiagonalize(const Matrix& a) {
@@ -322,6 +302,15 @@ SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
                                std::size_t k) {
   const std::size_t m = r.diag.size();
   DPZ_REQUIRE(k >= 1 && k <= m, "k must be in [1, M]");
+  if (m <= 64 || 2 * k >= m) {
+    SymmetricEigen full = eigen_sym_from(r);
+    full.values.resize(k);
+    SymmetricEigen out{std::move(full.values), Matrix(m, k)};
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < k; ++j)
+        out.vectors(i, j) = full.vectors(i, j);
+    return out;
+  }
   const simd::KernelTable& ops = simd::kernels();
 
   std::vector<double> values = eigen_values_from(r);
@@ -402,62 +391,8 @@ SymmetricEigen eigen_sym(const Matrix& a) {
   return eigen_sym_from(tridiagonalize(a));
 }
 
-std::vector<double> eigen_sym_values(const Matrix& a) {
-  return eigen_values_from(tridiagonalize(a));
-}
-
-SymmetricEigen eigen_sym_jacobi(const Matrix& input) {
-  DPZ_REQUIRE(input.rows() == input.cols(),
-              "eigen_sym_jacobi requires a square matrix");
-  const std::size_t n = input.rows();
-  Matrix a = input;
-  Matrix v = Matrix::identity(n);
-
-  constexpr int kMaxSweeps = 64;
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    double off = 0.0;
-    for (std::size_t p = 0; p < n; ++p)
-      for (std::size_t q = p + 1; q < n; ++q) off += a(p, q) * a(p, q);
-    if (off < 1e-300) break;
-
-    bool rotated = false;
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
-        const double threshold =
-            1e-15 * std::sqrt(std::abs(a(p, p) * a(q, q))) + 1e-300;
-        if (std::abs(apq) <= threshold) continue;
-        rotated = true;
-
-        const double theta = (a(q, q) - a(p, p)) / (2.0 * apq);
-        const double t = sign_of(1.0, theta) /
-                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-
-        for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p), akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k), aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p), vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-    if (!rotated) break;
-  }
-
-  std::vector<double> d(n);
-  for (std::size_t i = 0; i < n; ++i) d[i] = a(i, i);
-  return sort_descending(std::move(d), std::move(v));
+SymmetricEigen eigen_sym_topk(const Matrix& a, std::size_t k) {
+  return eigen_topk_from(tridiagonalize(a), k);
 }
 
 }  // namespace dpz

@@ -1,13 +1,17 @@
 // Symmetric eigendecomposition (the numerical heart of Stage 2).
 //
 // DPZ acquires its PCA projection by eigenanalysis of the M x M covariance
-// matrix of block-DCT coefficients (Eq. 3-5 in the paper). We provide two
-// solvers:
-//  * eigen_sym        — Householder tridiagonalization followed by the
-//                       implicit-shift QL iteration: O(n^3) with a small
-//                       constant, the production path;
-//  * eigen_sym_jacobi — cyclic Jacobi rotations: slower but transparently
-//                       correct, kept as the cross-validation oracle.
+// matrix of block-DCT coefficients (Eq. 3-5 in the paper). Every solve
+// starts from one Householder reduction to tridiagonal form, followed by
+// one of two solvers on the tridiagonal:
+//  * eigen_sym / eigen_sym_from — the implicit-shift QL iteration with
+//                       the orthogonal transform accumulated: the full
+//                       spectrum, O(n^3) with a small constant;
+//  * eigen_sym_topk / eigen_topk_from — inverse iteration for only the
+//                       k leading eigenpairs, O(n^2 k) once the reduction
+//                       is paid for (the paper's SS IV-D sampling route
+//                       and the default route both end here once k is
+//                       known).
 // Both return eigenvalues sorted descending (PCA convention: the first
 // component explains the most variance) with matching eigenvector columns.
 #pragma once
@@ -51,16 +55,19 @@ std::vector<double> eigen_values_from(const TridiagonalReduction& r);
 /// shared with a preceding eigen_values_from call.
 SymmetricEigen eigen_sym_from(const TridiagonalReduction& r);
 
-/// The k leading eigenpairs of a reduced matrix: values from the QL
-/// recurrence, vectors by inverse iteration on the tridiagonal (each a
-/// handful of O(M) band solves) followed by one Householder
-/// back-transform per vector. Deterministic — fixed start vectors,
-/// fixed iteration counts — and O(M^2 k) total, which beats both the
-/// dense accumulation (O(M^3)) and subspace iteration on the original
-/// matrix (O(M^2 b) PER SWEEP) whenever the reduction is already paid
-/// for. Vectors are re-orthonormalized, so clustered eigenvalues yield
-/// an orthonormal basis of the cluster's eigenspace rather than k
-/// copies of one direction.
+/// The k leading eigenpairs of a reduced matrix (values sorted
+/// descending; vectors is M x k). Small or near-full-rank problems
+/// (M <= 64 or 2k >= M) take the dense QL accumulation of
+/// eigen_sym_from and keep its first k pairs: at these sizes it costs
+/// about the same as k rounds of inverse iteration. Larger skinny
+/// problems take values from the QL recurrence and vectors by inverse
+/// iteration on the tridiagonal (each a handful of O(M) band solves)
+/// followed by one Householder back-transform per vector: O(M^2 k) once
+/// the reduction is paid for, versus O(M^3) for the dense accumulation.
+/// Deterministic — fixed start vectors, fixed iteration counts. Vectors
+/// are re-orthonormalized, so clustered eigenvalues yield an orthonormal
+/// basis of the cluster's eigenspace rather than k copies of one
+/// direction.
 SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
                                std::size_t k);
 
@@ -69,14 +76,8 @@ SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
 /// converge (pathological only; the iteration cap is generous).
 SymmetricEigen eigen_sym(const Matrix& a);
 
-/// Eigenvalues only, sorted descending: Householder reduction without
-/// orthogonal-transform accumulation followed by the values-only QL
-/// recurrence. Roughly 3x cheaper than eigen_sym — the fast path for
-/// k-selection over the full TVE curve before solving for just the top-k
-/// eigenvectors (eigen_sym_topk).
-std::vector<double> eigen_sym_values(const Matrix& a);
-
-/// Cyclic Jacobi reference solver (O(n^3) per sweep, ~6-10 sweeps).
-SymmetricEigen eigen_sym_jacobi(const Matrix& a);
+/// The k leading eigenpairs of `a` (symmetric; only the lower triangle
+/// is read): eigen_topk_from(tridiagonalize(a), k).
+SymmetricEigen eigen_sym_topk(const Matrix& a, std::size_t k);
 
 }  // namespace dpz

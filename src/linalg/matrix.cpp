@@ -15,11 +15,10 @@ namespace {
 constexpr std::size_t kTile = 64;
 
 /// Below this right-hand-side width the axpy-per-row form degenerates
-/// into per-call overhead and short vector bodies (subspace iteration
-/// multiplies by M x (k+8) blocks), so products switch to long dots
-/// against the transposed operand instead. Dots also skip the output
-/// read-modify-write stream, so the crossover sits well above the call
-/// overhead break-even.
+/// into per-call overhead and short vector bodies, so products switch to
+/// long dots against the transposed operand instead. Dots also skip the
+/// output read-modify-write stream, so the crossover sits well above the
+/// call overhead break-even.
 constexpr std::size_t kNarrow = 128;
 
 }  // namespace
@@ -104,8 +103,8 @@ Matrix Matrix::transpose_multiply(const Matrix& other) const {
   const std::size_t n = other.cols_;
   const simd::KernelTable& ops = simd::kernels();
   if (cols_ < kNarrow && n < kNarrow) {
-    // Both operands narrow (the Rayleigh-Ritz Q^T Z products): transpose
-    // each once and take long contiguous dots.
+    // Both operands narrow: transpose each once and take long contiguous
+    // dots.
     const Matrix at = transposed();
     const Matrix bt = other.transposed();
     for (std::size_t i = 0; i < cols_; ++i) {

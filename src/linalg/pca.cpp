@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "linalg/eigen_sym.h"
-#include "linalg/subspace_iteration.h"
 #include "simd/simd.h"
 #include "util/thread_pool.h"
 
@@ -208,30 +207,11 @@ PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize) {
 }
 
 PcaModel attach_top_components(PcaSpectrum&& spec, std::size_t k) {
-  const std::size_t m = spec.cov.rows();
-  DPZ_REQUIRE(k >= 1 && k <= m, "k must be in [1, M]");
   PcaModel model = std::move(spec.model);
   // Keep the full values-only spectrum (already clamped): it drove the
   // TVE-based k choice and stays exact for the whole curve, while the
   // solve below contributes only the vectors.
-  //
-  // Small or near-full-rank problems take the dense QL accumulation: at
-  // these sizes it costs about the same as k rounds of inverse iteration
-  // and its vectors carry none of the inverse-iteration restart
-  // machinery. Large skinny problems (the Stage-2 hot path) switch to
-  // inverse iteration on the cached tridiagonal: O(M^2 k) with the
-  // reduction already paid for, versus O(M^3) for the dense
-  // accumulation.
-  if (m <= 64 || 2 * k >= m) {
-    SymmetricEigen eig = eigen_sym_from(spec.tridiag);
-    model.components = Matrix(m, k);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = 0; j < k; ++j)
-        model.components(i, j) = eig.vectors(i, j);
-    return model;
-  }
-  SymmetricEigen eig = eigen_topk_from(spec.tridiag, k);
-  model.components = std::move(eig.vectors);
+  model.components = eigen_topk_from(spec.tridiag, k).vectors;
   return model;
 }
 

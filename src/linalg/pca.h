@@ -50,8 +50,9 @@ struct PcaModel {
 /// zero variance keep scale 1 to avoid dividing by zero).
 PcaModel fit_pca(const Matrix& x, bool standardize = false);
 
-/// Truncated fit: computes only the `k` leading eigenpairs by subspace
-/// iteration (O(M^2 k) per sweep instead of the dense solver's O(M^3)).
+/// Truncated fit: computes only the `k` leading eigenpairs
+/// (eigen_sym_topk: one Householder reduction, then inverse iteration on
+/// the tridiagonal, O(M^2 k) instead of the dense accumulation's O(M^3)).
 /// The returned model has `components` of shape M x k and k eigenvalues;
 /// tve_curve()/k_for_tve() are not meaningful on a truncated model. This
 /// is the fast path the sampling strategy unlocks once k_e is known.
@@ -68,19 +69,17 @@ struct PcaSpectrum {
   PcaModel model;  ///< mean/scale/eigenvalues filled; components empty
   Matrix cov;      ///< covariance of the centered working copy
   /// Cached Householder reduction of `cov` — the O(M^3) half of the
-  /// eigenvalue pass. When attach_top_components takes the dense route
-  /// it accumulates eigenvectors straight from this instead of reducing
-  /// the covariance a second time.
+  /// eigenvalue pass. attach_top_components solves for the eigenvectors
+  /// straight from this instead of reducing the covariance a second time.
   TridiagonalReduction tridiag;
 };
 
 /// Phase one: center/standardize, covariance, full eigenvalue spectrum.
 PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize = false);
 
-/// Phase two: attaches the k leading eigenvectors (subspace iteration on
-/// the cached covariance; dense fallback for small problems) to the
-/// spectrum's model. The model keeps the full eigenvalue list, so
-/// tve_curve()/k_for_tve() remain exact on the result.
+/// Phase two: attaches the k leading eigenvectors (eigen_topk_from on the
+/// cached reduction) to the spectrum's model. The model keeps the full
+/// eigenvalue list, so tve_curve()/k_for_tve() remain exact on the result.
 PcaModel attach_top_components(PcaSpectrum&& spec, std::size_t k);
 
 /// Covariance matrix of X's rows: C = (Xc Xc^T)/N with Xc row-centered

@@ -1,27 +1,3 @@
-// Truncated symmetric eigendecomposition by blocked subspace iteration.
-//
-// The paper's sampling strategy (SS IV-D) exists to avoid paying the full
-// O(M^3) eigenanalysis when only k << M components will survive
-// selection: once k_e is estimated from subsets, the leading eigenpairs
-// can be computed at O(M^2 k) per iteration. This is the production path
-// DPZ takes when sampling is enabled.
+// Kept only because the frozen dpz_bench/dpz_bench.cpp still includes it.
 #pragma once
-
 #include "linalg/eigen_sym.h"
-
-namespace dpz {
-
-/// Computes the `k` leading eigenpairs (largest eigenvalues) of the
-/// symmetric matrix `a` by orthogonal (subspace) iteration with
-/// Rayleigh-Ritz extraction. Deterministic: the starting block is seeded
-/// from `seed`. Converges fast when there is any spectral decay; the
-/// iteration cap keeps worst cases bounded.
-///
-/// Returned values/vectors are sorted descending like eigen_sym; only k
-/// pairs are present (vectors is an M x k matrix).
-SymmetricEigen eigen_sym_topk(const Matrix& a, std::size_t k,
-                              std::uint64_t seed = 7,
-                              std::size_t max_iterations = 200,
-                              double tolerance = 1e-10);
-
-}  // namespace dpz

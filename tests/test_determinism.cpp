@@ -23,6 +23,7 @@
 #include "obs/log.h"
 #include "obs/telemetry.h"
 #include "simd/simd.h"
+#include "synthetic_2d.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -43,18 +44,6 @@ namespace {
 }();
 
 constexpr unsigned kThreadCounts[] = {1, 2, 8};
-
-FloatArray synthetic_2d(std::size_t rows, std::size_t cols,
-                        std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> values(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c)
-      values[r * cols + c] = static_cast<float>(
-          0.25 * static_cast<double>(r % 17) -
-          0.125 * static_cast<double>(c % 13) + rng.uniform(-0.5, 0.5));
-  return FloatArray({rows, cols}, std::move(values));
-}
 
 std::vector<std::uint8_t> float_bytes(const FloatArray& a) {
   std::vector<std::uint8_t> bytes(a.size() * sizeof(float));
@@ -126,17 +115,29 @@ TEST(Determinism, DpzF64ArchiveAndDecodeAreThreadCountInvariant) {
 TEST(Determinism, DpzSamplingPathIsThreadCountInvariant) {
   // Algorithm 2 adds the subset estimator and the truncated eigensolver
   // to the parallel surface; the seed pins its subset choice, so bytes
-  // must still be invariant.
-  const FloatArray data = synthetic_2d(128, 96, 5);
-  DpzConfig config = DpzConfig::strict();
-  config.use_sampling = true;
-  config.threads = 1;
-  const std::vector<std::uint8_t> ref_archive = dpz_compress(data, config);
-  for (const unsigned threads : kThreadCounts) {
-    config.threads = threads;
-    EXPECT_EQ(dpz_compress(data, config), ref_archive)
-        << "archive differs at threads=" << threads;
-  }
+  // must still be invariant. The first input (M = 64) takes the dense
+  // top-k fallback. The second must reach inverse iteration, which the
+  // stats check pins so the coverage cannot drift away; at the strict
+  // TVE its estimate is k = M, so it runs at TVE 0.9 (k = 47 of 160).
+  const auto check = [](const FloatArray& data, double tve) {
+    DpzConfig config = DpzConfig::strict();
+    config.use_sampling = true;
+    config.tve = tve;
+    config.threads = 1;
+    DpzStats stats;
+    const std::vector<std::uint8_t> ref_archive =
+        dpz_compress(data, config, &stats);
+    for (const unsigned threads : kThreadCounts) {
+      config.threads = threads;
+      EXPECT_EQ(dpz_compress(data, config), ref_archive)
+          << "archive differs, M=" << stats.layout.m << " threads=" << threads;
+    }
+    return stats;
+  };
+  check(synthetic_2d(128, 96, 5), DpzConfig::strict().tve);
+  const DpzStats truncated = check(synthetic_2d(256, 200, 5), 0.9);
+  EXPECT_GT(truncated.layout.m, 64U);
+  EXPECT_LT(2 * truncated.k, truncated.layout.m);
 }
 
 TEST(Determinism, ChunkedContainerIsThreadCountInvariant) {

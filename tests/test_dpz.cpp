@@ -9,6 +9,7 @@
 #include "core/dpz.h"
 #include "data/datasets.h"
 #include "metrics/metrics.h"
+#include "synthetic_2d.h"
 #include "util/rng.h"
 
 namespace dpz {
@@ -144,6 +145,22 @@ TEST(Dpz, SamplingKTracksFullPipelineK) {
   // The estimate should land within a small factor of the exact k.
   EXPECT_GT(sampled_stats.k * 4, full_stats.k);
   EXPECT_LT(sampled_stats.k, full_stats.k * 4 + 8);
+}
+
+TEST(Dpz, SamplingAndDefaultRoutesShareTheBasisAtEqualK) {
+  // Algorithm 2 differs from Algorithm 1 only in how it picks k: at the
+  // same k both routes solve the same covariance with the same top-k
+  // solver, so the archives match byte for byte. M = 160 and k = 6 put
+  // the solve on the inverse-iteration side of the dense fallback.
+  const FloatArray data = synthetic_2d(256, 200, 5);
+  DpzConfig config = DpzConfig::strict();
+  config.standardize = 0;
+  config.fixed_k = 6;
+  DpzStats stats;
+  const auto default_archive = dpz_compress(data, config, &stats);
+  ASSERT_EQ(stats.layout.m, 160U);
+  config.use_sampling = true;
+  EXPECT_EQ(dpz_compress(data, config), default_archive);
 }
 
 TEST(Dpz, StatsAccountingInvariants) {

@@ -101,8 +101,8 @@ std::vector<double> replicate_normalized_scores(const FloatArray& data,
   }
   // compress_impl's non-sampling branch fits spectrum-first and then
   // attaches only the k leading eigenvectors; replicate that exactly —
-  // the subspace-iteration basis differs (in bits and, beyond the dense
-  // fallback sizes, in value) from a truncated dense eigen_sym basis.
+  // beyond the dense fallback sizes the inverse-iteration basis differs
+  // in bits from a truncated dense eigen_sym basis.
   PcaSpectrum spec = fit_pca_spectrum(blocks, standardized);
   const PcaModel model = attach_top_components(std::move(spec), p.k);
   Matrix scores = model.transform(blocks, p.k);
