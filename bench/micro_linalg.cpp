@@ -11,6 +11,7 @@
 #include "linalg/pca.h"
 #include "simd/simd.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -47,6 +48,26 @@ void BM_EigenDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EigenDense)->Arg(128)->Arg(256)->Arg(512);
+
+// The O(M^3) half of Stage 2 at the climate2d size, on a pool of
+// range(1) threads: from M = 256 the reduction runs on a team of
+// row-owning participants, so the 4-thread row shows the team's gain
+// and the 1-thread row the single-pass code it must reproduce.
+void BM_Tridiagonalize(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto threads = static_cast<unsigned>(state.range(1));
+  const Matrix a = random_spd(m, 5);
+  const ScopedThreads scope(threads);
+  for (auto _ : state) {
+    const TridiagonalReduction r = tridiagonalize(a);
+    benchmark::DoNotOptimize(r.diag.data());
+  }
+}
+BENCHMARK(BM_Tridiagonalize)
+    ->Args({720, 1})
+    ->Args({720, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_EigenTopK(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

@@ -8,6 +8,7 @@
 
 #include "simd/simd.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace dpz {
 
@@ -16,66 +17,214 @@ namespace {
 // Copies sign of b onto |a| (Fortran SIGN intrinsic).
 double sign_of(double a, double b) { return b >= 0.0 ? std::abs(a) : -std::abs(a); }
 
+// Step i of the Householder reduction, on row[0..l] (l = i - 1) of the
+// reduced matrix, in place: scales the row, turns it into the reflector
+// v, stores the subdiagonal in `e_i`, and returns the squared reflector
+// norm (0 marks a skipped step, whose row is left unscaled). Both the
+// serial and the team reduction call this, so their bits agree.
+double reflector_prelude(double* row, std::size_t l, double& e_i,
+                         const simd::KernelTable& ops) {
+  if (l == 0) {
+    e_i = row[0];
+    return 0.0;
+  }
+  double scale = 0.0;
+  for (std::size_t k = 0; k <= l; ++k) scale += std::abs(row[k]);
+  if (scale == 0.0) {
+    e_i = row[l];
+    return 0.0;
+  }
+  ops.divide(scale, row, l + 1);
+  double hi = ops.dot(row, row, l + 1);
+  const double f = row[l];
+  const double g = f >= 0.0 ? -std::sqrt(hi) : std::sqrt(hi);
+  e_i = scale * g;
+  hi -= f * g;
+  row[l] = f - g;
+  return hi;
+}
+
+// Turns p = A v (length l + 1) into the rank-2 update's second vector
+// q = p/hi - hh v, in place. The classic loop updates e[j] immediately
+// before row j's rank-2 update and never reads e[j] from a later row, so
+// the whole update hoists in front of the row sweep.
+void form_update_vector(double* p, const double* v, std::size_t l,
+                        double hi) {
+  double f = 0.0;
+  for (std::size_t j = 0; j <= l; ++j) {
+    p[j] /= hi;
+    f += p[j] * v[j];
+  }
+  const double hh = f / (hi + hi);
+  for (std::size_t j = 0; j <= l; ++j) p[j] -= hh * v[j];
+}
+
 // Householder reduction of a symmetric matrix to tridiagonal form
 // (EISPACK TRED2/TRED1 lineage, restructured so every inner loop runs
-// over contiguous rows and maps onto the simd kernel table).
+// over contiguous rows and maps onto the simd kernel table), steps
+// i = top .. 1 over the lower triangle of z. This is the single-pass
+// code and the oracle the team reduction reproduces.
 //
-// On exit d is the tridiagonal diagonal, e the subdiagonal (e[0] = 0),
-// h[i] the squared reflector norm of step i (h[i] == 0 marks a skipped
-// step), and z's rows still hold the scaled Householder vectors — which
-// is everything accumulate_q_transposed needs, so one reduction serves
-// both the values-only and the full eigensolve.
-void householder_reduce(Matrix& z, std::vector<double>& d,
-                        std::vector<double>& e, std::vector<double>& h) {
-  const std::size_t n = z.rows();
+// On exit e[1..top] holds the subdiagonal, h[i] the squared reflector
+// norm of step i (h[i] == 0 marks a skipped step), and z's rows the
+// scaled Householder vectors — which is everything
+// accumulate_q_transposed needs, so one reduction serves both the
+// values-only and the full eigensolve.
+void householder_serial(Matrix& z, std::vector<double>& e,
+                        std::vector<double>& h, std::size_t top) {
   const simd::KernelTable& ops = simd::kernels();
-  for (std::size_t i = n - 1; i >= 1; --i) {
+  for (std::size_t i = top; i >= 1; --i) {
     const std::size_t l = i - 1;
-    double hi = 0.0;
-    if (l > 0) {
-      double* row_i = z.row(i).data();
-      double scale = 0.0;
-      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(row_i[k]);
-      if (scale == 0.0) {
-        e[i] = row_i[l];
-      } else {
-        ops.divide(scale, row_i, l + 1);
-        hi = ops.dot(row_i, row_i, l + 1);
-        double f = row_i[l];
-        double g = f >= 0.0 ? -std::sqrt(hi) : std::sqrt(hi);
-        e[i] = scale * g;
-        hi -= f * g;
-        row_i[l] = f - g;
-        // e[j] <- (A v)_j in one fused pass over the lower triangle:
-        // the dot covers A(j, 0..j), and the trailing axpy scatters row
-        // j's A(j, k) terms into e[0..j) — each earlier slot still
-        // receives its k > j contributions in ascending-k order, exactly
-        // as the classic column walk did, but every z row is now read
-        // once (dot + axpy back to back out of L1) instead of streamed
-        // twice.
-        for (std::size_t j = 0; j <= l; ++j) {
-          e[j] = ops.dot(z.row(j).data(), row_i, j + 1);
-          if (j >= 1) ops.axpy(row_i[j], z.row(j).data(), e.data(), j);
-        }
-        f = 0.0;
-        for (std::size_t j = 0; j <= l; ++j) {
-          e[j] /= hi;
-          f += e[j] * row_i[j];
-        }
-        const double hh = f / (hi + hi);
-        // The classic loop updates e[j] immediately before row j's
-        // rank-2 update and never reads e[j] from a later row, so the
-        // whole e update hoists in front of the row sweep.
-        for (std::size_t j = 0; j <= l; ++j) e[j] -= hh * row_i[j];
-        for (std::size_t j = 0; j <= l; ++j)
-          ops.rank2_update(row_i[j], e.data(), e[j], row_i,
-                           z.row(j).data(), j + 1);
+    double* row_i = z.row(i).data();
+    const double hi = reflector_prelude(row_i, l, e[i], ops);
+    if (hi != 0.0) {
+      // e[j] <- (A v)_j in one fused pass over the lower triangle: the
+      // dot covers A(j, 0..j), and the trailing axpy scatters row j's
+      // A(j, k) terms into e[0..j) — each earlier slot still receives
+      // its k > j contributions in ascending-k order, exactly as the
+      // classic column walk did, but every z row is now read once (dot
+      // + axpy back to back out of L1) instead of streamed twice.
+      for (std::size_t j = 0; j <= l; ++j) {
+        e[j] = ops.dot(z.row(j).data(), row_i, j + 1);
+        if (j >= 1) ops.axpy(row_i[j], z.row(j).data(), e.data(), j);
       }
-    } else {
-      e[i] = z(i, l);
+      form_update_vector(e.data(), row_i, l, hi);
+      for (std::size_t j = 0; j <= l; ++j)
+        ops.rank2_update(row_i[j], e.data(), e[j], row_i,
+                         z.row(j).data(), j + 1);
     }
     h[i] = hi;
   }
+}
+
+// The team reduction engages at this many active rows and hands the
+// rest to householder_serial below it: under it a step is too short to
+// amortize a barrier, and the full-row form below costs twice the
+// serial flops, so one participant must never run it.
+constexpr std::size_t kTeamMinRows = 256;
+
+// Rows per group in the team's row sweeps: dot_ordered_rows interleaves
+// four chains, and four full rows at M = 720 (23 KiB) stay in L1 from
+// the rank-2 update to the next step's A v.
+constexpr std::size_t kRowGroup = 4;
+
+// Rows [0, rows) split into contiguous bands, one per participant.
+// Recomputed each step from the shrinking active size, so a band moves
+// by at most a row or two per step and stays in its owner's cache.
+struct Band {
+  std::size_t begin;
+  std::size_t end;
+};
+Band row_band(std::size_t rows, unsigned rank, unsigned size) {
+  return {rows * rank / size, rows * (rank + 1) / size};
+}
+
+// (A v)_t for rows [b.begin, b.end) of a full symmetric z: the 16-lane
+// dot over A(t, 0..t) plus the strictly-upper entries A(t, t+1..l)
+// chained in ascending column order — the same additions in the same
+// order as householder_serial's axpy scatter, since A(t, j) mirrors
+// A(j, t) bit for bit and products commute.
+void form_av_rows(const Matrix& z, const double* v, std::size_t l, Band b,
+                  double* av, const simd::KernelTable& ops) {
+  for (std::size_t t0 = b.begin; t0 < b.end; t0 += kRowGroup) {
+    const std::size_t rows = std::min(kRowGroup, b.end - t0);
+    for (std::size_t t = t0; t < t0 + rows; ++t)
+      av[t] = ops.dot(z.row(t).data(), v, t + 1);
+    ops.dot_ordered_rows(z.row(t0).data(), z.cols(), rows, v, t0 + 1,
+                         l + 1, av + t0);
+  }
+}
+
+// Steps i = n-1 .. kTeamMinRows-1 of householder_serial on a team, with
+// one barrier per step. z is kept full (both triangles, mirrored once up
+// front), so apart from row l, which every participant reads and none
+// writes during step i, a participant touches only its own band of
+// rows: it applies the rank-2 update to its full rows and at once forms
+// the next step's (A v) entries for them. Every participant privately
+// recomputes the O(M) remainder — the update vector, the update of row
+// l and the next step's reflector.
+// Mirrored entries receive the same two products added in the other
+// order, so both triangles stay bit-identical to the serial lower one.
+// Participant 0 publishes the finished reflector rows, e and h, and
+// finally row kTeamMinRows-2, where householder_serial takes over.
+// Entries above z's diagonal are left as scratch.
+void householder_team(Matrix& z, std::vector<double>& e,
+                      std::vector<double>& h, const ThreadPool& pool) {
+  const std::size_t n = z.rows();
+  constexpr std::size_t kLast = kTeamMinRows - 1;
+  // (A v) of the step in flight, double-buffered: step i reads one half
+  // while the participants already fill the other for step i-1.
+  std::vector<double> av[2] = {std::vector<double>(n),
+                               std::vector<double>(n)};
+  pool.run_team([&](TeamMember& team) {
+    const simd::KernelTable& ops = simd::kernels();
+    const unsigned rank = team.rank();
+    const unsigned size = team.size();
+    // v: step i's row i (reflector + diagonal); u: row l, updated.
+    std::vector<double> v(n), u(n), q(n);
+
+    Band band = row_band(n - 1, rank, size);
+    for (std::size_t t = band.begin; t < band.end; ++t)
+      for (std::size_t j = t + 1; j < n; ++j) z(t, j) = z(j, t);
+    std::copy_n(z.row(n - 1).begin(), n, v.begin());
+    double e_i = 0.0;
+    double hi = reflector_prelude(v.data(), n - 2, e_i, ops);
+    int cur = 0;
+    if (hi != 0.0)
+      form_av_rows(z, v.data(), n - 2, band, av[cur].data(), ops);
+
+    for (std::size_t i = n - 1;; --i) {
+      const std::size_t l = i - 1;
+      team.barrier();
+      if (rank == 0) {
+        std::copy_n(v.begin(), i + 1, z.row(i).begin());
+        e[i] = e_i;
+        h[i] = hi;
+      }
+      std::copy_n(z.row(l).begin(), l + 1, u.begin());
+      if (hi != 0.0) {
+        std::copy_n(av[cur].begin(), l + 1, q.begin());
+        form_update_vector(q.data(), v.data(), l, hi);
+        ops.rank2_update(v[l], q.data(), q[l], v.data(), u.data(), l + 1);
+      }
+      const bool last = i == kLast;
+      const double next_hi =
+          last ? 0.0 : reflector_prelude(u.data(), l - 1, e_i, ops);
+      band = row_band(l, rank, size);
+      for (std::size_t t0 = band.begin; t0 < band.end; t0 += kRowGroup) {
+        const Band group{t0, std::min(band.end, t0 + kRowGroup)};
+        if (hi != 0.0)
+          for (std::size_t j = group.begin; j < group.end; ++j)
+            ops.rank2_update(v[j], q.data(), q[j], v.data(),
+                             z.row(j).data(), l);
+        if (next_hi != 0.0)
+          form_av_rows(z, u.data(), l - 1, group, av[cur ^ 1].data(), ops);
+      }
+      if (last) break;
+      cur ^= 1;
+      hi = next_hi;
+      std::swap(v, u);
+    }
+    team.barrier();
+    if (rank == 0)
+      std::copy_n(u.begin(), kLast, z.row(kLast - 1).begin());
+  });
+}
+
+// Householder reduction to tridiagonal form: d the diagonal, e the
+// subdiagonal (e[0] = 0), h and z's rows as householder_serial leaves
+// them. Large reductions run on a team while at least kTeamMinRows rows
+// remain; the result is bit-identical at every width.
+void householder_reduce(Matrix& z, std::vector<double>& d,
+                        std::vector<double>& e, std::vector<double>& h) {
+  const std::size_t n = z.rows();
+  std::size_t top = n - 1;
+  const ThreadPool& pool = PoolScope::current();
+  if (n >= kTeamMinRows && pool.team_width() >= 2) {
+    householder_team(z, e, h, pool);
+    top = kTeamMinRows - 2;
+  }
+  householder_serial(z, e, h, top);
   h[0] = 0.0;
   e[0] = 0.0;
   // The rank-2 sweeps left the tridiagonal diagonal on z's diagonal.
@@ -198,17 +347,17 @@ SymmetricEigen sort_descending_rows(std::vector<double> d, Matrix qt) {
 
 }  // namespace
 
-TridiagonalReduction tridiagonalize(const Matrix& a) {
+TridiagonalReduction tridiagonalize(Matrix a) {
   DPZ_REQUIRE(a.rows() == a.cols(),
               "tridiagonalize requires a square matrix");
   const std::size_t n = a.rows();
   TridiagonalReduction r;
-  r.reflectors = a;  // working copy: reduced in place
+  r.reflectors = std::move(a);  // reduced in place
   r.diag.assign(n, 0.0);
   r.subdiag.assign(n, 0.0);
   r.norm2.assign(n, 0.0);
   if (n >= 2) householder_reduce(r.reflectors, r.diag, r.subdiag, r.norm2);
-  if (n == 1) r.diag[0] = a(0, 0);
+  if (n == 1) r.diag[0] = r.reflectors(0, 0);
   return r;
 }
 
@@ -299,9 +448,12 @@ void fill_start_vector(std::size_t j, unsigned attempt,
 }  // namespace
 
 SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
+                               std::span<const double> values,
                                std::size_t k) {
   const std::size_t m = r.diag.size();
   DPZ_REQUIRE(k >= 1 && k <= m, "k must be in [1, M]");
+  DPZ_REQUIRE(values.size() == m,
+              "eigen_topk_from needs the reduction's full spectrum");
   if (m <= 64 || 2 * k >= m) {
     SymmetricEigen full = eigen_sym_from(r);
     full.values.resize(k);
@@ -312,9 +464,6 @@ SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
     return out;
   }
   const simd::KernelTable& ops = simd::kernels();
-
-  std::vector<double> values = eigen_values_from(r);
-  values.resize(k);
 
   double anorm = 0.0;
   for (std::size_t i = 0; i < m; ++i)
@@ -365,34 +514,44 @@ SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
 
   // Back-transform through the Householder reflectors (x = Q y with
   // Q = P_{m-1} ... P_1, exactly the product accumulate_q_transposed
-  // forms): i ascending, each reflector applied to every vector while
-  // its v/h row is hot.
-  std::vector<double> w2(m);
-  for (std::size_t i = 1; i < m; ++i) {
-    if (r.norm2[i] == 0.0) continue;
-    const double* v = r.reflectors.row(i).data();
-    for (std::size_t t = 0; t < i; ++t) w2[t] = v[t] / r.norm2[i];
-    for (std::size_t j = 0; j < k; ++j) {
-      double* row_j = yt.row(j).data();
-      const double g = ops.dot(v, row_j, i);
-      ops.axpy(-g, w2.data(), row_j, i);
+  // forms): i ascending, each reflector applied to a band's vectors
+  // while its v/h row is hot. The vectors split into contiguous bands,
+  // one per participant; each vector still receives reflectors
+  // 1..m-1 in order, so the bits do not depend on the band count.
+  const std::size_t bands =
+      std::min<std::size_t>(k, PoolScope::current().team_width());
+  parallel_for(0, bands, [&](std::size_t b) {
+    const std::size_t j0 = k * b / bands;
+    const std::size_t j1 = k * (b + 1) / bands;
+    std::vector<double> w2(m);
+    for (std::size_t i = 1; i < m; ++i) {
+      if (r.norm2[i] == 0.0) continue;
+      const double* v = r.reflectors.row(i).data();
+      for (std::size_t t = 0; t < i; ++t) w2[t] = v[t] / r.norm2[i];
+      for (std::size_t j = j0; j < j1; ++j) {
+        double* row_j = yt.row(j).data();
+        const double g = ops.dot(v, row_j, i);
+        ops.axpy(-g, w2.data(), row_j, i);
+      }
     }
-  }
+  });
 
   SymmetricEigen out;
-  out.values = std::move(values);
+  const std::span<const double> top = values.first(k);
+  out.values.assign(top.begin(), top.end());
   out.vectors = Matrix(m, k);
   for (std::size_t j = 0; j < k; ++j)
     for (std::size_t i = 0; i < m; ++i) out.vectors(i, j) = yt(j, i);
   return out;
 }
 
-SymmetricEigen eigen_sym(const Matrix& a) {
-  return eigen_sym_from(tridiagonalize(a));
+SymmetricEigen eigen_sym(Matrix a) {
+  return eigen_sym_from(tridiagonalize(std::move(a)));
 }
 
-SymmetricEigen eigen_sym_topk(const Matrix& a, std::size_t k) {
-  return eigen_topk_from(tridiagonalize(a), k);
+SymmetricEigen eigen_sym_topk(Matrix a, std::size_t k) {
+  const TridiagonalReduction r = tridiagonalize(std::move(a));
+  return eigen_topk_from(r, eigen_values_from(r), k);
 }
 
 }  // namespace dpz

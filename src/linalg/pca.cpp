@@ -171,8 +171,7 @@ PcaModel fit_pca(const Matrix& x, bool standardize) {
 
   // Covariance of the prepared matrix (means are now ~0, but recompute to
   // stay exact) and its eigendecomposition.
-  const Matrix cov = covariance(centered);
-  SymmetricEigen eig = eigen_sym(cov);
+  SymmetricEigen eig = eigen_sym(covariance(centered));
 
   for (double& v : eig.values)
     if (v < 0.0) v = 0.0;  // clamp tiny negative rounding residue
@@ -184,9 +183,8 @@ PcaModel fit_pca(const Matrix& x, bool standardize) {
 PcaModel fit_pca_topk(const Matrix& x, std::size_t k, bool standardize) {
   DPZ_REQUIRE(k >= 1 && k <= x.rows(), "k must be in [1, M]");
   PcaModel model;
-  const Matrix centered = prepare_centered(x, standardize, model);
-  const Matrix cov = covariance(centered);
-  SymmetricEigen eig = eigen_sym_topk(cov, k);
+  Matrix cov = covariance(prepare_centered(x, standardize, model));
+  SymmetricEigen eig = eigen_sym_topk(std::move(cov), k);
 
   for (double& v : eig.values)
     if (v < 0.0) v = 0.0;
@@ -197,9 +195,10 @@ PcaModel fit_pca_topk(const Matrix& x, std::size_t k, bool standardize) {
 
 PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize) {
   PcaSpectrum spec;
-  const Matrix centered = prepare_centered(x, standardize, spec.model);
-  spec.cov = covariance(centered);
-  spec.tridiag = tridiagonalize(spec.cov);
+  // The centered copy dies with this statement and the covariance moves
+  // into the reduction, so no second M x M copy is ever held.
+  Matrix cov = covariance(prepare_centered(x, standardize, spec.model));
+  spec.tridiag = tridiagonalize(std::move(cov));
   spec.model.eigenvalues = eigen_values_from(spec.tridiag);
   for (double& v : spec.model.eigenvalues)
     if (v < 0.0) v = 0.0;  // clamp tiny negative rounding residue
@@ -209,9 +208,11 @@ PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize) {
 PcaModel attach_top_components(PcaSpectrum&& spec, std::size_t k) {
   PcaModel model = std::move(spec.model);
   // Keep the full values-only spectrum (already clamped): it drove the
-  // TVE-based k choice and stays exact for the whole curve, while the
-  // solve below contributes only the vectors.
-  model.components = eigen_topk_from(spec.tridiag, k).vectors;
+  // TVE-based k choice, stays exact for the whole curve, and supplies
+  // the solve's shifts, so the spectrum is computed once; the solve
+  // contributes only the vectors.
+  model.components =
+      eigen_topk_from(spec.tridiag, model.eigenvalues, k).vectors;
   return model;
 }
 

@@ -61,16 +61,24 @@ PcaModel fit_pca_topk(const Matrix& x, std::size_t k,
 
 /// A spectrum-first fit: mean/scale and the FULL eigenvalue spectrum of
 /// the covariance (via the values-only solver, ~3x cheaper than the
-/// dense eigendecomposition), plus the covariance itself so the leading
-/// eigenvectors can be solved for afterwards without re-streaming X.
-/// This splits Stage 2's k-selection (which needs every eigenvalue for
-/// the TVE curve) from the basis solve (which needs only k columns).
+/// dense eigendecomposition), plus the covariance's Householder
+/// reduction so the leading eigenvectors can be solved for afterwards
+/// without re-streaming X. This splits Stage 2's k-selection (which
+/// needs every eigenvalue for the TVE curve) from the basis solve (which
+/// needs only k columns).
+///
+/// Threading: the reduction and the back-transform run on the active
+/// pool's team (see eigen_sym.h); the single-participant path is the
+/// oracle, and every thread count produces the same bits.
 struct PcaSpectrum {
   PcaModel model;  ///< mean/scale/eigenvalues filled; components empty
-  Matrix cov;      ///< covariance of the centered working copy
-  /// Cached Householder reduction of `cov` — the O(M^3) half of the
-  /// eigenvalue pass. attach_top_components solves for the eigenvectors
-  /// straight from this instead of reducing the covariance a second time.
+  /// Not filled by the library: fit_pca_spectrum moves the covariance
+  /// into `tridiag` instead of keeping an M x M copy. Kept for the
+  /// frozen dpz_bench replay, which assigns it before reducing it.
+  Matrix cov;
+  /// Cached Householder reduction of the covariance — the O(M^3) half of
+  /// the eigenvalue pass. attach_top_components solves for the
+  /// eigenvectors straight from this instead of reducing a second time.
   TridiagonalReduction tridiag;
 };
 
@@ -78,8 +86,10 @@ struct PcaSpectrum {
 PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize = false);
 
 /// Phase two: attaches the k leading eigenvectors (eigen_topk_from on the
-/// cached reduction) to the spectrum's model. The model keeps the full
-/// eigenvalue list, so tve_curve()/k_for_tve() remain exact on the result.
+/// cached reduction, shifted by the model's stored spectrum, so no
+/// second eigenvalue pass runs) to the spectrum's model. The model keeps
+/// the full eigenvalue list, so tve_curve()/k_for_tve() remain exact on
+/// the result.
 PcaModel attach_top_components(PcaSpectrum&& spec, std::size_t k);
 
 /// Covariance matrix of X's rows: C = (Xc Xc^T)/N with Xc row-centered

@@ -13,6 +13,15 @@ namespace dpz::simd {
 /// Always present.
 const KernelTable& scalar_table();
 
+/// The one implementation of KernelTable::dot_ordered_rows, shared by
+/// every table: its chains are strictly serial, so there are no lanes
+/// to vectorize, and defining it once in the scalar TU (built with
+/// -ffp-contract=off) keeps aarch64 from contracting it to FMA.
+void dot_ordered_rows_scalar(const double* a, std::size_t lda,
+                             std::size_t rows, const double* y,
+                             std::size_t begin, std::size_t end,
+                             double* acc);
+
 /// Null when the TU was built without AVX2 support.
 const KernelTable* avx2_table();
 

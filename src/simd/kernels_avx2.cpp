@@ -354,6 +354,7 @@ const KernelTable* avx2_table() {
   static constexpr KernelTable kTable = {
       dot_avx2,
       dot_centered_avx2,
+      dot_ordered_rows_scalar,
       axpy_avx2,
       rank2_avx2,
       accum_centered_avx2,

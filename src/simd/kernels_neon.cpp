@@ -213,6 +213,7 @@ const KernelTable* neon_table() {
   static constexpr KernelTable kTable = {
       dot_neon,
       dot_centered_neon,
+      dot_ordered_rows_scalar,
       axpy_neon,
       rank2_neon,
       accum_centered_neon,

@@ -3,6 +3,9 @@
 // per-element operation orders live here as plain C++ (see simd.h for
 // the contract).
 #include "simd/kernel_tables.h"
+
+#include <algorithm>
+
 #include "simd/scalar_ops.h"
 
 namespace dpz::simd {
@@ -117,10 +120,53 @@ void dequantize_codes_scalar(const std::uint8_t* codes, std::size_t n,
 
 }  // namespace
 
+void dot_ordered_rows_scalar(const double* a, std::size_t lda,
+                             std::size_t rows, const double* y,
+                             std::size_t begin, std::size_t end,
+                             double* acc) {
+  std::size_t r = 0;
+  // Four rows at a time: four independent chains keep the adder busy
+  // where one chain would wait out each add's latency. The staircase
+  // head (columns where not all four rows are active yet) runs first,
+  // row by row; every chain still sees its terms in ascending order.
+  for (; r + 4 <= rows; r += 4) {
+    const double* x0 = a + r * lda;
+    const double* x1 = x0 + lda;
+    const double* x2 = x1 + lda;
+    const double* x3 = x2 + lda;
+    const std::size_t b = begin + r;
+    const std::size_t body = std::min(b + 3, std::max(b, end));
+    double s0 = acc[r];
+    double s1 = acc[r + 1];
+    double s2 = acc[r + 2];
+    double s3 = acc[r + 3];
+    for (std::size_t j = b; j < body; ++j) s0 += x0[j] * y[j];
+    for (std::size_t j = b + 1; j < body; ++j) s1 += x1[j] * y[j];
+    for (std::size_t j = b + 2; j < body; ++j) s2 += x2[j] * y[j];
+    for (std::size_t j = b + 3; j < end; ++j) {
+      s0 += x0[j] * y[j];
+      s1 += x1[j] * y[j];
+      s2 += x2[j] * y[j];
+      s3 += x3[j] * y[j];
+    }
+    acc[r] = s0;
+    acc[r + 1] = s1;
+    acc[r + 2] = s2;
+    acc[r + 3] = s3;
+  }
+  for (; r < rows; ++r) {
+    const double* x = a + r * lda;
+    double s = acc[r];
+    for (std::size_t j = begin + r; j < end; ++j) s += x[j] * y[j];
+    acc[r] = s;
+  }
+}
+
 const KernelTable& scalar_table() {
   static constexpr KernelTable kTable = {
       dot_scalar,
       dot_centered_scalar,
+      dot_ordered_rows_scalar,
       axpy_scalar,
       rank2_scalar,
       accum_centered_scalar,

@@ -23,6 +23,10 @@
 //    folded in serially afterwards. The scalar reference implements this
 //    same tree, so the reduction order is a property of the kernel
 //    contract, not of the CPU the archive was written on.
+//  * The ordered accumulation (dot_ordered_rows) is the exception to
+//    the tree: each row is one serial left-to-right chain, because its
+//    caller must reproduce a sequence of axpy scatters bit for bit.
+//    Interleaving four rows hides the add latency instead.
 //  * Complex kernels use the finite-operand product
 //    (ar*br - ai*bi, ar*bi + ai*br) with one rounding per part; callers
 //    only pass finite data (DCT/FFT intermediates).
@@ -95,6 +99,17 @@ struct KernelTable {
   /// sum_i (x[i]-mx)*(y[i]-my) — the covariance inner loop
   double (*dot_centered)(const double* x, double mx, const double* y,
                          double my, std::size_t n);
+  /// acc[r] += a[r*lda + j]*y[j] for j = begin+r, begin+r+1, ..., end-1:
+  /// one strictly ascending serial chain per row r in [0, rows), no
+  /// lane tree. Row r starts one column later than row r-1 (a
+  /// staircase), so rows t0..t0+rows-1 of a full symmetric matrix with
+  /// begin = t0+1 accumulate exactly their strictly-upper entries — the
+  /// same additions, in the same order, as the Householder reduction's
+  /// scatter of axpy calls over the lower triangle. Every ISA's table
+  /// points at the one scalar reference (see kernel_tables.h).
+  void (*dot_ordered_rows)(const double* a, std::size_t lda,
+                           std::size_t rows, const double* y,
+                           std::size_t begin, std::size_t end, double* acc);
 
   // ---- elementwise (per-element order identical to the scalar loop) ---
   /// y[i] += a*x[i]

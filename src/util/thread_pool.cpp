@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <exception>
 #include <string>
 
@@ -67,6 +69,30 @@ struct ThreadPool::Shared {
   // cancellation checkpoints cross the fork. The shared_ptr keeps the
   // governor alive for the job even though the publisher also holds it.
   std::shared_ptr<const ResourceGovernor> governor DPZ_GUARDED_BY(m);
+  // False for team jobs: every participant must enter its body.
+  bool poll DPZ_GUARDED_BY(m) = true;
+};
+
+// Barrier and failure state of one run_team call. `generation` counts
+// completed barriers (and is bumped once more by an abort, so blocked
+// waiters wake); `arrived` counts participants inside the current one.
+struct TeamMember::State {
+  std::atomic<std::uint32_t> arrived{0};
+  std::atomic<std::uint32_t> generation{0};
+  std::atomic<bool> aborted{false};
+  Mutex m;
+  std::exception_ptr error DPZ_GUARDED_BY(m);
+
+  // Records the first failure and releases every waiting participant.
+  void abort(std::exception_ptr e) {
+    {
+      const MutexLock lock(m);
+      if (!error) error = std::move(e);
+    }
+    aborted.store(true);
+    generation.fetch_add(1);
+    generation.notify_all();
+  }
 };
 
 namespace {
@@ -104,7 +130,50 @@ void log_pool_task_error() {
   obs::log_error(obs::Event::kPoolTaskError, status, {}, what);
 }
 
+// Thrown out of TeamMember::barrier in the participants a failed peer
+// released; run_team absorbs it, since the peer's error is the one
+// reported.
+struct TeamAborted {};
+
+// Spin-wait hint: lets a hyperthread sibling run while a barrier spins.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
 }  // namespace
+
+void TeamMember::barrier() {
+  governed_poll();
+  if (size_ == 1) return;
+  State& s = *state_;
+  const std::uint32_t gen = s.generation.load();
+  if (s.aborted.load()) throw TeamAborted{};
+  if (s.arrived.fetch_add(1) + 1 == size_) {
+    s.arrived.store(0);
+    s.generation.store(gen + 1);
+    s.generation.notify_all();
+    return;
+  }
+  // A Stage-2 step lasts microseconds to tens of microseconds, so a
+  // short spin usually catches the release. Past it, yield (a runnable
+  // thread of another pool gets the core), then block rather than burn
+  // a core a peer may need.
+  constexpr int kSpins = 2048;
+  constexpr int kYields = 64;
+  for (int spin = 0; spin < kSpins + kYields && s.generation.load() == gen;
+       ++spin) {
+    if (spin < kSpins)
+      cpu_relax();
+    else
+      std::this_thread::yield();
+  }
+  while (s.generation.load() == gen) s.generation.wait(gen);
+  if (s.aborted.load()) throw TeamAborted{};
+}
 
 ThreadPool::ThreadPool(unsigned threads)
     : thread_count_(threads != 0 ? threads : default_thread_count()),
@@ -132,6 +201,7 @@ void ThreadPool::worker_main(unsigned index) const {
     std::size_t hi = 0;
     std::uint64_t publish_ns = 0;
     std::shared_ptr<const ResourceGovernor> governor;
+    bool poll = true;
     {
       // Predicate spelled out in the wait loop (not a lambda) so the
       // thread-safety analysis sees the guarded reads under the lock.
@@ -144,6 +214,7 @@ void ThreadPool::worker_main(unsigned index) const {
       hi = std::min(s.end, lo + s.chunk);
       publish_ns = s.publish_ns;
       governor = s.governor;
+      poll = s.poll;
     }
     if (lo < hi) {
       const bool traced = obs::telemetry_enabled();
@@ -157,7 +228,7 @@ void ThreadPool::worker_main(unsigned index) const {
       const detail::GovernorAdopt adopt(governor.get());
       try {
         for (std::size_t i = lo; i < hi; ++i) {
-          if (governor != nullptr) governor->checkpoint();
+          if (poll && governor != nullptr) governor->checkpoint();
           (*body)(i);
         }
       } catch (...) {
@@ -197,10 +268,17 @@ void ThreadPool::parallel_for(
     return;
   }
 
+  run_job(begin, end, body, /*poll=*/true);
+}
+
+void ThreadPool::run_job(std::size_t begin, std::size_t end,
+                         const std::function<void(std::size_t)>& body,
+                         bool poll) const {
   // One loop at a time: concurrent top-level callers queue here.
   const MutexLock run_lock(run_mutex_);
 
   Shared& s = *shared_;
+  const std::size_t n = end - begin;
   const auto participants =
       static_cast<unsigned>(std::min<std::size_t>(thread_count_, n));
   // Snapshots of job fields for participant 0's lock-free use below:
@@ -219,6 +297,7 @@ void ThreadPool::parallel_for(
     s.publish_ns =
         obs::telemetry_enabled() ? obs::TraceRecorder::now_ns() : 0;
     s.governor = current_governor_shared();
+    s.poll = poll;
     ++s.generation;
     chunk = s.chunk;
     publish_ns = s.publish_ns;
@@ -236,7 +315,7 @@ void ThreadPool::parallel_for(
     const std::size_t hi = std::min(end, begin + chunk);
     try {
       for (std::size_t i = begin; i < hi; ++i) {
-        if (governor != nullptr) governor->checkpoint();
+        if (poll && governor != nullptr) governor->checkpoint();
         body(i);
       }
     } catch (...) {
@@ -256,6 +335,43 @@ void ThreadPool::parallel_for(
     error = s.error;
     s.body = nullptr;
     s.governor = nullptr;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+unsigned ThreadPool::team_width() const {
+  if (t_parallel_depth > 0) return 1;
+  return std::min(thread_count_, default_thread_count());
+}
+
+void ThreadPool::run_team(
+    const std::function<void(TeamMember&)>& body) const {
+  const unsigned width = team_width();
+  TeamMember::State state;
+  // Never throws: a failing body aborts the team, whose first error is
+  // rethrown below once every participant has left.
+  const std::function<void(std::size_t)> member_body =
+      [&](std::size_t rank) {
+        TeamMember member(state, static_cast<unsigned>(rank), width);
+        try {
+          body(member);
+        } catch (const TeamAborted&) {
+          // Released by a failed peer; its error is the one reported.
+        } catch (...) {
+          log_pool_task_error();
+          state.abort(std::current_exception());
+        }
+      };
+  if (width == 1) {
+    const DepthGuard guard;
+    member_body(0);
+  } else {
+    run_job(0, width, member_body, /*poll=*/false);
+  }
+  std::exception_ptr error;
+  {
+    const MutexLock lock(state.m);
+    error = state.error;
   }
   if (error) std::rethrow_exception(error);
 }

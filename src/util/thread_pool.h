@@ -29,6 +29,20 @@
 // correctly — and every participant polls it between strip indices,
 // which bounds cancellation/deadline abort latency to one body call even
 // mid-loop. Ungoverned loops pay one thread-local load per index.
+//
+// Teams: run_team is the one primitive for work that must synchronize
+// mid-flight (Stage 2's row-owned Householder reduction). Every
+// participant is guaranteed to enter the body, so a TeamMember::barrier
+// can never wait on a participant that was skipped. The width is the
+// pool size clamped to hardware concurrency — a spinning barrier on an
+// oversubscribed host would steal the cores its peers need — and is 1
+// for nested calls, which run the body inline. The barrier spins
+// briefly, then blocks (std::atomic::wait), and polls the governor at
+// entry, so every participant polls at the same step. An exception or
+// governance trip in any participant releases the others from their
+// barrier and is rethrown once by run_team. A team's output must not
+// depend on its width: the one-participant run is the oracle that any
+// wider run has to reproduce bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +54,32 @@
 #include "util/annotated_mutex.h"
 
 namespace dpz {
+
+/// One participant's view of a ThreadPool::run_team call.
+class TeamMember {
+ public:
+  /// This participant's index in [0, size()); 0 is the calling thread.
+  [[nodiscard]] unsigned rank() const { return rank_; }
+  [[nodiscard]] unsigned size() const { return size_; }
+
+  /// Returns once every participant has called barrier() the same
+  /// number of times; writes made before the barrier are visible to all
+  /// participants after it. Polls the governor first (throwing
+  /// Cancelled / DeadlineExceeded on a trip), and throws an internal
+  /// exception that run_team absorbs when a peer has failed.
+  void barrier();
+
+ private:
+  friend class ThreadPool;
+  struct State;
+
+  TeamMember(State& state, unsigned rank, unsigned size)
+      : state_(&state), rank_(rank), size_(size) {}
+
+  State* state_;
+  unsigned rank_;
+  unsigned size_;
+};
 
 /// Fixed-size pool of persistent worker threads executing
 /// static-partitioned loops. The calling thread participates in every
@@ -65,6 +105,20 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body) const;
 
+  /// Participants run_team engages from the calling thread: the pool
+  /// size clamped to hardware concurrency, or 1 when called from inside
+  /// a parallel region (the body then runs inline).
+  [[nodiscard]] unsigned team_width() const;
+
+  /// Runs `body(member)` once on each of team_width() participants at
+  /// the same time, so bodies may synchronize through member.barrier().
+  /// Unlike parallel_for, no governor poll precedes a participant's body
+  /// (one that never entered could not reach the barrier); the barrier
+  /// polls instead. The first exception thrown by any body (a
+  /// governance trip included) releases the other participants and is
+  /// rethrown here once. Serialized against other loops on this pool.
+  void run_team(const std::function<void(TeamMember&)>& body) const;
+
   /// True when the calling thread is currently executing a parallel_for
   /// body (of any pool). Such calls run their own loops inline.
   static bool in_parallel_region();
@@ -76,6 +130,13 @@ class ThreadPool {
   struct Shared;
 
   void worker_main(unsigned index) const;
+
+  /// Publishes one static-partitioned job over [begin, end) to the
+  /// workers and runs participant 0's chunk. `poll` enables the
+  /// governor checkpoint before each index.
+  void run_job(std::size_t begin, std::size_t end,
+               const std::function<void(std::size_t)>& body,
+               bool poll) const;
 
   unsigned thread_count_;
   std::unique_ptr<Shared> shared_;

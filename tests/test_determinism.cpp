@@ -92,6 +92,26 @@ TEST(Determinism, DpzStrictArchiveAndDecodeAreThreadCountInvariant) {
   }
 }
 
+TEST(Determinism, TeamReductionArchiveIsThreadCountInvariant) {
+  // M = 360 is past the size (256) from which Stage 2's Householder
+  // reduction runs on a team of row-owning participants, and 2k < M
+  // sends the basis solve through inverse iteration and the banded
+  // back-transform; the stats check pins both so coverage cannot drift.
+  const Dataset ds = make_dataset("CLDHGH", 0.2);
+  DpzConfig config = DpzConfig::strict();
+  config.threads = 1;
+  DpzStats stats;
+  const std::vector<std::uint8_t> ref_archive =
+      dpz_compress(ds.data, config, &stats);
+  EXPECT_GE(stats.layout.m, 256U);
+  EXPECT_LT(2 * stats.k, stats.layout.m);
+  for (const unsigned threads : {2U, 3U, 4U, 8U}) {
+    config.threads = threads;
+    EXPECT_EQ(dpz_compress(ds.data, config), ref_archive)
+        << "archive differs at threads=" << threads;
+  }
+}
+
 TEST(Determinism, DpzF64ArchiveAndDecodeAreThreadCountInvariant) {
   Rng rng(7);
   std::vector<double> values(48 * 64);

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <span>
 
 #include "linalg/eigen_sym.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dpz {
 namespace {
@@ -269,7 +273,7 @@ TEST(EigenTopKFrom, ResidualsSmallAgainstOriginal) {
   const std::size_t k = 11;
   const Matrix a = random_spd(n, 46);
   const TridiagonalReduction r = tridiagonalize(a);
-  const SymmetricEigen topk = eigen_topk_from(r, k);
+  const SymmetricEigen topk = eigen_topk_from(r, eigen_values_from(r), k);
   ASSERT_EQ(topk.values.size(), k);
   ASSERT_EQ(topk.vectors.cols(), k);
   for (std::size_t j = 0; j < k; ++j) {
@@ -289,7 +293,7 @@ TEST(EigenTopKFrom, MatchesDenseAccumulationOnLeadingPairs) {
   const Matrix a = random_spd(90, 47);
   const TridiagonalReduction r = tridiagonalize(a);
   const SymmetricEigen full = eigen_sym_from(r);
-  const SymmetricEigen topk = eigen_topk_from(r, 7);
+  const SymmetricEigen topk = eigen_topk_from(r, eigen_values_from(r), 7);
   for (std::size_t j = 0; j < 7; ++j) {
     EXPECT_NEAR(topk.values[j], full.values[j], 1e-9 + 1e-9 * full.values[0]);
     double dot = 0.0;
@@ -318,10 +322,101 @@ TEST(EigenTopKFrom, ClusteredSpectrumStaysOrthonormal) {
       a(i, j) = sum;
     }
   const TridiagonalReduction r = tridiagonalize(a);
-  const SymmetricEigen topk = eigen_topk_from(r, 6);
+  const SymmetricEigen topk = eigen_topk_from(r, eigen_values_from(r), 6);
   ASSERT_NEAR(topk.values[0], 2.0, 1e-9);
   ASSERT_NEAR(topk.values[2], 2.0, 1e-9);
   EXPECT_LT(orthonormality_error(topk.vectors), 1e-8);
+}
+
+// ---- Thread-count invariance -------------------------------------------
+// From M = 256 the reduction runs on a team of row-owning participants
+// and the back-transform on bands of vectors; both must reproduce the
+// single-participant bits at every width. The sizes straddle the team
+// threshold, and the zero-block matrix makes a skipped (scale == 0)
+// step fall inside the team's range.
+
+// Random symmetric matrix whose rows [p, n) do not couple to [0, p):
+// reducing the lower block ends with a step whose row is zero left of
+// the diagonal.
+Matrix zero_block_symmetric(std::size_t n, std::size_t p,
+                            std::uint64_t seed) {
+  Matrix a = random_symmetric(n, seed);
+  for (std::size_t i = p; i < n; ++i)
+    for (std::size_t j = 0; j < p; ++j) {
+      a(i, j) = 0.0;
+      a(j, i) = 0.0;
+    }
+  return a;
+}
+
+::testing::AssertionResult bitwise_equal(std::span<const double> a,
+                                         std::span<const double> b,
+                                         const char* what) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure() << what << ": size mismatch";
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i]))
+      return ::testing::AssertionFailure()
+             << what << "[" << i << "]: " << a[i] << " vs " << b[i];
+  return ::testing::AssertionSuccess();
+}
+
+// Row i's reflector entries and reduced diagonal, row by row; the
+// entries above the diagonal are scratch and excluded.
+std::vector<double> reflector_entries(const Matrix& z) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < z.rows(); ++i)
+    for (std::size_t j = 0; j <= i; ++j) out.push_back(z(i, j));
+  return out;
+}
+
+TEST(EigenThreads, ReductionAndTopKAreBitwiseThreadCountInvariant) {
+  struct Case {
+    const char* name;
+    Matrix a;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t n : {255, 256, 257, 300, 720})
+    cases.push_back({"random", random_symmetric(n, 50 + n)});
+  cases.push_back({"zero_block", zero_block_symmetric(520, 400, 51)});
+
+  for (const Case& c : cases) {
+    const std::size_t n = c.a.rows();
+    const std::size_t k = n / 24;
+    TridiagonalReduction ref_r;
+    SymmetricEigen ref_topk;
+    {
+      const ScopedThreads scope(1);
+      ref_r = tridiagonalize(c.a);
+      ref_topk = eigen_topk_from(ref_r, eigen_values_from(ref_r), k);
+    }
+    for (const unsigned threads : {2U, 3U, 4U, 8U}) {
+      const ScopedThreads scope(threads);
+      const TridiagonalReduction r = tridiagonalize(c.a);
+      SCOPED_TRACE(::testing::Message() << c.name << " n=" << n
+                                        << " threads=" << threads);
+      EXPECT_TRUE(bitwise_equal(r.diag, ref_r.diag, "diag"));
+      EXPECT_TRUE(bitwise_equal(r.subdiag, ref_r.subdiag, "subdiag"));
+      EXPECT_TRUE(bitwise_equal(r.norm2, ref_r.norm2, "norm2"));
+      EXPECT_TRUE(bitwise_equal(reflector_entries(r.reflectors),
+                                reflector_entries(ref_r.reflectors),
+                                "reflectors"));
+      const SymmetricEigen topk =
+          eigen_topk_from(r, eigen_values_from(r), k);
+      EXPECT_TRUE(bitwise_equal(topk.values, ref_topk.values, "values"));
+      EXPECT_TRUE(bitwise_equal(topk.vectors.flat(), ref_topk.vectors.flat(),
+                                "vectors"));
+    }
+  }
+}
+
+TEST(EigenThreads, ZeroBlockSkipsAStepInsideTheTeamRange) {
+  // Guards the case above: the skipped step must really be there.
+  const TridiagonalReduction r =
+      tridiagonalize(zero_block_symmetric(520, 400, 51));
+  EXPECT_EQ(r.norm2[400], 0.0);
+  EXPECT_GT(r.norm2[401], 0.0);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //     before any allocation of that size is attempted.
 //   * Cancellation requested mid-compress aborts within 250 ms; an
 //     expired deadline aborts at the first checkpoint. Each trip is
-//     counted exactly once regardless of worker count.
+//     counted exactly once regardless of worker count. A cancel landing
+//     inside Stage 2's team reduction releases every participant.
 //   * A seeded sweep failing the Nth charged allocation with
 //     std::bad_alloc proves every pipeline either completes byte-exactly
 //     or fails clean (no leaks under ASan, no torn state).
@@ -35,12 +36,14 @@
 #include "core/shared_basis.h"
 #include "core/verify.h"
 #include "io/fault_injection.h"
+#include "linalg/eigen_sym.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "util/crc32c.h"
 #include "util/error.h"
 #include "util/resource.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dpz {
 namespace {
@@ -420,6 +423,48 @@ TEST(Cancel, SharedBasisPipelineHonoursCancellation) {
   }
   codec.set_limits(ResourceLimits{});
   EXPECT_FALSE(codec.limits().enabled());
+}
+
+TEST(Cancel, LandsDuringTeamReductionWithoutHang) {
+  // From M = 256 Stage 2's Householder reduction runs on a team whose
+  // participants meet at one barrier per step and poll the governor
+  // there. A cancel landing mid-reduction must surface as kCancelled,
+  // with every participant released, and leave the pool usable.
+  const ThreadPool pool(4);
+  if (pool.team_width() < 2) GTEST_SKIP() << "one hardware thread";
+  const PoolScope use(pool);
+  constexpr std::size_t kM = 720;
+  Matrix a(kM, kM);
+  Rng rng(46);
+  for (std::size_t i = 0; i < kM; ++i)
+    for (std::size_t j = 0; j <= i; ++j) a(i, j) = a(j, i) = rng.normal();
+
+  // The reduction takes tens of milliseconds; if the host is fast enough
+  // to finish before the cancel lands, retry with the cancel sooner.
+  for (int delay_ms = 4; delay_ms >= 0; --delay_ms) {
+    CancelSource source;
+    ResourceLimits limits;
+    limits.cancel = source.token();
+    bool cancelled = false;
+    {
+      const GovernorScope scope(limits);
+      std::thread canceller([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+        source.request_cancel();
+      });
+      try {
+        (void)tridiagonalize(a);
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), StatusCode::kCancelled) << e.what();
+        cancelled = true;
+      }
+      canceller.join();
+    }
+    if (!cancelled) continue;
+    EXPECT_NO_THROW((void)tridiagonalize(a));
+    return;
+  }
+  FAIL() << "the team reduction always outran its cancel";
 }
 
 // ---------------------------------------------------------------------------

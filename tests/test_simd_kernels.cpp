@@ -143,6 +143,62 @@ TEST(SimdKernelContract, ScalarDotImplementsDocumentedTree) {
   }
 }
 
+// The staircase shapes dot_ordered_rows must handle: row counts around
+// its four-row interleave, and column ranges that end before, inside
+// and after the staircase head.
+TEST_P(SimdKernelEquivalence, OrderedRowAccumulationMatches) {
+  Rng rng(19);
+  for (const std::size_t rows : {0, 1, 3, 4, 5, 8, 11}) {
+    for (const std::size_t end : {0, 2, 5, 9, 17, 40, 100}) {
+      for (std::size_t off = 0; off < kMaxOffset; ++off) {
+        const std::size_t lda = 101;
+        const std::size_t begin = 1 + off;
+        const Views a(random_buffer(rng, rows * lda), off);
+        const Views y(random_buffer(rng, lda), (off + 1) % kMaxOffset);
+        const std::vector<double> acc = random_buffer(rng, rows);
+        Views ref(acc, off);
+        Views got(acc, (off + 2) % kMaxOffset);
+        ref_.dot_ordered_rows(a.p, lda, rows, y.p, begin, end, ref.p);
+        isa_.dot_ordered_rows(a.p, lda, rows, y.p, begin, end, got.p);
+        EXPECT_TRUE(buffers_match(ref.out(rows), got.out(rows)))
+            << "dot_ordered_rows rows=" << rows << " end=" << end;
+      }
+    }
+  }
+}
+
+// The ordered accumulation's contract, spelled with the axpy kernel it
+// stands in for: row r's sum equals acc[r] followed by one axpy of
+// length 1 per column j = begin+r, ..., end-1 in ascending order (the
+// Householder reduction's scatter). Products commute, so the operand
+// order inside each term does not matter.
+TEST(SimdKernelContract, OrderedRowsEqualAscendingAxpyScatter) {
+  const KernelTable& ref = dpz::simd::kernel_table(Isa::kScalar);
+  Rng rng(23);
+  for (const std::size_t rows : {1, 4, 6, 9}) {
+    for (const std::size_t end : {3, 7, 64}) {
+      const std::size_t lda = 70;
+      const std::size_t begin = 2;
+      const std::vector<double> a = random_buffer(rng, rows * lda);
+      const std::vector<double> y = random_buffer(rng, lda);
+      const std::vector<double> acc = random_buffer(rng, rows);
+      std::vector<double> expect = acc;
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t j = begin + r; j < end; ++j)
+          ref.axpy(y[j], &a[r * lda + j], &expect[r], 1);
+      // The reference table, and the dispatched one (which the
+      // DPZ_FORCE_ISA=scalar CI run pins to the reference).
+      for (const KernelTable* table : {&ref, &dpz::simd::kernels()}) {
+        std::vector<double> got = acc;
+        table->dot_ordered_rows(a.data(), lda, rows, y.data(), begin, end,
+                                got.data());
+        EXPECT_TRUE(buffers_match(expect, got))
+            << "rows=" << rows << " end=" << end;
+      }
+    }
+  }
+}
+
 TEST_P(SimdKernelEquivalence, ElementwiseKernelsMatch) {
   Rng rng(13);
   for (const std::size_t n : kSizes) {

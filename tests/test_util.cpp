@@ -1,9 +1,12 @@
 // Unit tests for src/util: CLI parsing, deterministic RNG, the thread
-// pool's parallel_for contract, timers, and formatting helpers.
+// pool's parallel_for and run_team contracts, timers, and formatting
+// helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -12,6 +15,7 @@
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/format.h"
+#include "util/resource.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -293,6 +297,142 @@ TEST(ScopedThreads, ZeroKeepsAmbientPoolNonzeroOwnsOne) {
     EXPECT_NE(&PoolScope::current(), &ambient);
   }
   EXPECT_EQ(&PoolScope::current(), &ambient);
+}
+
+// ---- ThreadPool::run_team ----------------------------------------------
+// A team's participants run at once and meet at barriers; one failing
+// participant must release the others (never a hang) and surface its
+// error exactly once.
+
+TEST(ThreadTeam, EveryParticipantEntersAndBarriersPublishWrites) {
+  const ThreadPool pool(4);
+  const unsigned width = pool.team_width();
+  std::vector<unsigned> slots(width, 0);
+  std::atomic<unsigned> entered{0};
+  std::atomic<int> mismatches{0};
+  pool.run_team([&](TeamMember& team) {
+    EXPECT_EQ(team.size(), width);
+    entered.fetch_add(1);
+    for (unsigned round = 1; round <= 200; ++round) {
+      slots[team.rank()] = round * (team.rank() + 1);
+      team.barrier();
+      for (unsigned r = 0; r < width; ++r)
+        if (slots[r] != round * (r + 1)) mismatches.fetch_add(1);
+      team.barrier();
+    }
+  });
+  EXPECT_EQ(entered.load(), width);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ThreadTeam, WidthIsClampedToHardwareAndOneWhenNested) {
+  const unsigned hw = std::max(1U, std::thread::hardware_concurrency());
+  const ThreadPool wide(hw + 4);
+  EXPECT_EQ(wide.team_width(), hw);
+  EXPECT_EQ(ThreadPool(1).team_width(), 1U);
+  const std::thread::id caller = std::this_thread::get_id();
+  wide.parallel_for(0, 1, [&](std::size_t) {
+    EXPECT_EQ(wide.team_width(), 1U);
+    wide.run_team([&](TeamMember& team) {
+      EXPECT_EQ(team.size(), 1U);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      team.barrier();
+    });
+  });
+}
+
+// Runs `body` on a 4-thread pool's team and returns how often run_team
+// threw an Error carrying `message` (it must be exactly once).
+int team_errors(const std::function<void(TeamMember&)>& body,
+                const char* message) {
+  const ThreadPool pool(4);
+  int caught = 0;
+  try {
+    pool.run_team(body);
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), message);
+    ++caught;
+  }
+  // The pool stays usable: no participant is left behind at a barrier.
+  std::atomic<unsigned> entered{0};
+  pool.run_team([&](TeamMember& team) {
+    team.barrier();
+    entered.fetch_add(1);
+  });
+  EXPECT_EQ(entered.load(), pool.team_width());
+  return caught;
+}
+
+TEST(ThreadTeam, ParticipantThrowingBeforeABarrierReleasesThePeers) {
+  if (ThreadPool(4).team_width() < 2) GTEST_SKIP() << "one hardware thread";
+  EXPECT_EQ(team_errors(
+                [](TeamMember& team) {
+                  if (team.rank() + 1 == team.size()) throw Error("boom");
+                  for (int i = 0; i < 10; ++i) team.barrier();
+                },
+                "boom"),
+            1);
+}
+
+TEST(ThreadTeam, ParticipantThrowingAfterABarrierReleasesThePeers) {
+  if (ThreadPool(4).team_width() < 2) GTEST_SKIP() << "one hardware thread";
+  EXPECT_EQ(team_errors(
+                [](TeamMember& team) {
+                  team.barrier();
+                  if (team.rank() == 1) throw Error("late boom");
+                  for (int i = 0; i < 10; ++i) team.barrier();
+                },
+                "late boom"),
+            1);
+}
+
+TEST(ThreadTeam, CancelledGovernorStillEntersEveryBodyThenTripsAtBarrier) {
+  // parallel_for polls before each index; a team must not, or a
+  // participant that never entered would strand its peers.
+  CancelSource source;
+  source.request_cancel();
+  ResourceLimits limits;
+  limits.cancel = source.token();
+  const GovernorScope scope(limits);
+  const ThreadPool pool(4);
+  std::atomic<unsigned> entered{0};
+  int cancelled = 0;
+  try {
+    pool.run_team([&](TeamMember& team) {
+      entered.fetch_add(1);
+      team.barrier();
+    });
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), StatusCode::kCancelled);
+    ++cancelled;
+  }
+  EXPECT_EQ(entered.load(), pool.team_width());
+  EXPECT_EQ(cancelled, 1);
+}
+
+TEST(ThreadTeam, CancelBetweenBarriersStopsEveryParticipantAtTheNextOne) {
+  CancelSource source;
+  ResourceLimits limits;
+  limits.cancel = source.token();
+  const GovernorScope scope(limits);
+  const ThreadPool pool(4);
+  std::vector<std::atomic<int>> passed(pool.team_width());
+  int cancelled = 0;
+  try {
+    pool.run_team([&](TeamMember& team) {
+      for (int i = 1; i <= 100; ++i) {
+        team.barrier();
+        passed[team.rank()].store(i);
+        if (team.rank() == 0 && i == 10) source.request_cancel();
+      }
+    });
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), StatusCode::kCancelled);
+    ++cancelled;
+  }
+  EXPECT_EQ(cancelled, 1);
+  // Rank 0 polls at barrier 11 before arriving, so nobody passes it.
+  for (const auto& p : passed) EXPECT_LE(p.load(), 10);
 }
 
 // ---- Timers ----------------------------------------------------------------
