@@ -27,16 +27,16 @@ int main(int argc, char** argv) {
 
   for (const char* name : {"FLDSC", "CLDHGH", "Isotropic"}) {
     const Dataset ds = make_dataset(name, opt.scale, opt.seed);
-    const DpzAnalysis analysis(ds.data);
+    DpzAnalysis analysis(ds.data);
     const std::size_t k = analysis.k_for_tve(0.99999);
     const std::size_t m = analysis.layout().m;
+    const PcaModel model = analysis.model(k);
 
     ByteWriter f32_bytes, f64_bytes;
     for (std::size_t i = 0; i < m; ++i)
       for (std::size_t j = 0; j < k; ++j) {
-        f32_bytes.put_f32(
-            static_cast<float>(analysis.model().components(i, j)));
-        f64_bytes.put_f64(analysis.model().components(i, j));
+        f32_bytes.put_f32(static_cast<float>(model.components(i, j)));
+        f64_bytes.put_f64(model.components(i, j));
       }
 
     const std::size_t raw = f32_bytes.size();

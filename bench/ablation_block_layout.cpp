@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                       "end-to-end CR", "PSNR (dB)"});
 
   for (const BlockLayout& layout : layout_candidates(ds.data.size())) {
-    const DpzAnalysis analysis(ds.data, false, layout);
+    DpzAnalysis analysis(ds.data, false, layout);
     QuantizerConfig qcfg;
     qcfg.error_bound = 1e-4;
     qcfg.wide_codes = true;

@@ -5,7 +5,6 @@
 //   huffman + zlib  — SZ's entropy stage
 //   shuffle + zlib  — the byte-planes trick used for the basis
 //   zlib level 9    — maximum-effort deflate
-#include <cmath>
 #include <iostream>
 
 #include "bench_common.h"
@@ -14,6 +13,7 @@
 #include "codec/shuffle.h"
 #include "codec/zlib_codec.h"
 #include "core/analysis.h"
+#include "core/archive_detail.h"
 #include "util/timer.h"
 
 namespace {
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   for (const char* name : {"CLDHGH", "PHIS", "Isotropic"}) {
     const Dataset ds = make_dataset(name, opt.scale, opt.seed);
-    const DpzAnalysis analysis(ds.data);
+    DpzAnalysis analysis(ds.data);
     const std::size_t k = analysis.k_for_tve(0.99999);
 
     for (const bool strict : {false, true}) {
@@ -41,18 +41,9 @@ int main(int argc, char** argv) {
       qcfg.error_bound = strict ? 1e-4 : 1e-3;
       qcfg.wide_codes = strict;
 
-      // Reproduce the exact Stage-3 code stream.
-      Matrix scores = analysis.model().transform(analysis.dct_blocks(), k);
-      const double scale = [&] {
-        double mean = 0.0;
-        for (const double v : scores.row(0)) mean += v;
-        mean /= static_cast<double>(scores.cols());
-        double var = 0.0;
-        for (const double v : scores.row(0)) var += (v - mean) * (v - mean);
-        return 8.0 * std::sqrt(var / static_cast<double>(scores.cols()));
-      }();
-      for (double& v : scores.flat()) v /= scale;
-      const QuantizedStream qs = quantize(scores.flat(), qcfg);
+      // The exact Stage-3 code stream the archive at k carries.
+      Matrix scores = analysis.model(k).transform(analysis.dct_blocks(), k);
+      const QuantizedStream qs = detail::stage3_forward(scores, qcfg).qs;
 
       Timer timer;
       const std::size_t zlib_size = zlib_compress(qs.codes).size();

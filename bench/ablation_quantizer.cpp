@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Ablation: score-normalization sigma scale ===\n\n";
 
   const Dataset ds = make_dataset("PHIS", opt.scale, opt.seed);
-  const DpzAnalysis analysis(ds.data);
+  DpzAnalysis analysis(ds.data);
   const std::size_t k = analysis.k_for_tve(0.99999);
   std::cout << "PHIS, k = " << k << " at five-nine TVE\n\n";
 

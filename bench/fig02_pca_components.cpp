@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
                "distributions (FLDSC) ===\n\n";
 
   const Dataset ds = make_dataset("FLDSC", opt.scale, opt.seed);
-  const DpzAnalysis analysis(ds.data);
+  DpzAnalysis analysis(ds.data);
   const BlockLayout& layout = analysis.layout();
   std::cout << "block layout: " << layout.m << " blocks x " << layout.n
             << " datapoints\n\n";
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
   // (b)-(d) component distributions.
   const std::size_t max_comp = std::min<std::size_t>(layout.m, 30);
-  const Matrix scores = analysis.model().transform(
+  const Matrix scores = analysis.model(max_comp).transform(
       analysis.dct_blocks(), max_comp);
 
   TablePrinter comps({"component", "std (spread)", "share of 1st's std"});

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                "DCT vs PCA (FLDSC) ===\n\n";
 
   const Dataset ds = make_dataset("FLDSC", opt.scale, opt.seed);
-  const DpzAnalysis analysis(ds.data);
+  DpzAnalysis analysis(ds.data);
   const BlockLayout& layout = analysis.layout();
 
   // Information curves.

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     const std::uint64_t original_bytes = ds.data.size() * sizeof(float);
 
     // DPZ: one cached analysis, both schemes, full TVE ladder.
-    const DpzAnalysis analysis(ds.data);
+    DpzAnalysis analysis(ds.data);
     for (const bool strict : {false, true}) {
       QuantizerConfig qcfg;
       qcfg.error_bound = strict ? 1e-4 : 1e-3;

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   const std::uint64_t original_bytes = ds.data.size() * sizeof(float);
   write_pgm(artifact_path(opt, "fig07_original.pgm"), ds.data, 0.0F, 1.0F);
 
-  const DpzAnalysis analysis(ds.data);
+  DpzAnalysis analysis(ds.data);
 
   // Setting <= 0 selects knee-point k (the aggressive low-rate end of
   // DPZ's operating curve); positive settings are TVE thresholds.

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : table_datasets()) {
     const Dataset ds = make_dataset(name, opt.scale, opt.seed);
-    const DpzAnalysis analysis(ds.data);
+    DpzAnalysis analysis(ds.data);
     const Matrix& blocks = analysis.dct_blocks();
 
     for (const std::size_t s : {std::size_t{5}, std::size_t{10}}) {

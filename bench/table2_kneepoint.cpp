@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : table_datasets()) {
     const Dataset ds = make_dataset(name, opt.scale, opt.seed);
-    const DpzAnalysis analysis(ds.data);
+    DpzAnalysis analysis(ds.data);
     const std::uint64_t original_bytes = ds.data.size() * sizeof(float);
 
     for (const bool strict : {false, true}) {

@@ -10,16 +10,15 @@
 #include <filesystem>
 #include <iostream>
 
+#include "core/archive_detail.h"
 #include "core/blocking.h"
 #include "core/dpz.h"
 #include "core/sampling.h"
 #include "data/datasets.h"
-#include "dsp/dct.h"
 #include "io/file_io.h"
 #include "metrics/metrics.h"
 #include "util/cli.h"
 #include "util/format.h"
-#include "util/thread_pool.h"
 
 int main(int argc, char** argv) {
   using namespace dpz;
@@ -42,11 +41,7 @@ int main(int argc, char** argv) {
     // the loose scheme is safe; low -> use strict codes.
     const BlockLayout layout = choose_block_layout(ds.data.size());
     Matrix blocks = to_blocks(ds.data.flat(), layout);
-    const DctPlan plan(layout.n);
-    parallel_for(0, layout.m, [&](std::size_t i) {
-      auto row = blocks.row(i);
-      plan.forward(row, row);
-    });
+    dct_rows(blocks);
     SamplingConfig probe;
     probe.tve = 0.99999;
     probe.seed = seed;

@@ -7,16 +7,15 @@
 // Run:  ./compressibility_probe [--scale=0.2] [--tve=0.99999]
 #include <iostream>
 
+#include "core/archive_detail.h"
 #include "core/blocking.h"
 #include "core/sampling.h"
 #include "data/datasets.h"
-#include "dsp/dct.h"
 #include "stats/descriptive.h"
 #include "stats/entropy.h"
 #include "stats/vif.h"
 #include "util/cli.h"
 #include "util/format.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
@@ -60,11 +59,7 @@ int main(int argc, char** argv) {
       spatial_vifs = sampled_vif(blocks, 0.01, 256, vif_rng);
     }
 
-    const DctPlan plan(layout.n);
-    parallel_for(0, layout.m, [&](std::size_t i) {
-      auto row = blocks.row(i);
-      plan.forward(row, row);
-    });
+    dct_rows(blocks);
 
     SamplingConfig config;
     config.tve = tve;

@@ -3,10 +3,9 @@
 #include "codec/bytes.h"
 #include "codec/quantizer.h"
 #include "codec/zlib_codec.h"
+#include "core/archive_detail.h"
 #include "core/blocking.h"
-#include "dsp/dct.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace dpz {
 
@@ -27,11 +26,7 @@ std::vector<std::uint8_t> dctzlike_compress(const FloatArray& data,
 
   const BlockLayout layout = choose_block_layout(data.size());
   Matrix blocks = to_blocks(data.flat(), layout);
-  const DctPlan plan(layout.n);
-  parallel_for(0, layout.m, [&](std::size_t i) {
-    auto row = blocks.row(i);
-    plan.forward(row, row);
-  });
+  dct_rows(blocks);
 
   QuantizerConfig qcfg;
   qcfg.error_bound = eb;
@@ -117,11 +112,7 @@ FloatArray dctzlike_decompress(std::span<const std::uint8_t> archive) {
   Matrix blocks(layout.m, layout.n);
   dequantize(qs, qcfg, blocks.flat());
 
-  const DctPlan plan(layout.n);
-  parallel_for(0, layout.m, [&](std::size_t i) {
-    auto row = blocks.row(i);
-    plan.inverse(row, row);
-  });
+  idct_rows(blocks);
 
   FloatArray out(shape);
   from_blocks(blocks, layout, out.flat());

@@ -1,12 +1,10 @@
 #include "core/analysis.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "codec/zlib_codec.h"
 #include "core/archive_detail.h"
-#include "dsp/dct.h"
 #include "stats/knee.h"
-#include "util/thread_pool.h"
 
 namespace dpz {
 
@@ -24,22 +22,29 @@ DpzAnalysis::DpzAnalysis(const FloatArray& data, bool standardize,
     layout_ = choose_block_layout(data.size());
   }
   dct_blocks_ = to_blocks(data.flat(), layout_);
-  const DctPlan plan(layout_.n);
-  parallel_for(0, layout_.m, [&](std::size_t i) {
-    auto row = dct_blocks_.row(i);
-    plan.forward(row, row);
-  });
-  model_ = fit_pca(dct_blocks_, standardize);
-  tve_ = model_.tve_curve();
+  dct_rows(dct_blocks_);
+  spectrum_ = fit_pca_spectrum(dct_blocks_, standardize);
 }
 
-std::size_t DpzAnalysis::k_for_knee(KneeFit fit) const {
-  return detect_knee(tve_, fit).k;
+PcaModel DpzAnalysis::model(std::size_t k) {
+  const std::size_t m = layout_.m;
+  DPZ_REQUIRE(k >= 1 && k <= m, "k must be in [1, M]");
+  const bool dense = topk_is_dense(m, k);
+  Matrix& solved = dense ? dense_vectors_ : iterated_vectors_;
+  if (solved.cols() < k)
+    solved = eigen_topk_from(spectrum_.tridiag, spectrum_.model.eigenvalues,
+                             dense ? m : k)
+                 .vectors;
+  PcaModel fit = spectrum_.model;
+  fit.components = Matrix(m, k);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < k; ++j) fit.components(i, j) = solved(i, j);
+  return fit;
 }
 
 std::size_t DpzAnalysis::k_for_psnr_knee(const QuantizerConfig& qcfg,
                                          KneeFit fit,
-                                         std::size_t grid_points) const {
+                                         std::size_t grid_points) {
   DPZ_REQUIRE(grid_points >= 4, "PSNR knee needs at least 4 grid points");
   const std::size_t m = layout_.m;
 
@@ -67,90 +72,28 @@ std::size_t DpzAnalysis::k_for_psnr_knee(const QuantizerConfig& qcfg,
   return ks[idx - 1];
 }
 
-FloatArray DpzAnalysis::reconstruct_from_scores(const Matrix& scores) const {
-  Matrix blocks = model_.inverse_transform(scores);
-  const DctPlan plan(layout_.n);
-  parallel_for(0, layout_.m, [&](std::size_t i) {
-    auto row = blocks.row(i);
-    plan.inverse(row, row);
-  });
+FloatArray DpzAnalysis::reconstruct_exact(std::size_t k) {
+  const PcaModel fit = model(k);
+  Matrix blocks = fit.inverse_transform(fit.transform(dct_blocks_, k));
+  idct_rows(blocks);
   FloatArray out(original_.shape());
   from_blocks(blocks, layout_, out.flat());
   return out;
 }
 
-FloatArray DpzAnalysis::reconstruct_exact(std::size_t k) const {
-  const Matrix scores = model_.transform(dct_blocks_, k);
-  return reconstruct_from_scores(scores);
-}
-
 DpzAnalysis::Evaluation DpzAnalysis::evaluate(std::size_t k,
                                               const QuantizerConfig& qcfg,
                                               int zlib_level,
-                                              double score_sigma_scale) const {
-  DPZ_REQUIRE(k >= 1 && k <= layout_.m, "k must be in [1, M]");
+                                              double score_sigma_scale) {
   Evaluation ev;
-  ev.k = k;
-
-  Matrix scores = model_.transform(dct_blocks_, k);
-
-  // Stage 1&2 reference: exact scores.
-  {
-    const FloatArray exact = reconstruct_from_scores(scores);
-    ev.stage12_error =
-        compute_error_stats(original_.flat(), exact.flat());
-  }
-
-  // Stage 3: normalize per component, quantize, and round-trip.
-  detail::SideData side;
-  side.mean = model_.mean;
-  side.scale = model_.scale;
-  side.score_scale = detail::component_scale(scores.row(0));
-  if (score_sigma_scale > 0.0)
-    side.score_scale *=
-        score_sigma_scale / detail::kScoreSigmaScale;
-  const double inv_scale = 1.0 / side.score_scale;
-  for (double& v : scores.flat()) v *= inv_scale;
-  const QuantizedStream qs = quantize(scores.flat(), qcfg);
-
-  Matrix restored(k, layout_.n);
-  dequantize(qs, qcfg, restored.flat());
-  for (double& v : restored.flat()) v *= side.score_scale;
-  ev.reconstructed = reconstruct_from_scores(restored);
+  const PcaModel fit = model(k);
+  ev.archive = detail::encode(
+      original_, layout_, fit.transform(dct_blocks_, k), fit,
+      standardized_, qcfg, zlib_level, ev.accounting,
+      score_sigma_scale > 0.0 ? score_sigma_scale : detail::kScoreSigmaScale);
+  ev.reconstructed = dpz_decompress(ev.archive);
   ev.stage3_error =
       compute_error_stats(original_.flat(), ev.reconstructed.flat());
-
-  // Accounting identical to dpz_compress's sections.
-  side.basis = Matrix(layout_.m, k);
-  for (std::size_t i = 0; i < layout_.m; ++i)
-    for (std::size_t j = 0; j < k; ++j)
-      side.basis(i, j) = model_.components(i, j);
-
-  DpzStats& st = ev.accounting;
-  st.layout = layout_;
-  st.k = k;
-  st.standardized = standardized_;
-  st.outlier_count = qs.outliers.size();
-  st.original_bytes = original_.size() * sizeof(float);
-  st.stage12_bytes =
-      static_cast<std::uint64_t>(k) * layout_.n * sizeof(float);
-  st.stage3_bytes = qs.codes.size() + qs.outliers.size() * sizeof(float);
-
-  const std::vector<std::uint8_t> side_raw =
-      detail::serialize_side(side, standardized_);
-  // v2 section framing adds 20 bytes per section: raw size (8), CRC32C
-  // (4), and the blob length prefix (8).
-  st.side_bytes = zlib_compress(side_raw, zlib_level).size() + 20;
-  ByteWriter outlier_bytes;
-  for (const float v : qs.outliers) outlier_bytes.put_f32(v);
-  st.zlib_payload_bytes =
-      zlib_compress(qs.codes, zlib_level).size() +
-      zlib_compress(outlier_bytes.bytes(), zlib_level).size() + 40;
-  // Header: magic/version/flags/P + shape + layout + k + outlier count
-  // + the v2 header CRC32C.
-  const std::uint64_t header_bytes =
-      4 + 1 + 1 + 8 + 1 + 8 * original_.shape().size() + 8 * 3 + 4 + 8 + 4;
-  st.archive_bytes = header_bytes + st.side_bytes + st.zlib_payload_bytes;
   return ev;
 }
 

@@ -1,16 +1,17 @@
-// DpzAnalysis: a cached DPZ pipeline for parameter sweeps.
+// DpzAnalysis: a cache of Stage 1 and the PCA spectrum over the shipping
+// encoder, for parameter sweeps (Fig 6; Tables II-IV; rate control).
 //
-// The evaluation harnesses sweep many (TVE, scheme) operating points per
-// dataset (Fig 6's rate-distortion curves; Tables II-IV). Re-running the
-// full pipeline per point would repeat the block DCT and the O(M^3)
-// eigenanalysis dozens of times, so this class runs Stage 1 and the PCA
-// fit once and lets callers evaluate any k / quantizer combination against
-// the cached state. Byte sizes reported by evaluate() are computed exactly
-// like dpz_compress's archive sections, so the accounting matches the real
-// compressor bit for bit.
+// Stage 1 and fit_pca_spectrum (covariance + O(M^3) reduction) run once;
+// each evaluate(k) takes the k leading eigenvectors from the compressor's
+// own solve, encodes with detail::encode and decodes with dpz_decompress.
+// Invariant: evaluate(k) returns exactly the bytes dpz_compress writes
+// with fixed_k = k (same standardize flag, quantizer and zlib level), and
+// its reconstruction is that archive's decode; the test
+// DpzAnalysis.EvaluationMatchesRealCompressor holds the two equal.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -24,21 +25,30 @@ namespace dpz {
 
 class DpzAnalysis {
  public:
-  /// Runs Stage 1 (blocking + DCT) and the full PCA fit on `data`.
-  /// `forced_layout` overrides the automatic divisor-pair choice (used by
-  /// the block-layout ablation bench); it must cover data.size().
+  /// Runs Stage 1 (blocking + DCT) and the spectrum-first PCA fit on
+  /// `data`. `forced_layout` overrides the automatic divisor-pair choice
+  /// (used by the block-layout ablation bench); it must cover data.size().
   explicit DpzAnalysis(const FloatArray& data, bool standardize = false,
                        std::optional<BlockLayout> forced_layout = {});
 
   [[nodiscard]] const BlockLayout& layout() const { return layout_; }
-  [[nodiscard]] const PcaModel& model() const { return model_; }
   [[nodiscard]] const Matrix& dct_blocks() const { return dct_blocks_; }
-  [[nodiscard]] const std::vector<double>& tve_curve() const { return tve_; }
+  [[nodiscard]] std::vector<double> tve_curve() const {
+    return spectrum_.model.tve_curve();
+  }
 
   [[nodiscard]] std::size_t k_for_tve(double threshold) const {
-    return model_.k_for_tve(threshold);
+    return spectrum_.model.k_for_tve(threshold);
   }
-  [[nodiscard]] std::size_t k_for_knee(KneeFit fit) const;
+  [[nodiscard]] std::size_t k_for_knee(KneeFit fit) const {
+    return detect_knee(tve_curve(), fit).k;
+  }
+
+  /// The k-component model dpz_compress fits at fixed_k = k (components
+  /// M x k). Vectors are cached per eigen_topk_from branch: a solve at k
+  /// serves every smaller k of the same branch (topk_is_dense; pinned by
+  /// DpzAnalysis.CachedBasisMatchesFreshSolve).
+  [[nodiscard]] PcaModel model(std::size_t k);
 
   /// Knee detection on the compression-performance (PSNR) curve rather
   /// than the TVE curve — the variant SS IV-B notes "can be applied to
@@ -49,21 +59,18 @@ class DpzAnalysis {
   /// nearest evaluated k is returned.
   [[nodiscard]] std::size_t k_for_psnr_knee(const QuantizerConfig& qcfg,
                                             KneeFit fit = KneeFit::kFit1D,
-                                            std::size_t grid_points = 12)
-      const;
+                                            std::size_t grid_points = 12);
 
   /// Reconstruction with exact (unquantized) k scores — the "Stage 1&2"
   /// output whose PSNR Table IV compares against the quantized pipeline.
-  [[nodiscard]] FloatArray reconstruct_exact(std::size_t k) const;
+  [[nodiscard]] FloatArray reconstruct_exact(std::size_t k);
 
-  /// One full operating point: quantized reconstruction plus paper-style
-  /// and end-to-end accounting.
+  /// One operating point: the real archive at k, its decode, its stats.
   struct Evaluation {
-    std::size_t k = 0;
-    ErrorStats stage12_error;  ///< exact-score reconstruction vs original
-    ErrorStats stage3_error;   ///< quantized reconstruction vs original
-    DpzStats accounting;       ///< sizes matching a real archive
-    FloatArray reconstructed;  ///< the quantized reconstruction
+    ErrorStats stage3_error;   ///< decoded archive vs original
+    DpzStats accounting;       ///< the encoder's stats for `archive`
+    std::vector<std::uint8_t> archive;  ///< dpz_compress's bytes at k
+    FloatArray reconstructed;  ///< dpz_decompress(archive)
   };
   /// `score_sigma_scale` overrides the global normalization calibration
   /// (detail::kScoreSigmaScale) for the quantizer-calibration ablation;
@@ -71,18 +78,17 @@ class DpzAnalysis {
   [[nodiscard]] Evaluation evaluate(std::size_t k,
                                     const QuantizerConfig& qcfg,
                                     int zlib_level = 6,
-                                    double score_sigma_scale = 0.0) const;
+                                    double score_sigma_scale = 0.0);
 
  private:
-  [[nodiscard]] FloatArray reconstruct_from_scores(
-      const Matrix& scores) const;
 
   FloatArray original_;
   bool standardized_;
   BlockLayout layout_;
   Matrix dct_blocks_;
-  PcaModel model_;
-  std::vector<double> tve_;
+  PcaSpectrum spectrum_;
+  Matrix dense_vectors_;     ///< dense-branch vectors solved so far
+  Matrix iterated_vectors_;  ///< inverse-iteration vectors solved so far
 };
 
 }  // namespace dpz

@@ -1,6 +1,11 @@
-// Internal archive building blocks shared between the compressor
-// (dpz.cpp) and the analysis evaluator (analysis.cpp). Not part of the
-// public API; layouts here may change between archive versions.
+// Internal archive building blocks and the one home of the pipeline's
+// stage functions, all defined in dpz.cpp. Not part of the public API;
+// layouts here may change between archive versions. dpz_compress is
+// Stage 1 (to_blocks + dct_rows) + Stage 2 (linalg/pca.h) + encode;
+// decode inverts them with stage3_inverse, pca_back_project and
+// idct_rows. Every other pipeline calls the same functions, and
+// dpz_analyze's single-stage check keeps the DCT row loops and the score
+// normalization here.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +13,20 @@
 #include <vector>
 
 #include "codec/bytes.h"
-#include "linalg/matrix.h"
+#include "codec/quantizer.h"
+#include "core/dpz.h"
+#include "linalg/pca.h"
+
+namespace dpz {
+
+/// Stage 1: orthonormal DCT-II of every block (row) of an M x N block
+/// matrix, in place.
+void dct_rows(Matrix& blocks);
+
+/// Stage 1 inverse: DCT-III of every row, in place.
+void idct_rows(Matrix& blocks);
+
+}  // namespace dpz
 
 namespace dpz::detail {
 
@@ -59,6 +77,40 @@ inline constexpr double kScoreSigmaScale = 8.0;
 /// first component's scores. Zero-variance streams fall back to max-abs,
 /// then to 1.
 double component_scale(std::span<const double> scores);
+
+/// Stage 3 output: the global score scale and the quantized stream.
+struct Stage3Stream {
+  double score_scale = 1.0;
+  QuantizedStream qs;
+};
+
+/// Stage 3: divides the k x N `scores` (in place) by component_scale of
+/// row 0 — rescaled to `sigma_scale` sigmas — and quantizes them.
+Stage3Stream stage3_forward(Matrix& scores, const QuantizerConfig& qcfg,
+                            double sigma_scale = kScoreSigmaScale);
+
+/// Stage 3 inverse: dequantizes `qs` into a k x n score matrix and
+/// multiplies it back by `score_scale`.
+Matrix stage3_inverse(const QuantizedStream& qs, const QuantizerConfig& qcfg,
+                      double score_scale, std::size_t k, std::size_t n);
+
+/// Everything after Stage 2: Stage 3 on `scores` (the k x N projection of
+/// the blocks through `model`, whose components are M x k), the header
+/// and the side/code/outlier
+/// sections, and the stored-raw fallback when that archive would not be
+/// smaller than `data`. Fills every DpzStats field except vif_median and
+/// the Stage 1/2 times.
+template <typename T>
+std::vector<std::uint8_t> encode(const NdArray<T>& data,
+                                 const BlockLayout& layout, Matrix scores,
+                                 const PcaModel& model, bool standardized,
+                                 const QuantizerConfig& qcfg, int zlib_level,
+                                 DpzStats& st,
+                                 double sigma_scale = kScoreSigmaScale);
+
+/// Counts a shipped archive's sizes in the metrics registry. encode counts
+/// nothing: rate control encodes many probes and ships one.
+void count_archive(const DpzStats& st);
 
 /// Side data: everything reconstruction needs besides the quantized scores.
 struct SideData {

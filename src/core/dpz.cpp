@@ -25,6 +25,24 @@
 
 namespace dpz {
 
+// ---- Stage 1 (the stage functions are declared in archive_detail.h) ---
+
+void dct_rows(Matrix& blocks) {
+  const DctPlan plan(blocks.cols());
+  parallel_for(0, blocks.rows(), [&](std::size_t i) {
+    auto row = blocks.row(i);
+    plan.forward(row, row);
+  });
+}
+
+void idct_rows(Matrix& blocks) {
+  const DctPlan plan(blocks.cols());
+  parallel_for(0, blocks.rows(), [&](std::size_t i) {
+    auto row = blocks.row(i);
+    plan.inverse(row, row);
+  });
+}
+
 namespace detail {
 
 std::vector<std::uint8_t> serialize_side(const SideData& side,
@@ -77,21 +95,6 @@ SideData deserialize_side(std::span<const std::uint8_t> bytes,
   return side;
 }
 
-double component_scale(std::span<const double> scores) {
-  double mean = 0.0;
-  for (const double v : scores) mean += v;
-  mean /= static_cast<double>(scores.size());
-  double var = 0.0;
-  double peak = 0.0;
-  for (const double v : scores) {
-    var += (v - mean) * (v - mean);
-    peak = std::max(peak, std::abs(v));
-  }
-  var /= static_cast<double>(scores.size());
-  if (var > 0.0) return kScoreSigmaScale * std::sqrt(var);
-  return peak > 0.0 ? peak : 1.0;
-}
-
 std::uint32_t section_crc(std::uint64_t raw_size,
                           std::span<const std::uint8_t> blob) {
   std::array<std::uint8_t, 8> size_bytes{};
@@ -131,19 +134,48 @@ std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,
 
 void put_header_crc(ByteWriter& w) { w.put_u32(crc32c(w.bytes())); }
 
-}  // namespace detail
+// ---- Stage 3 and the encoder ------------------------------------------
+
+double component_scale(std::span<const double> scores) {
+  double mean = 0.0;
+  for (const double v : scores) mean += v;
+  mean /= static_cast<double>(scores.size());
+  double var = 0.0;
+  double peak = 0.0;
+  for (const double v : scores) {
+    var += (v - mean) * (v - mean);
+    peak = std::max(peak, std::abs(v));
+  }
+  var /= static_cast<double>(scores.size());
+  if (var > 0.0) return kScoreSigmaScale * std::sqrt(var);
+  return peak > 0.0 ? peak : 1.0;
+}
+
+Stage3Stream stage3_forward(Matrix& scores, const QuantizerConfig& qcfg,
+                            double sigma_scale) {
+  Stage3Stream out;
+  out.score_scale =
+      component_scale(scores.row(0)) * (sigma_scale / kScoreSigmaScale);
+  const double inv = 1.0 / out.score_scale;
+  parallel_for(0, scores.rows(), [&](std::size_t j) {
+    auto row = scores.row(j);
+    simd::kernels().scale(inv, row.data(), row.size());
+  });
+  out.qs = quantize(scores.flat(), qcfg);
+  return out;
+}
+
+Matrix stage3_inverse(const QuantizedStream& qs, const QuantizerConfig& qcfg,
+                      double score_scale, std::size_t k, std::size_t n) {
+  Matrix scores(k, n);
+  dequantize(qs, qcfg, scores.flat());
+  parallel_for(0, k, [&](std::size_t j) {
+    for (double& v : scores.row(j)) v *= score_scale;
+  });
+  return scores;
+}
 
 namespace {
-
-using detail::SideData;
-using detail::deserialize_side;
-using detail::get_section;
-using detail::put_header_crc;
-using detail::put_section;
-using detail::serialize_side;
-
-constexpr std::uint32_t kMagic = detail::kDpzMagic;
-constexpr std::uint8_t kVersion = detail::kFormatVersion;
 
 template <typename T>
 void put_element(ByteWriter& w, double v) {
@@ -172,11 +204,10 @@ template <typename T>
 std::vector<std::uint8_t> make_stored_archive(const NdArray<T>& data,
                                               int zlib_level) {
   ByteWriter w;
-  w.put_u32(kMagic);
-  w.put_u8(kVersion);
+  w.put_u32(kDpzMagic);
+  w.put_u8(kFormatVersion);
   w.put_u8(static_cast<std::uint8_t>(
-      detail::kDpzFlagStoredRaw | (sizeof(T) == 8 ? detail::kDpzFlagDouble
-                                                  : 0)));
+      kDpzFlagStoredRaw | (sizeof(T) == 8 ? kDpzFlagDouble : 0)));
   w.put_f64(1.0);  // error bound slot (unused for stored archives)
   w.put_u8(static_cast<std::uint8_t>(data.shape().size()));
   for (const std::size_t d : data.shape()) w.put_u64(d);
@@ -188,6 +219,106 @@ std::vector<std::uint8_t> make_stored_archive(const NdArray<T>& data,
   put_section(w, raw.bytes(), zlib_level);
   return w.take();
 }
+
+}  // namespace
+
+template <typename T>
+std::vector<std::uint8_t> encode(const NdArray<T>& data,
+                                 const BlockLayout& layout, Matrix scores,
+                                 const PcaModel& model, bool standardized,
+                                 const QuantizerConfig& qcfg, int zlib_level,
+                                 DpzStats& st, double sigma_scale) {
+  const std::size_t k = scores.rows();
+  st.layout = layout;
+  st.k = k;
+  st.standardized = standardized;
+  st.original_bytes = data.size() * sizeof(T);
+  st.stage12_bytes = static_cast<std::uint64_t>(k) * layout.n * sizeof(T);
+
+  Stage3Stream s3;
+  {
+    const obs::ScopedSpan stage(obs::Span::kStage3Quantize, &st.timers);
+    governed_poll();
+    s3 = stage3_forward(scores, qcfg, sigma_scale);
+  }
+  const QuantizedStream& qs = s3.qs;
+  st.outlier_count = qs.outliers.size();
+  st.stage3_bytes = qs.codes.size() + qs.outliers.size() * sizeof(T);
+
+  DPZ_REQUIRE(model.components.cols() == k, "encode needs k components");
+  SideData side{model.mean, model.scale, s3.score_scale, model.components};
+
+  // ---- Serialization + zlib add-on -------------------------------------
+  ByteWriter w;
+  {
+    const obs::ScopedSpan stage(obs::Span::kZlibEncode, &st.timers);
+    governed_poll();
+    w.put_u32(kDpzMagic);
+    w.put_u8(kFormatVersion);
+    std::uint8_t flags = 0;
+    if (qcfg.wide_codes) flags |= kDpzFlagWideCodes;
+    if (standardized) flags |= kDpzFlagStandardized;
+    if (sizeof(T) == 8) flags |= kDpzFlagDouble;
+    w.put_u8(flags);
+    w.put_f64(qcfg.error_bound);
+
+    w.put_u8(static_cast<std::uint8_t>(data.shape().size()));
+    for (const std::size_t d : data.shape()) w.put_u64(d);
+    w.put_u64(layout.m);
+    w.put_u64(layout.n);
+    w.put_u64(layout.original_total);
+    w.put_u32(static_cast<std::uint32_t>(k));
+    w.put_u64(qs.outliers.size());
+    put_header_crc(w);
+
+    const std::size_t before_side = w.size();
+    put_section(w, serialize_side(side, standardized), zlib_level);
+    st.side_bytes = w.size() - before_side;
+
+    const std::size_t before_payload = w.size();
+    put_section(w, qs.codes, zlib_level);
+    ByteWriter outlier_bytes;
+    for (const double v : qs.outliers) put_element<T>(outlier_bytes, v);
+    put_section(w, outlier_bytes.bytes(), zlib_level);
+    st.zlib_payload_bytes = w.size() - before_payload;
+  }
+
+  std::vector<std::uint8_t> archive = w.take();
+
+  // Never expand the input: fall back to a stored archive when the
+  // pipeline loses to plain zlib (see make_stored_archive).
+  st.stored_raw = archive.size() >= st.original_bytes;
+  if (st.stored_raw) archive = make_stored_archive(data, zlib_level);
+  st.archive_bytes = archive.size();
+  return archive;
+}
+
+void count_archive(const DpzStats& st) {
+  if (st.stored_raw) obs::count(obs::Counter::kStoredRawFallbacks);
+  obs::count(obs::Counter::kBytesArchive, st.archive_bytes);
+  obs::count(obs::Counter::kBytesStage12, st.stage12_bytes);
+  obs::count(obs::Counter::kBytesStage3, st.stage3_bytes);
+  obs::count(obs::Counter::kBytesZlibPayload, st.zlib_payload_bytes);
+  obs::count(obs::Counter::kBytesSide, st.side_bytes);
+  obs::count(obs::Counter::kOutliers, st.outlier_count);
+  obs::observe(obs::Hist::kSelectedK, st.k);
+}
+
+// DpzAnalysis encodes f32 data from its own translation unit.
+template std::vector<std::uint8_t> encode(const FloatArray&,
+                                          const BlockLayout&, Matrix,
+                                          const PcaModel&, bool,
+                                          const QuantizerConfig&, int,
+                                          DpzStats&, double);
+
+}  // namespace detail
+
+namespace {
+
+using detail::SideData;
+using detail::deserialize_side;
+using detail::get_element;
+using detail::get_section;
 
 template <typename T>
 std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
@@ -206,9 +337,8 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   DpzStats local_stats;
   DpzStats& st = stats != nullptr ? *stats : local_stats;
   st = DpzStats{};
-  st.original_bytes = data.size() * sizeof(T);
   obs::count(obs::Counter::kCompressCalls);
-  obs::count(obs::Counter::kBytesIn, st.original_bytes);
+  obs::count(obs::Counter::kBytesIn, data.size() * sizeof(T));
 
   // ---- Stage 1: block decomposition + per-block DCT -------------------
   Matrix blocks;
@@ -228,11 +358,7 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
                                  vif_rng);
     }
 
-    const DctPlan plan(layout.n);
-    parallel_for(0, layout.m, [&](std::size_t i) {
-      auto row = blocks.row(i);
-      plan.forward(row, row);
-    });
+    dct_rows(blocks);
 
     // Optional future-work pre-filter: truncate each block's trailing
     // (high-frequency) DCT coefficients before PCA sees them.
@@ -251,7 +377,6 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
       });
     }
   }
-  st.layout = layout;
 
   // ---- Stage 2: PCA in the DCT domain + k selection -------------------
   PcaModel model;
@@ -296,92 +421,15 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
       model = attach_top_components(std::move(spec), k);
     }
   }
-  st.k = k;
-  st.standardized = standardized;
-  st.stage12_bytes = static_cast<std::uint64_t>(k) * layout.n * sizeof(T);
 
-  // ---- Stage 3: per-component normalization + quantization ------------
+  // ---- Projection (outside every stage span) + Stage 3 + serialization --
   QuantizerConfig qcfg;
   qcfg.error_bound = config.effective_error_bound();
   qcfg.wide_codes = config.effective_wide_codes();
-
-  Matrix scores = model.transform(blocks, k);
-  SideData side;
-  side.mean = model.mean;
-  side.scale = model.scale;
-  QuantizedStream qs;
-  {
-    const obs::ScopedSpan stage(obs::Span::kStage3Quantize, &st.timers);
-    governed_poll();
-    side.score_scale = detail::component_scale(scores.row(0));
-    const double inv = 1.0 / side.score_scale;
-    parallel_for(0, scores.rows(), [&](std::size_t j) {
-      auto row = scores.row(j);
-      simd::kernels().scale(inv, row.data(), row.size());
-    });
-    qs = quantize(scores.flat(), qcfg);
-  }
-  st.outlier_count = qs.outliers.size();
-  st.stage3_bytes = qs.codes.size() + qs.outliers.size() * sizeof(T);
-
-  side.basis = Matrix(layout.m, k);
-  for (std::size_t i = 0; i < layout.m; ++i)
-    for (std::size_t j = 0; j < k; ++j)
-      side.basis(i, j) = model.components(i, j);
-
-  // ---- Serialization + zlib add-on -------------------------------------
-  ByteWriter w;
-  {
-    const obs::ScopedSpan stage(obs::Span::kZlibEncode, &st.timers);
-    governed_poll();
-    w.put_u32(kMagic);
-    w.put_u8(kVersion);
-    std::uint8_t flags = 0;
-    if (qcfg.wide_codes) flags |= detail::kDpzFlagWideCodes;
-    if (standardized) flags |= detail::kDpzFlagStandardized;
-    if (sizeof(T) == 8) flags |= detail::kDpzFlagDouble;
-    w.put_u8(flags);
-    w.put_f64(qcfg.error_bound);
-
-    w.put_u8(static_cast<std::uint8_t>(data.shape().size()));
-    for (const std::size_t d : data.shape()) w.put_u64(d);
-    w.put_u64(layout.m);
-    w.put_u64(layout.n);
-    w.put_u64(layout.original_total);
-    w.put_u32(static_cast<std::uint32_t>(k));
-    w.put_u64(qs.outliers.size());
-    put_header_crc(w);
-
-    const std::size_t before_side = w.size();
-    put_section(w, serialize_side(side, standardized), config.zlib_level);
-    st.side_bytes = w.size() - before_side;
-
-    const std::size_t before_payload = w.size();
-    put_section(w, qs.codes, config.zlib_level);
-    ByteWriter outlier_bytes;
-    for (const double v : qs.outliers) put_element<T>(outlier_bytes, v);
-    put_section(w, outlier_bytes.bytes(), config.zlib_level);
-    st.zlib_payload_bytes = w.size() - before_payload;
-  }
-
-  std::vector<std::uint8_t> archive = w.take();
-
-  // Never expand the input: fall back to a stored archive when the
-  // pipeline loses to plain zlib (see make_stored_archive).
-  if (archive.size() >= st.original_bytes) {
-    archive = make_stored_archive(data, config.zlib_level);
-    st.stored_raw = true;
-    obs::count(obs::Counter::kStoredRawFallbacks);
-  }
-  st.archive_bytes = archive.size();
-
-  obs::count(obs::Counter::kBytesArchive, st.archive_bytes);
-  obs::count(obs::Counter::kBytesStage12, st.stage12_bytes);
-  obs::count(obs::Counter::kBytesStage3, st.stage3_bytes);
-  obs::count(obs::Counter::kBytesZlibPayload, st.zlib_payload_bytes);
-  obs::count(obs::Counter::kBytesSide, st.side_bytes);
-  obs::count(obs::Counter::kOutliers, st.outlier_count);
-  obs::observe(obs::Hist::kSelectedK, st.k);
+  std::vector<std::uint8_t> archive = detail::encode(
+      data, layout, model.transform(blocks, k), model, standardized, qcfg,
+      config.zlib_level, st);
+  detail::count_archive(st);
   return archive;
 }
 
@@ -479,39 +527,20 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
   // Stage 3 inverse: codes -> normalized scores -> scores.
   span.emplace(obs::Span::kDecodeDequantize);
   governed_poll();
-  Matrix scores(use_k, layout.n);
-  dequantize(qs, qcfg, scores.flat());
-  parallel_for(0, scores.rows(), [&](std::size_t j) {
-    for (double& v : scores.row(j)) v *= side.score_scale;
-  });
+  const Matrix scores = detail::stage3_inverse(qs, qcfg, side.score_scale,
+                                               use_k, layout.n);
 
-  // Stage 2 inverse: back-project through the stored basis (leading use_k
-  // columns only).
+  // Stage 2 inverse: back-project through the stored basis (only its
+  // leading use_k columns are read).
   span.emplace(obs::Span::kDecodeBackproject);
   governed_poll();
-  PcaModel model;
-  model.mean = side.mean;
-  model.scale = side.scale;
-  model.eigenvalues.assign(use_k, 0.0);  // not needed for reconstruction
-  if (use_k < k) {
-    Matrix truncated(layout.m, use_k);
-    for (std::size_t i = 0; i < layout.m; ++i)
-      for (std::size_t j = 0; j < use_k; ++j)
-        truncated(i, j) = side.basis(i, j);
-    model.components = std::move(truncated);
-  } else {
-    model.components = side.basis;
-  }
-  Matrix blocks = model.inverse_transform(scores);
+  Matrix blocks =
+      pca_back_project(side.basis, side.mean, side.scale, scores);
 
   // Stage 1 inverse: inverse DCT per block, then de-block.
   span.emplace(obs::Span::kDecodeIdct);
   governed_poll();
-  const DctPlan plan(layout.n);
-  parallel_for(0, layout.m, [&](std::size_t i) {
-    auto row = blocks.row(i);
-    plan.inverse(row, row);
-  });
+  idct_rows(blocks);
 
   NdArray<T> out(info.shape);
   from_blocks(blocks, layout, out.flat());

@@ -2,11 +2,11 @@
 //
 // The paper's knobs (TVE threshold, knee point) are information-centric;
 // practitioners usually start from a budget ("fit this in 50X") or a
-// fidelity floor ("at least 60 dB"). These helpers search the component
-// count k directly against the cached DpzAnalysis state — both the
-// end-to-end archive size and the reconstruction PSNR are monotone
-// enough in k for a bracketed search — and then emit a real archive at
-// the chosen k via DpzConfig::fixed_k.
+// fidelity floor ("at least 60 dB"). These helpers bisect k over
+// DpzAnalysis (size and PSNR are monotone enough in k). Each probe is the
+// real archive at its k, so the search sees true sizes and the winning
+// probe is the result. The whole search runs under base.threads and
+// base.limits (budget, deadline, cancel token).
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,9 @@ struct RateTargetResult {
 
 /// Smallest archive whose end-to-end compression ratio is still at least
 /// `target_cr` while keeping as many components (as much fidelity) as
-/// that budget allows. `base` supplies scheme/quantizer settings; its k
-/// selection fields are ignored.
+/// that budget allows. `base` supplies scheme/quantizer, standardize,
+/// zlib, thread and limit settings; its k selection and sampling fields
+/// are ignored, and dct_keep_fraction must be 1.
 RateTargetResult dpz_compress_target_ratio(const FloatArray& data,
                                            double target_cr,
                                            const DpzConfig& base = {});

@@ -105,14 +105,10 @@ SamplingReport run_sampling(const Matrix& dct_blocks,
 
     if (config.calibrate_factors) {
       Matrix scores = model.transform(sub, k);
-      const double scale = detail::component_scale(scores.row(0));
-      const double inv = 1.0 / scale;
-      for (double& v : scores.flat()) v *= inv;
-
       QuantizerConfig qcfg;
       qcfg.error_bound = config.quant_error_bound;
       qcfg.wide_codes = config.wide_codes;
-      const QuantizedStream qs = quantize(scores.flat(), qcfg);
+      const QuantizedStream qs = detail::stage3_forward(scores, qcfg).qs;
 
       const double stage12_bytes =
           static_cast<double>(k) * static_cast<double>(sub.cols()) *

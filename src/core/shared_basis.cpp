@@ -7,41 +7,14 @@
 #include "codec/shuffle.h"
 #include "core/archive_detail.h"
 #include "core/layout.h"
-#include "dsp/dct.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "simd/simd.h"
+#include "stats/descriptive.h"
 #include "stats/knee.h"
 #include "util/resource.h"
 #include "util/thread_pool.h"
 
 namespace dpz {
-
-namespace {
-
-// Stage 1 helper shared by train/compress.
-Matrix dct_blocks_of(const FloatArray& data, const BlockLayout& layout,
-                     const DctPlan& plan) {
-  Matrix blocks = to_blocks(data.flat(), layout);
-  parallel_for(0, layout.m, [&](std::size_t i) {
-    auto row = blocks.row(i);
-    plan.forward(row, row);
-  });
-  return blocks;
-}
-
-// Row means of a block matrix (the per-snapshot centering vector).
-std::vector<double> row_means(const Matrix& blocks) {
-  std::vector<double> mean(blocks.rows());
-  for (std::size_t i = 0; i < blocks.rows(); ++i) {
-    double sum = 0.0;
-    for (const double v : blocks.row(i)) sum += v;
-    mean[i] = sum / static_cast<double>(blocks.cols());
-  }
-  return mean;
-}
-
-}  // namespace
 
 SharedBasisCodec SharedBasisCodec::train(const FloatArray& reference,
                                          const DpzConfig& config) {
@@ -58,8 +31,8 @@ SharedBasisCodec SharedBasisCodec::train(const FloatArray& reference,
   codec.qcfg_.wide_codes = config.effective_wide_codes();
   codec.zlib_level_ = config.zlib_level;
 
-  codec.plan_.emplace(codec.layout_.n);
-  const Matrix blocks = dct_blocks_of(reference, codec.layout_, *codec.plan_);
+  Matrix blocks = to_blocks(reference.flat(), codec.layout_);
+  dct_rows(blocks);
   // Spectrum-first fit: the full eigenvalue curve drives k selection, and
   // only the k leading eigenvectors are ever solved for (the trailing
   // M - k columns a dense solve would produce are discarded anyway).
@@ -149,7 +122,6 @@ SharedBasisCodec SharedBasisCodec::deserialize(
   for (std::size_t i = 0; i < codec.layout_.m; ++i)
     for (std::size_t j = 0; j < k; ++j)
       codec.basis_(i, j) = static_cast<double>(basis_reader.get_f32());
-  codec.plan_.emplace(codec.layout_.n);
   return codec;
 }
 
@@ -173,30 +145,21 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
 
   std::optional<obs::ScopedSpan> stage;
   stage.emplace(obs::Span::kStage1Dct, &st.timers);
-  const Matrix blocks = dct_blocks_of(snapshot, layout_, *plan_);
-  const std::vector<double> mean = row_means(blocks);
+  Matrix blocks = to_blocks(snapshot.flat(), layout_);
+  dct_rows(blocks);
+  // Per-snapshot centering: the row means of the block matrix.
+  std::vector<double> mean(layout_.m);
+  for (std::size_t i = 0; i < layout_.m; ++i) mean[i] = mean_of(blocks.row(i));
+  const std::vector<double> unit_scale(layout_.m, 1.0);
 
   // Scores against the frozen basis: Y = D_k^T (Z - mean).
   stage.emplace(obs::Span::kStage2Pca, &st.timers);
   governed_poll();
-  const std::size_t k = basis_.cols();
-  const simd::KernelTable& ops = simd::kernels();
-  Matrix scores(k, layout_.n);
-  parallel_for(0, k, [&](std::size_t j) {
-    double* out = scores.row(j).data();
-    for (std::size_t i = 0; i < layout_.m; ++i) {
-      const double d = basis_(i, j);
-      if (d == 0.0) continue;
-      ops.accum_centered(d, blocks.row(i).data(), mean[i], out, layout_.n);
-    }
-  });
+  Matrix scores = pca_project(basis_, mean, unit_scale, blocks, st.k);
 
   stage.emplace(obs::Span::kStage3Quantize, &st.timers);
   governed_poll();
-  const double score_scale = detail::component_scale(scores.row(0));
-  const double inv = 1.0 / score_scale;
-  for (double& v : scores.flat()) v *= inv;
-  const QuantizedStream qs = quantize(scores.flat(), qcfg_);
+  const auto [score_scale, qs] = detail::stage3_forward(scores, qcfg_);
   st.outlier_count = qs.outliers.size();
   st.stage3_bytes = qs.codes.size() + qs.outliers.size() * sizeof(float);
 
@@ -291,32 +254,18 @@ FloatArray SharedBasisCodec::decompress(
 
   span.emplace(obs::Span::kDecodeDequantize);
   governed_poll();
-  Matrix scores(k, layout_.n);
-  dequantize(qs, qcfg_, scores.flat());
-  for (double& v : scores.flat()) v *= parsed.score_scale;
+  const Matrix scores = detail::stage3_inverse(qs, qcfg_, parsed.score_scale,
+                                               k, layout_.n);
 
   // Back-project: Z = D_k Y + mean, then inverse DCT + de-block.
   span.emplace(obs::Span::kDecodeBackproject);
   governed_poll();
-  Matrix blocks(layout_.m, layout_.n);
-  parallel_for(0, layout_.m, [&](std::size_t i) {
-    double* out = blocks.row(i).data();
-    for (std::size_t j = 0; j < k; ++j) {
-      const double d = basis_(i, j);
-      if (d == 0.0) continue;
-      const double* y = scores.row(j).data();
-      for (std::size_t c = 0; c < layout_.n; ++c) out[c] += d * y[c];
-    }
-    const double mu = mean[i];
-    for (std::size_t c = 0; c < layout_.n; ++c) out[c] += mu;
-  });
+  const std::vector<double> unit_scale(layout_.m, 1.0);
+  Matrix blocks = pca_back_project(basis_, mean, unit_scale, scores);
 
   span.emplace(obs::Span::kDecodeIdct);
   governed_poll();
-  parallel_for(0, layout_.m, [&](std::size_t i) {
-    auto row = blocks.row(i);
-    plan_->inverse(row, row);
-  });
+  idct_rows(blocks);
 
   FloatArray out(shape_);
   from_blocks(blocks, layout_, out.flat());

@@ -22,14 +22,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "codec/quantizer.h"
 #include "core/blocking.h"
 #include "core/dpz.h"
-#include "dsp/dct.h"
 #include "linalg/pca.h"
 
 namespace dpz {
@@ -88,9 +86,6 @@ class SharedBasisCodec {
   unsigned threads_ = 0;
   ResourceLimits limits_;
   Matrix basis_;  // M x k
-  // Stage-1 plan, built once per codec: snapshots share the layout, so
-  // rebuilding the twiddle/chirp tables per compress() call is pure waste.
-  std::optional<DctPlan> plan_;
 };
 
 }  // namespace dpz

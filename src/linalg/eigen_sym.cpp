@@ -454,7 +454,7 @@ SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
   DPZ_REQUIRE(k >= 1 && k <= m, "k must be in [1, M]");
   DPZ_REQUIRE(values.size() == m,
               "eigen_topk_from needs the reduction's full spectrum");
-  if (m <= 64 || 2 * k >= m) {
+  if (topk_is_dense(m, k)) {
     SymmetricEigen full = eigen_sym_from(r);
     full.values.resize(k);
     SymmetricEigen out{std::move(full.values), Matrix(m, k)};

@@ -78,6 +78,12 @@ std::vector<double> eigen_values_from(const TridiagonalReduction& r);
 /// shared with a preceding eigen_values_from call.
 SymmetricEigen eigen_sym_from(const TridiagonalReduction& r);
 
+/// Whether eigen_topk_from takes the dense branch. Within one branch,
+/// vector j depends only on vectors p < j, so a solve serves smaller k.
+inline bool topk_is_dense(std::size_t m, std::size_t k) {
+  return m <= 64 || 2 * k >= m;
+}
+
 /// The k leading eigenpairs of a reduced matrix (values sorted
 /// descending; vectors is M x k). `values` is the reduction's full
 /// descending spectrum (eigen_values_from, possibly clamped at 0 as

@@ -32,8 +32,10 @@ std::size_t PcaModel::k_for_tve(double threshold) const {
   return tve.size();
 }
 
-Matrix PcaModel::transform(const Matrix& x, std::size_t k) const {
-  const std::size_t m = feature_count();
+Matrix pca_project(const Matrix& components, std::span<const double> mean,
+                   std::span<const double> scale, const Matrix& x,
+                   std::size_t k) {
+  const std::size_t m = mean.size();
   DPZ_REQUIRE(x.rows() == m, "PCA transform feature-count mismatch");
   DPZ_REQUIRE(k >= 1 && k <= m, "k must be in [1, M]");
   const std::size_t n = x.cols();
@@ -60,8 +62,10 @@ Matrix PcaModel::transform(const Matrix& x, std::size_t k) const {
   return scores;
 }
 
-Matrix PcaModel::inverse_transform(const Matrix& scores) const {
-  const std::size_t m = feature_count();
+Matrix pca_back_project(const Matrix& components,
+                        std::span<const double> mean,
+                        std::span<const double> scale, const Matrix& scores) {
+  const std::size_t m = mean.size();
   const std::size_t k = scores.rows();
   DPZ_REQUIRE(k >= 1 && k <= m, "score rank must be in [1, M]");
   const std::size_t n = scores.cols();

@@ -15,12 +15,22 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "linalg/eigen_sym.h"
 #include "linalg/matrix.h"
 
 namespace dpz {
+
+/// PcaModel::transform/inverse_transform for any M x (>= k) basis D, as
+/// held by the decoder and the shared-basis codec.
+Matrix pca_project(const Matrix& components, std::span<const double> mean,
+                   std::span<const double> scale, const Matrix& x,
+                   std::size_t k);
+Matrix pca_back_project(const Matrix& components,
+                        std::span<const double> mean,
+                        std::span<const double> scale, const Matrix& scores);
 
 /// A fitted PCA basis.
 struct PcaModel {
@@ -39,10 +49,14 @@ struct PcaModel {
   [[nodiscard]] std::size_t k_for_tve(double threshold) const;
 
   /// Scores of the first k components: Y = D_k^T (X - mean)/scale, k x N.
-  [[nodiscard]] Matrix transform(const Matrix& x, std::size_t k) const;
+  [[nodiscard]] Matrix transform(const Matrix& x, std::size_t k) const {
+    return pca_project(components, mean, scale, x, k);
+  }
 
   /// Reconstruction from k scores: X_hat = (D_k Y) * scale + mean, M x N.
-  [[nodiscard]] Matrix inverse_transform(const Matrix& scores) const;
+  [[nodiscard]] Matrix inverse_transform(const Matrix& scores) const {
+    return pca_back_project(components, mean, scale, scores);
+  }
 };
 
 /// Fits PCA on X (M features x N samples). When `standardize` is set,

@@ -9,6 +9,7 @@
 #include <new>
 #include <optional>
 
+#include "core/archive_detail.h"
 #include "core/blocking.h"
 #include "core/dpz.h"
 #include "core/chunked.h"
@@ -16,7 +17,6 @@
 #include "core/sampling.h"
 #include "core/verify.h"
 #include "data/datasets.h"
-#include "dsp/dct.h"
 #include "io/file_io.h"
 #include "metrics/metrics.h"
 #include "obs/log.h"
@@ -30,7 +30,6 @@
 #include "util/format.h"
 #include "util/json_mini.h"
 #include "util/resource.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace dpz::tools {
@@ -644,11 +643,7 @@ int cmd_probe(const CliArgs& args, std::ostream& out) {
   Rng vif_rng(2021);
   std::vector<double> vifs = sampled_vif(blocks, 0.01, 256, vif_rng);
 
-  const DctPlan plan(layout.n);
-  parallel_for(0, layout.m, [&](std::size_t i) {
-    auto row = blocks.row(i);
-    plan.forward(row, row);
-  });
+  dct_rows(blocks);
 
   SamplingConfig config;
   config.tve = args.get_double("tve", 0.99999);

@@ -1,9 +1,25 @@
 // Boundary: src/core/dpz.cpp is the one caller of zlib_decompress in
-// src/core (rule 5); the checksum gate lives here.
+// src/core (rule 5); the checksum gate lives here. It also defines the
+// stage functions, so its DCT row loop and score normalization are the
+// single-stage check's one allowed copy.
 #include <cstddef>
 #include <vector>
 
+#include "dsp/dct.h"
+
 namespace dpz {
+
+void dct_rows(Matrix& blocks) {
+  const DctPlan plan(blocks.cols());
+  for (std::size_t i = 0; i < blocks.rows(); ++i)
+    plan.forward(blocks.row(i), blocks.row(i));
+}
+
+double component_scale(std::span<const double> scores);
+
+double stage3_scale(const Matrix& scores) {
+  return component_scale(scores.row(0));
+}
 
 std::vector<unsigned char> zlib_decompress(const unsigned char*,
                                            std::size_t);

@@ -50,6 +50,9 @@ struct Expected {
 TEST(Analyze, BadTreeEveryPlantedViolationFlagged) {
   // Sorted by (file, line, check), matching run_checks output order.
   const Expected expected[] = {
+      {"single-stage", "src/baselines/restage.cpp", 7, "DCT forward"},
+      {"single-stage", "src/baselines/restage.cpp", 8, "DCT inverse"},
+      {"single-stage", "src/baselines/restage.cpp", 10, "component_scale"},
       {"status-exhaustive", "src/capi/dpz_c.h", 1, "StatusCode::kLost"},
       {"status-exhaustive", "src/capi/dpz_c.h", 6, "DPZ_ERR_STALE"},
       {"require-in-reader", "src/codec/bytes.h", 14, "inside ByteReader"},

@@ -3,6 +3,7 @@
 // invariants, tampering detection, and the analysis evaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/analysis.h"
@@ -518,7 +519,7 @@ TEST(DpzAnalysisHooks, ForcedLayoutIsRespected) {
   layout.n = 128;
   layout.original_total = data.size();
   layout.padded = false;
-  const DpzAnalysis analysis(data, false, layout);
+  DpzAnalysis analysis(data, false, layout);
   EXPECT_EQ(analysis.layout().m, 36U);
   EXPECT_EQ(analysis.layout().n, 128U);
 
@@ -527,6 +528,15 @@ TEST(DpzAnalysisHooks, ForcedLayoutIsRespected) {
   qcfg.wide_codes = true;
   const auto ev = analysis.evaluate(analysis.k_for_tve(0.9999), qcfg);
   EXPECT_GT(ev.stage3_error.psnr_db, 30.0);
+
+  // The evaluated archive is a real one in the forced geometry.
+  const DpzArchiveInfo info = dpz_inspect(ev.archive);
+  EXPECT_EQ(info.layout.m, 36U);
+  EXPECT_EQ(info.layout.n, 128U);
+  const FloatArray back = dpz_decompress(ev.archive);
+  ASSERT_EQ(back.shape(), data.shape());
+  EXPECT_TRUE(std::equal(back.flat().begin(), back.flat().end(),
+                         ev.reconstructed.flat().begin()));
 }
 
 TEST(DpzAnalysisHooks, ForcedLayoutMustCoverInput) {
@@ -540,7 +550,7 @@ TEST(DpzAnalysisHooks, ForcedLayoutMustCoverInput) {
 
 TEST(DpzAnalysisHooks, SigmaScaleOverrideTradesOutliersForPrecision) {
   const FloatArray data = smooth_2d(64, 128, 113);
-  const DpzAnalysis analysis(data);
+  DpzAnalysis analysis(data);
   const std::size_t k = analysis.k_for_tve(0.99999);
   QuantizerConfig qcfg;
   qcfg.error_bound = 1e-3;
@@ -556,43 +566,84 @@ TEST(DpzAnalysisHooks, SigmaScaleOverrideTradesOutliersForPrecision) {
 
 // ---- DpzAnalysis -----------------------------------------------------------
 
+// evaluate(k) IS dpz_compress at fixed_k = k: the same archive bytes and
+// the same decoded floats, with no tolerance. 128 x 256 blocks into
+// M = 128, so k < 64 takes eigen_topk_from's inverse iteration and
+// k >= 64 its dense solve; the k order grows and shrinks each branch's
+// cached vectors.
 TEST(DpzAnalysis, EvaluationMatchesRealCompressor) {
-  const FloatArray data = smooth_2d(48, 96, 47);
-  DpzConfig config = DpzConfig::strict();
-  config.tve = 0.99999;
-  DpzStats stats;
-  const auto archive = dpz_compress(data, config, &stats);
-  const FloatArray real = dpz_decompress(archive);
+  const FloatArray data = smooth_2d(128, 256, 47);
+  for (const int standardize : {0, 1}) {
+    DpzAnalysis analysis(data, standardize != 0);
+    ASSERT_EQ(analysis.layout().m, 128U);
+    for (DpzConfig config : {DpzConfig::loose(), DpzConfig::strict()}) {
+      config.standardize = standardize;
+      QuantizerConfig qcfg;
+      qcfg.error_bound = config.effective_error_bound();
+      qcfg.wide_codes = config.effective_wide_codes();
+      for (const std::size_t k : {100, 5, 40, 64, 2, 63}) {
+        SCOPED_TRACE("standardize " + std::to_string(standardize) +
+                     ", wide " + std::to_string(qcfg.wide_codes) +
+                     ", k " + std::to_string(k));
+        config.fixed_k = k;
+        DpzStats stats;
+        const auto archive = dpz_compress(data, config, &stats);
+        const auto ev = analysis.evaluate(k, qcfg, config.zlib_level);
+        EXPECT_EQ(ev.archive, archive);
+        EXPECT_EQ(ev.accounting.archive_bytes, stats.archive_bytes);
+        EXPECT_EQ(ev.accounting.side_bytes, stats.side_bytes);
+        EXPECT_EQ(ev.accounting.zlib_payload_bytes, stats.zlib_payload_bytes);
+        EXPECT_EQ(ev.accounting.stage3_bytes, stats.stage3_bytes);
+        EXPECT_EQ(ev.accounting.outlier_count, stats.outlier_count);
+        EXPECT_EQ(ev.accounting.stored_raw, stats.stored_raw);
+        const FloatArray real = dpz_decompress(archive);
+        EXPECT_TRUE(std::equal(real.flat().begin(), real.flat().end(),
+                               ev.reconstructed.flat().begin()));
+      }
+    }
+  }
+}
 
-  const DpzAnalysis analysis(data);
-  QuantizerConfig qcfg;
-  qcfg.error_bound = config.effective_error_bound();
-  qcfg.wide_codes = config.effective_wide_codes();
-  const auto ev = analysis.evaluate(analysis.k_for_tve(config.tve), qcfg);
-
-  EXPECT_EQ(ev.k, stats.k);
-  const ErrorStats real_err = compute_error_stats(data.flat(), real.flat());
-  EXPECT_NEAR(ev.stage3_error.psnr_db, real_err.psnr_db, 0.2);
-  // Accounting within a few header bytes of the real archive.
-  EXPECT_NEAR(static_cast<double>(ev.accounting.archive_bytes),
-              static_cast<double>(stats.archive_bytes), 64.0);
+// The per-branch cache relies on eigen_topk_from being prefix-stable
+// within a branch: vectors solved at a larger k must equal, bit for bit,
+// the compressor's own solve at the smaller k.
+TEST(DpzAnalysis, CachedBasisMatchesFreshSolve) {
+  const FloatArray data = smooth_2d(128, 256, 61);
+  DpzAnalysis analysis(data);
+  ASSERT_EQ(analysis.layout().m, 128U);
+  (void)analysis.model(63);   // largest inverse-iteration k
+  (void)analysis.model(128);  // dense branch
+  for (const std::size_t k : {1, 17, 62, 63, 64, 90, 128}) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    const PcaModel fresh = attach_top_components(
+        fit_pca_spectrum(analysis.dct_blocks()), k);
+    const PcaModel cached = analysis.model(k);
+    ASSERT_EQ(cached.components.cols(), k);
+    EXPECT_TRUE(std::equal(cached.components.flat().begin(),
+                           cached.components.flat().end(),
+                           fresh.components.flat().begin(),
+                           fresh.components.flat().end()));
+  }
 }
 
 TEST(DpzAnalysis, ExactScoresBeatQuantizedScores) {
   const FloatArray data = smooth_2d(48, 96, 53);
-  const DpzAnalysis analysis(data);
+  DpzAnalysis analysis(data);
   QuantizerConfig qcfg;
   qcfg.error_bound = 1e-3;
   qcfg.wide_codes = false;
-  const auto ev = analysis.evaluate(analysis.k_for_tve(0.99999), qcfg);
-  EXPECT_GE(ev.stage12_error.psnr_db, ev.stage3_error.psnr_db - 1e-9);
+  const std::size_t k = analysis.k_for_tve(0.99999);
+  const auto ev = analysis.evaluate(k, qcfg);
+  const ErrorStats exact =
+      compute_error_stats(data.flat(), analysis.reconstruct_exact(k).flat());
+  EXPECT_GE(exact.psnr_db, ev.stage3_error.psnr_db - 1e-9);
 }
 
 TEST(DpzAnalysis, PsnrKneeSelectsValidOperatingPoint) {
   // SS IV-B: knee detection applied to the compression-performance curve
   // instead of the TVE curve (paying a reconstruction per grid point).
   const FloatArray data = smooth_2d(64, 128, 127);
-  const DpzAnalysis analysis(data);
+  DpzAnalysis analysis(data);
   QuantizerConfig qcfg;
   qcfg.error_bound = 1e-4;
   qcfg.wide_codes = true;
@@ -609,7 +660,7 @@ TEST(DpzAnalysis, PsnrKneeSelectsValidOperatingPoint) {
 
 TEST(DpzAnalysis, PsnrKneeRejectsTinyGrid) {
   const FloatArray data = smooth_2d(32, 64, 131);
-  const DpzAnalysis analysis(data);
+  DpzAnalysis analysis(data);
   QuantizerConfig qcfg;
   EXPECT_THROW((void)analysis.k_for_psnr_knee(qcfg, KneeFit::kFit1D, 2),
                InvalidArgument);

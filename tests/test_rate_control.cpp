@@ -6,6 +6,7 @@
 
 #include "core/rate_control.h"
 #include "metrics/metrics.h"
+#include "util/resource.h"
 #include "util/rng.h"
 
 namespace dpz {
@@ -112,6 +113,36 @@ TEST(RateControl, ResultsAreInternallyConsistent) {
   EXPECT_EQ(result.k, result.stats.k);
   EXPECT_EQ(result.archive.size(), result.stats.archive_bytes);
   EXPECT_NEAR(result.achieved_cr, result.stats.cr_archive(), 1e-12);
+}
+
+// The search is part of the call, so base.limits governs it: a budget
+// that one dpz_compress of the input fits, but the search's cached blocks,
+// spectrum and probe archives do not, must stop it.
+TEST(RateControl, SearchIsChargedToTheMemoryBudget) {
+  const FloatArray data = band_limited_field(128, 256, 9);
+  DpzConfig config = DpzConfig::strict();
+  std::uint64_t compress_peak = 0;
+  {
+    ResourceLimits accounting;
+    accounting.max_memory_bytes = 1ULL << 40;
+    const GovernorScope scope(accounting);
+    (void)dpz_compress(data, config);
+    compress_peak = current_governor()->arena().peak();
+  }
+  config.limits.max_memory_bytes = compress_peak;
+  EXPECT_NO_THROW((void)dpz_compress(data, config));
+  EXPECT_THROW((void)dpz_compress_target_ratio(data, 20.0, config),
+               ResourceExhausted);
+  EXPECT_THROW((void)dpz_compress_target_psnr(data, 45.0, config),
+               ResourceExhausted);
+}
+
+TEST(RateControl, TruncatedDctIsRejected) {
+  const FloatArray data = band_limited_field(32, 64, 11);
+  DpzConfig config = DpzConfig::strict();
+  config.dct_keep_fraction = 0.5;
+  EXPECT_THROW((void)dpz_compress_target_ratio(data, 5.0, config),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -40,6 +40,12 @@ const std::vector<CheckInfo> kChecks = {
      "in src/ only under src/obs/ (plus util/thread_pool.cpp, whose "
      "pool_task span carries queue-wait); everything else times through "
      "obs::ScopedSpan"},
+    {"single-stage",
+     "DCT row calls (.forward(/.inverse( on a plan) and component_scale( "
+     "appear in src/ only in the stage home (core/archive_detail.h, "
+     "defined in core/dpz.cpp) and under src/dsp/; every pipeline calls "
+     "dct_rows/idct_rows and detail::stage3_forward instead of "
+     "re-writing a stage"},
     {"telemetry-dup",
      "span/counter/histogram display names in obs/names.h must be "
      "unique; duplicates merge silently in every JSON artifact"},
@@ -268,6 +274,40 @@ void check_single_span(const FileMap& files, std::vector<Finding>* out) {
           break;
         }
       }
+    }
+  }
+}
+
+// ---- single-stage: each pipeline stage is written once -----------------
+
+// A DCT row loop or a score normalization outside the stage home
+// (core/archive_detail.h, defined in core/dpz.cpp) is a second copy of
+// Stage 1 or Stage 3, free to drift from the archive that ships
+// (DpzAnalysis once predicted sizes from such a copy). The transforms
+// themselves live in src/dsp/.
+void check_single_stage(const FileMap& files, std::vector<Finding>* out) {
+  for (const auto& [path, file] : files) {
+    if (starts_with(path, "src/dsp/") ||
+        path == "src/core/archive_detail.h" || path == "src/core/dpz.cpp")
+      continue;
+    const std::vector<Token>& toks = file.tokens;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].kind != TokKind::kIdent || toks[i + 1].text != "(")
+        continue;
+      const std::string& t = toks[i].text;
+      // "->" lexes as two punctuators.
+      const bool member_call =
+          i > 0 && (toks[i - 1].text == "." ||
+                    (i > 1 && toks[i - 1].text == ">" &&
+                     toks[i - 2].text == "-"));
+      if (member_call && (t == "forward" || t == "inverse"))
+        add(out, "single-stage", path, toks[i].line,
+            "DCT " + t + " call outside the stage home; run Stage 1 "
+            "through dct_rows/idct_rows");
+      if (t == "component_scale")
+        add(out, "single-stage", path, toks[i].line,
+            "component_scale outside the stage home; normalize and "
+            "quantize through detail::stage3_forward");
     }
   }
 }
@@ -606,6 +646,7 @@ std::vector<Finding> run_checks(const Options& options,
   check_unguarded_inflate(files, &findings);
   check_single_parser(files, &findings);
   check_single_span(files, &findings);
+  check_single_stage(files, &findings);
   check_telemetry_names(files, &findings);
   check_status_exhaustive(files, &findings);
   check_concurrency_primitives(files, &findings);

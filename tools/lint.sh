@@ -44,8 +44,8 @@
 #      JSON artifact.              [telemetry-name] [telemetry-dup]
 #
 # dpz_analyze adds checks with no lint.sh ancestry (status-exhaustive,
-# naked-mutex, raw-thread, single-parser, single-span); this wrapper runs
-# all of them.
+# naked-mutex, raw-thread, single-parser, single-span, single-stage); this
+# wrapper runs all of them.
 #
 # Usage: tools/lint.sh [--json] [extra dpz_analyze args]
 #   --json is forwarded, so CI can consume structured findings.
