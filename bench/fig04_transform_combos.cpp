@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
   }
 
   // (b) PCA only (spatial domain): top-20% components.
-  const PcaModel spatial_pca = fit_pca(spatial);
+  const PcaModel spatial_pca =
+      attach_top_components(fit_pca_spectrum(spatial), layout.m);
   {
     const Matrix scores = spatial_pca.transform(spatial, keep_rows);
     combos.push_back(
@@ -123,7 +124,8 @@ int main(int argc, char** argv) {
   {
     Matrix z = spatial;
     dct_rows(z, false);
-    const PcaModel dct_pca = fit_pca(z);
+    const PcaModel dct_pca =
+        attach_top_components(fit_pca_spectrum(z), keep_rows);
     Matrix scores = dct_pca.transform(z, keep_rows);
     Matrix back = dct_pca.inverse_transform(scores);
     dct_rows(back, true);

@@ -10,6 +10,7 @@
 
 #include "bench_common.h"
 #include "core/analysis.h"
+#include "core/archive_detail.h"
 #include "core/blocking.h"
 #include "core/sampling.h"
 #include "dsp/dct.h"
@@ -42,8 +43,11 @@ int main(int argc, char** argv) {
     const Dataset ds = make_dataset(name, opt.scale, opt.seed);
     const Matrix blocks = spatial_block_matrix(ds.data);
     for (const double sr : {0.025, 0.01}) {
-      Rng rng(opt.seed + 7);
-      const std::vector<double> vifs = sampled_vif(blocks, sr, 256, rng);
+      DpzConfig probe;
+      probe.vif_sampling_rate = sr;
+      probe.sampling_seed = opt.seed + 7;
+      const std::vector<double> vifs =
+          detail::sampling_config(blocks, probe).precomputed_vifs;
       const BoxStats box = box_stats(vifs);
       vif_table.add_row({name, fixed(100.0 * sr, 1) + "%",
                          fixed(box.min, 2), fixed(box.q1, 2),
@@ -69,18 +73,13 @@ int main(int argc, char** argv) {
     const Matrix& blocks = analysis.dct_blocks();
 
     for (const std::size_t s : {std::size_t{5}, std::size_t{10}}) {
-      SamplingConfig scfg;
-      scfg.subset_count = s;
-      scfg.tve = 0.99999;
-      scfg.seed = opt.seed;
-      scfg.quant_error_bound = 1e-4;
-      scfg.wide_codes = true;
-      {
-        Rng vif_rng(opt.seed);
-        scfg.precomputed_vifs =
-            sampled_vif(spatial_block_matrix(ds.data), 0.01, 256, vif_rng);
-      }
-      const SamplingReport report = run_sampling(blocks, scfg);
+      DpzConfig config = DpzConfig::strict();
+      config.subset_count = s;
+      config.tve = 0.99999;
+      config.sampling_seed = opt.seed;
+      const SamplingReport report = run_sampling(
+          blocks,
+          detail::sampling_config(spatial_block_matrix(ds.data), config));
 
       // Achieved CR in the paper's accounting (stage factors, no basis),
       // using the sampled k.

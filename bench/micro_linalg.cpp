@@ -83,8 +83,8 @@ BENCHMARK(BM_EigenTopK)->Args({256, 8})->Args({512, 8})->Args({512, 32});
 void BM_PcaTransform(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const Matrix x = random_data(m, 4 * m, 4);
-  const PcaModel model = fit_pca(x);
   const std::size_t k = m / 8;
+  const PcaModel model = attach_top_components(fit_pca_spectrum(x), k);
   for (auto _ : state) {
     const Matrix scores = model.transform(x, k);
     benchmark::DoNotOptimize(scores.flat().data());

@@ -37,15 +37,17 @@ int main(int argc, char** argv) {
   for (const std::string& name : fields) {
     const Dataset ds = make_dataset(name, scale, seed);
 
-    // Probe compressibility first (Algorithm 2): high collinearity ->
-    // the loose scheme is safe; low -> use strict codes.
+    // Probe compressibility first (Algorithm 2, VIF on the raw blocks):
+    // high collinearity -> the loose scheme is safe; low -> use strict
+    // codes.
+    DpzConfig probe = DpzConfig::strict();
+    probe.tve = 0.99999;
+    probe.sampling_seed = seed;
     const BlockLayout layout = choose_block_layout(ds.data.size());
     Matrix blocks = to_blocks(ds.data.flat(), layout);
+    const SamplingConfig scfg = detail::sampling_config(blocks, probe);
     dct_rows(blocks);
-    SamplingConfig probe;
-    probe.tve = 0.99999;
-    probe.seed = seed;
-    const SamplingReport report = run_sampling(blocks, probe);
+    const SamplingReport report = run_sampling(blocks, scfg);
 
     DpzConfig config =
         report.low_linearity ? DpzConfig::strict() : DpzConfig::loose();

@@ -13,7 +13,6 @@
 #include "data/datasets.h"
 #include "stats/descriptive.h"
 #include "stats/entropy.h"
-#include "stats/vif.h"
 #include "util/cli.h"
 #include "util/format.h"
 #include "util/timer.h"
@@ -49,23 +48,15 @@ int main(int argc, char** argv) {
     const double entropy = shannon_entropy(sample, 256);
 
     Timer timer;
+    DpzConfig config = DpzConfig::strict();
+    config.tve = tve;
+    config.sampling_seed = seed;
     const BlockLayout layout = choose_block_layout(ds.data.size());
     Matrix blocks = to_blocks(ds.data.flat(), layout);
-
     // VIF is probed on the raw block-data (Algorithm 2, step 1-2).
-    std::vector<double> spatial_vifs;
-    {
-      Rng vif_rng(seed);
-      spatial_vifs = sampled_vif(blocks, 0.01, 256, vif_rng);
-    }
-
+    const SamplingConfig scfg = detail::sampling_config(blocks, config);
     dct_rows(blocks);
-
-    SamplingConfig config;
-    config.tve = tve;
-    config.seed = seed;
-    config.precomputed_vifs = spatial_vifs;
-    const SamplingReport report = run_sampling(blocks, config);
+    const SamplingReport report = run_sampling(blocks, scfg);
     const double probe_s = timer.elapsed();
 
     std::string recommendation;

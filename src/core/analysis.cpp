@@ -26,6 +26,19 @@ DpzAnalysis::DpzAnalysis(const FloatArray& data, bool standardize,
   spectrum_ = fit_pca_spectrum(dct_blocks_, standardize);
 }
 
+std::size_t DpzAnalysis::k_for_tve(double threshold) const {
+  DpzConfig rule;
+  rule.tve = threshold;
+  return detail::select_k(spectrum_.model, rule);
+}
+
+std::size_t DpzAnalysis::k_for_knee(KneeFit fit) const {
+  DpzConfig rule;
+  rule.selection = KSelectionMethod::kKneePoint;
+  rule.knee_fit = fit;
+  return detail::select_k(spectrum_.model, rule);
+}
+
 PcaModel DpzAnalysis::model(std::size_t k) {
   const std::size_t m = layout_.m;
   DPZ_REQUIRE(k >= 1 && k <= m, "k must be in [1, M]");

@@ -37,12 +37,9 @@ class DpzAnalysis {
     return spectrum_.model.tve_curve();
   }
 
-  [[nodiscard]] std::size_t k_for_tve(double threshold) const {
-    return spectrum_.model.k_for_tve(threshold);
-  }
-  [[nodiscard]] std::size_t k_for_knee(KneeFit fit) const {
-    return detect_knee(tve_curve(), fit).k;
-  }
+  /// Stage 2's k rule (detail::select_k) on the cached spectrum.
+  [[nodiscard]] std::size_t k_for_tve(double threshold) const;
+  [[nodiscard]] std::size_t k_for_knee(KneeFit fit) const;
 
   /// The k-component model dpz_compress fits at fixed_k = k (components
   /// M x k). Vectors are cached per eigen_topk_from branch: a solve at k

@@ -1,11 +1,13 @@
 // Internal archive building blocks and the one home of the pipeline's
 // stage functions, all defined in dpz.cpp. Not part of the public API;
 // layouts here may change between archive versions. dpz_compress is
-// Stage 1 (to_blocks + dct_rows) + Stage 2 (linalg/pca.h) + encode;
-// decode inverts them with stage3_inverse, pca_back_project and
-// idct_rows. Every other pipeline calls the same functions, and
-// dpz_analyze's single-stage check keeps the DCT row loops and the score
-// normalization here.
+// Stage 1 (to_blocks + dct_rows) + Stage 2 (fit_pca_spectrum, select_k,
+// attach_top_components; Algorithm 2 through sampling_config and
+// run_sampling only estimates k) + encode; decode inverts them with
+// stage3_inverse, pca_back_project and idct_rows. Every other pipeline
+// calls the same functions, and dpz_analyze's single-stage check keeps
+// the DCT row loops, the score normalization, the k rule and the VIF
+// probe here.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include "codec/bytes.h"
 #include "codec/quantizer.h"
 #include "core/dpz.h"
+#include "core/sampling.h"
 #include "linalg/pca.h"
 
 namespace dpz {
@@ -59,6 +62,23 @@ inline constexpr std::uint8_t kDpzFlagWideCodes = 0x01;
 inline constexpr std::uint8_t kDpzFlagStandardized = 0x02;
 inline constexpr std::uint8_t kDpzFlagStoredRaw = 0x04;
 inline constexpr std::uint8_t kDpzFlagDouble = 0x08;
+
+/// Stage 2's k rule: `fixed_k` clamped to [1, M], else the knee of the
+/// spectrum's TVE curve (Method 1, `knee_fit`), else the smallest k whose
+/// TVE reaches `tve` (Method 2). Reads only those four settings.
+std::size_t select_k(const PcaModel& spectrum, const DpzConfig& config);
+
+/// Datapoints per feature the VIF probe regresses over.
+inline constexpr std::size_t kVifSampleCols = 256;
+
+/// Algorithm 2's front end: maps `config` (S, T, the k rule, seed,
+/// quantizer) to a SamplingConfig and fills its precomputed_vifs with
+/// the VIF probe on the raw, pre-DCT block matrix — sampled_vif at
+/// `vif_sampling_rate` over kVifSampleCols columns, seeded with
+/// Rng(sampling_seed). Pass the result to run_sampling with the same
+/// blocks after the DCT.
+SamplingConfig sampling_config(const Matrix& spatial_blocks,
+                               const DpzConfig& config);
 
 /// Score-normalization calibration: every k-PCA score is divided by ONE
 /// global scale — kScoreSigmaScale times the standard deviation of the

@@ -134,6 +134,35 @@ std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,
 
 void put_header_crc(ByteWriter& w) { w.put_u32(crc32c(w.bytes())); }
 
+// ---- Stage 2's k rule and Algorithm 2's front end ----------------------
+
+std::size_t select_k(const PcaModel& spectrum, const DpzConfig& config) {
+  if (config.fixed_k != 0)
+    return std::clamp<std::size_t>(config.fixed_k, 1,
+                                   spectrum.feature_count());
+  if (config.selection == KSelectionMethod::kKneePoint)
+    return detect_knee(spectrum.tve_curve(), config.knee_fit).k;
+  return spectrum.k_for_tve(config.tve);
+}
+
+SamplingConfig sampling_config(const Matrix& spatial_blocks,
+                               const DpzConfig& config) {
+  SamplingConfig scfg;
+  scfg.subset_count = config.subset_count;
+  scfg.sample_subset_count = config.sample_subset_count;
+  scfg.tve = config.tve;
+  scfg.use_knee = config.selection == KSelectionMethod::kKneePoint;
+  scfg.knee_fit = config.knee_fit;
+  scfg.vif_sampling_rate = config.vif_sampling_rate;
+  scfg.seed = config.sampling_seed;
+  scfg.quant_error_bound = config.effective_error_bound();
+  scfg.wide_codes = config.effective_wide_codes();
+  Rng vif_rng(config.sampling_seed);
+  scfg.precomputed_vifs = sampled_vif(
+      spatial_blocks, config.vif_sampling_rate, kVifSampleCols, vif_rng);
+  return scfg;
+}
+
 // ---- Stage 3 and the encoder ------------------------------------------
 
 double component_scale(std::span<const double> scores) {
@@ -343,7 +372,7 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   // ---- Stage 1: block decomposition + per-block DCT -------------------
   Matrix blocks;
   BlockLayout layout;
-  std::vector<double> spatial_vifs;
+  std::optional<SamplingConfig> sampling;
   {
     const obs::ScopedSpan stage(obs::Span::kStage1Dct, &st.timers);
     governed_poll();
@@ -352,11 +381,8 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
 
     // Algorithm 2 probes collinearity on the raw block-data, so sample
     // the VIFs before the DCT rearranges the correlation structure.
-    if (config.use_sampling && layout.m >= 2 * config.subset_count) {
-      Rng vif_rng(config.sampling_seed);
-      spatial_vifs = sampled_vif(blocks, config.vif_sampling_rate, 256,
-                                 vif_rng);
-    }
+    if (config.use_sampling && layout.m >= 2 * config.subset_count)
+      sampling = detail::sampling_config(blocks, config);
 
     dct_rows(blocks);
 
@@ -379,47 +405,26 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   }
 
   // ---- Stage 2: PCA in the DCT domain + k selection -------------------
+  // One path: Algorithm 2, when it runs, only supplies the standardize
+  // decision and its estimate k_e; the spectrum-first fit, the k rule and
+  // the top-k solve are the same for both routes.
   PcaModel model;
   std::size_t k = 1;
   bool standardized = config.standardize > 0;
   {
     const obs::ScopedSpan stage(obs::Span::kStage2Pca, &st.timers);
     governed_poll();
-    if (config.use_sampling && layout.m >= 2 * config.subset_count) {
-      SamplingConfig scfg;
-      scfg.subset_count = config.subset_count;
-      scfg.sample_subset_count = config.sample_subset_count;
-      scfg.tve = config.tve;
-      scfg.use_knee = config.selection == KSelectionMethod::kKneePoint;
-      scfg.knee_fit = config.knee_fit;
-      scfg.vif_sampling_rate = config.vif_sampling_rate;
-      scfg.seed = config.sampling_seed;
-      scfg.quant_error_bound = config.effective_error_bound();
-      scfg.wide_codes = config.effective_wide_codes();
-      scfg.precomputed_vifs = spatial_vifs;
-      const SamplingReport report = run_sampling(blocks, scfg);
-
+    std::size_t k_e = 0;
+    if (sampling.has_value()) {
+      const SamplingReport report = run_sampling(blocks, *sampling);
       st.vif_median = report.vif_median;
       if (config.standardize < 0) standardized = report.low_linearity;
-      k = config.fixed_k != 0
-              ? std::clamp<std::size_t>(config.fixed_k, 1, layout.m)
-              : report.full_k;
-      model = fit_pca_topk(blocks, k, standardized);
-    } else {
-      // Two-phase fit: the values-only spectrum is enough for every
-      // k-selection method (they all read the TVE curve), so the dense
-      // eigenvector solve is deferred and replaced by a top-k solve on
-      // the cached covariance once k is known.
-      PcaSpectrum spec = fit_pca_spectrum(blocks, standardized);
-      if (config.fixed_k != 0) {
-        k = std::clamp<std::size_t>(config.fixed_k, 1, layout.m);
-      } else if (config.selection == KSelectionMethod::kKneePoint) {
-        k = detect_knee(spec.model.tve_curve(), config.knee_fit).k;
-      } else {
-        k = spec.model.k_for_tve(config.tve);
-      }
-      model = attach_top_components(std::move(spec), k);
+      k_e = report.full_k;
     }
+    PcaSpectrum spec = fit_pca_spectrum(blocks, standardized);
+    k = k_e != 0 && config.fixed_k == 0 ? k_e
+                                        : detail::select_k(spec.model, config);
+    model = attach_top_components(std::move(spec), k);
   }
 
   // ---- Projection (outside every stage span) + Stage 3 + serialization --

@@ -15,10 +15,11 @@
 // k-PCA" bound the paper describes, not an end-to-end pointwise bound.
 // See detail::kScoreSigmaScale for the calibration rationale.
 //
-// The optional sampling strategy (Algorithm 2) estimates k from T of S
-// feature subsets and then computes only the leading eigenpairs by
-// inverse iteration on the tridiagonal, avoiding the O(M^3) eigenvector
-// accumulation.
+// The optional sampling strategy (Algorithm 2) probes collinearity (VIF)
+// and estimates k from T of S feature subsets. It only chooses k (and
+// whether to standardize): Stage 2 then runs the same spectrum-first fit
+// and top-k solve as the default route, so at equal k both routes write
+// the same archive.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +58,7 @@ struct DpzConfig {
   std::size_t fixed_k = 0;
 
   /// Enables the Algorithm 2 sampling strategy (subset k estimation +
-  /// truncated eigensolver + VIF-gated standardization).
+  /// VIF-gated standardization); the eigensolve is the default route's.
   bool use_sampling = false;
   std::size_t subset_count = 10;        ///< S
   std::size_t sample_subset_count = 3;  ///< T

@@ -55,7 +55,7 @@ SamplingReport run_sampling(const Matrix& dct_blocks,
     report.vifs = config.precomputed_vifs;
   } else {
     report.vifs = sampled_vif(dct_blocks, config.vif_sampling_rate,
-                              config.vif_sample_cols, rng);
+                              detail::kVifSampleCols, rng);
   }
   report.vif_median = quantile_of(report.vifs, 0.5);
   report.low_linearity = report.vif_median < kVifCutoff;
@@ -84,7 +84,16 @@ SamplingReport run_sampling(const Matrix& dct_blocks,
 
   // Step 4: per-subset PCA and k selection, plus (optionally) a
   // calibration pass that measures the actual stage-3 and zlib factors on
-  // each subset's quantized score streams.
+  // each subset's quantized score streams. k comes from the values-only
+  // spectrum through the compressor's own k rule; only calibration needs
+  // eigenvectors. It projects on k of them but attaches the subset's full
+  // basis, the dense branch: inverse iteration picks other eigenvector
+  // signs, which would change the quantized codes and so the CR_p band.
+  DpzConfig rule;
+  rule.selection = config.use_knee ? KSelectionMethod::kKneePoint
+                                   : KSelectionMethod::kTveThreshold;
+  rule.tve = config.tve;
+  rule.knee_fit = config.knee_fit;
   std::vector<double> cr3_samples;
   std::vector<std::uint8_t> calib_codes;   // concatenated across subsets
   std::vector<std::uint8_t> calib_outliers;
@@ -94,17 +103,13 @@ SamplingReport run_sampling(const Matrix& dct_blocks,
     const std::size_t lo = subset * base;
     const std::size_t hi = (subset + 1 == s) ? m : lo + base;
     const Matrix sub = slice_rows(dct_blocks, lo, hi);
-    const PcaModel model = fit_pca(sub, report.low_linearity);
-    std::size_t k;
-    if (config.use_knee) {
-      k = detect_knee(model.tve_curve(), config.knee_fit).k;
-    } else {
-      k = model.k_for_tve(config.tve);
-    }
+    PcaSpectrum spec = fit_pca_spectrum(sub, report.low_linearity);
+    const std::size_t k = detail::select_k(spec.model, rule);
     report.subset_ks.push_back(k);
 
     if (config.calibrate_factors) {
-      Matrix scores = model.transform(sub, k);
+      Matrix scores = attach_top_components(std::move(spec), sub.rows())
+                          .transform(sub, k);
       QuantizerConfig qcfg;
       qcfg.error_bound = config.quant_error_bound;
       qcfg.wide_codes = config.wide_codes;

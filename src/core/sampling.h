@@ -29,7 +29,6 @@ struct SamplingConfig {
   bool use_knee = false;                ///< Method 1 instead of TVE
   KneeFit knee_fit = KneeFit::kFit1D;
   double vif_sampling_rate = 0.01;      ///< SR (fraction of features probed)
-  std::size_t vif_sample_cols = 256;    ///< datapoints per probed feature
   std::uint64_t seed = 2021;
   /// true: pick the first/middle/last subsets (the paper's recommendation
   /// for high-linearity data); false: pick T subsets uniformly at random.
@@ -48,8 +47,9 @@ struct SamplingConfig {
   bool wide_codes = true;
   /// Pre-computed VIF distribution (e.g. probed on the *spatial* block
   /// matrix before the DCT, which is where Algorithm 2 measures
-  /// collinearity). When non-empty, steps 1-2 reuse it instead of probing
-  /// the matrix passed to run_sampling.
+  /// collinearity; detail::sampling_config fills it). When non-empty,
+  /// steps 1-2 reuse it instead of probing the matrix passed to
+  /// run_sampling.
   std::vector<double> precomputed_vifs;
 };
 

@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/descriptive.h"
-#include "stats/knee.h"
 #include "util/resource.h"
 #include "util/thread_pool.h"
 
@@ -37,12 +36,7 @@ SharedBasisCodec SharedBasisCodec::train(const FloatArray& reference,
   // only the k leading eigenvectors are ever solved for (the trailing
   // M - k columns a dense solve would produce are discarded anyway).
   PcaSpectrum spec = fit_pca_spectrum(blocks, config.standardize > 0);
-  std::size_t k;
-  if (config.selection == KSelectionMethod::kKneePoint) {
-    k = detect_knee(spec.model.tve_curve(), config.knee_fit).k;
-  } else {
-    k = spec.model.k_for_tve(config.tve);
-  }
+  const std::size_t k = detail::select_k(spec.model, config);
   const PcaModel model = attach_top_components(std::move(spec), k);
 
   // Campaign drift guard: a global offset in a later snapshot lands in

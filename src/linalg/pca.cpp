@@ -131,16 +131,14 @@ Matrix covariance(const Matrix& x) {
   return cov;
 }
 
-namespace {
-
-// Fills mean/scale and returns the centered (optionally standardized)
-// working copy shared by the full and truncated fits.
-Matrix prepare_centered(const Matrix& x, bool standardize, PcaModel& model) {
+PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize) {
   const std::size_t m = x.rows();
   const std::size_t n = x.cols();
   DPZ_REQUIRE(n >= 2, "PCA needs at least two samples per feature");
   const simd::KernelTable& ops = simd::kernels();
 
+  PcaSpectrum spec;
+  PcaModel& model = spec.model;
   model.mean.resize(m);
   model.scale.assign(m, 1.0);
   for (std::size_t i = 0; i < m; ++i) {
@@ -149,8 +147,6 @@ Matrix prepare_centered(const Matrix& x, bool standardize, PcaModel& model) {
     for (std::size_t c = 0; c < n; ++c) sum += row[c];
     model.mean[i] = sum / static_cast<double>(n);
   }
-
-  Matrix centered(m, n);
   if (standardize) {
     for (std::size_t i = 0; i < m; ++i) {
       const double mu = model.mean[i];
@@ -160,51 +156,23 @@ Matrix prepare_centered(const Matrix& x, bool standardize, PcaModel& model) {
       if (var > 0.0) model.scale[i] = std::sqrt(var);
     }
   }
-  parallel_for(0, m, [&](std::size_t i) {
-    ops.center_scale(x.row(i).data(), model.mean[i], 1.0 / model.scale[i],
-                     centered.row(i).data(), n);
-  });
-  return centered;
-}
 
-}  // namespace
-
-PcaModel fit_pca(const Matrix& x, bool standardize) {
-  PcaModel model;
-  const Matrix centered = prepare_centered(x, standardize, model);
-
-  // Covariance of the prepared matrix (means are now ~0, but recompute to
-  // stay exact) and its eigendecomposition.
-  SymmetricEigen eig = eigen_sym(covariance(centered));
-
-  for (double& v : eig.values)
-    if (v < 0.0) v = 0.0;  // clamp tiny negative rounding residue
-  model.eigenvalues = std::move(eig.values);
-  model.components = std::move(eig.vectors);
-  return model;
-}
-
-PcaModel fit_pca_topk(const Matrix& x, std::size_t k, bool standardize) {
-  DPZ_REQUIRE(k >= 1 && k <= x.rows(), "k must be in [1, M]");
-  PcaModel model;
-  Matrix cov = covariance(prepare_centered(x, standardize, model));
-  SymmetricEigen eig = eigen_sym_topk(std::move(cov), k);
-
-  for (double& v : eig.values)
-    if (v < 0.0) v = 0.0;
-  model.eigenvalues = std::move(eig.values);
-  model.components = std::move(eig.vectors);
-  return model;
-}
-
-PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize) {
-  PcaSpectrum spec;
-  // The centered copy dies with this statement and the covariance moves
-  // into the reduction, so no second M x M copy is ever held.
-  Matrix cov = covariance(prepare_centered(x, standardize, spec.model));
+  // Covariance of the centered (optionally standardized) copy; its means
+  // are now ~0, but covariance recomputes them to stay exact. The copy
+  // dies before the reduction and the covariance moves into it, so no
+  // second M x M copy is ever held.
+  Matrix cov;
+  {
+    Matrix centered(m, n);
+    parallel_for(0, m, [&](std::size_t i) {
+      ops.center_scale(x.row(i).data(), model.mean[i], 1.0 / model.scale[i],
+                       centered.row(i).data(), n);
+    });
+    cov = covariance(centered);
+  }
   spec.tridiag = tridiagonalize(std::move(cov));
-  spec.model.eigenvalues = eigen_values_from(spec.tridiag);
-  for (double& v : spec.model.eigenvalues)
+  model.eigenvalues = eigen_values_from(spec.tridiag);
+  for (double& v : model.eigenvalues)
     if (v < 0.0) v = 0.0;  // clamp tiny negative rounding residue
   return spec;
 }

@@ -37,7 +37,7 @@ struct PcaModel {
   std::vector<double> mean;         ///< per-feature mean, length M
   std::vector<double> scale;        ///< per-feature std (1.0 when not standardized)
   std::vector<double> eigenvalues;  ///< descending, clamped at 0, length M
-  Matrix components;                ///< M x M; column j = eigenvector j
+  Matrix components;                ///< M x k; column j = eigenvector j
 
   [[nodiscard]] std::size_t feature_count() const { return mean.size(); }
 
@@ -59,27 +59,19 @@ struct PcaModel {
   }
 };
 
-/// Fits PCA on X (M features x N samples). When `standardize` is set,
-/// features are scaled to unit variance before eigenanalysis (features with
-/// zero variance keep scale 1 to avoid dividing by zero).
-PcaModel fit_pca(const Matrix& x, bool standardize = false);
-
-/// Truncated fit: computes only the `k` leading eigenpairs
-/// (eigen_sym_topk: one Householder reduction, then inverse iteration on
-/// the tridiagonal, O(M^2 k) instead of the dense accumulation's O(M^3)).
-/// The returned model has `components` of shape M x k and k eigenvalues;
-/// tve_curve()/k_for_tve() are not meaningful on a truncated model. This
-/// is the fast path the sampling strategy unlocks once k_e is known.
-PcaModel fit_pca_topk(const Matrix& x, std::size_t k,
-                      bool standardize = false);
-
-/// A spectrum-first fit: mean/scale and the FULL eigenvalue spectrum of
-/// the covariance (via the values-only solver, ~3x cheaper than the
-/// dense eigendecomposition), plus the covariance's Householder
-/// reduction so the leading eigenvectors can be solved for afterwards
-/// without re-streaming X. This splits Stage 2's k-selection (which
-/// needs every eigenvalue for the TVE curve) from the basis solve (which
-/// needs only k columns).
+/// The one PCA fit, in two phases, so Stage 2 can choose k from the whole
+/// spectrum before paying for any eigenvector.
+///
+/// Phase one, fit_pca_spectrum: mean/scale (features are scaled to unit
+/// variance when `standardize` is set; zero-variance features keep scale
+/// 1), the covariance, its Householder reduction and the FULL eigenvalue
+/// spectrum from the values-only QL recurrence.
+///
+/// Phase two, attach_top_components: the k leading eigenvectors, solved
+/// from the cached reduction. A full basis is
+/// attach_top_components(fit_pca_spectrum(x), M); with 2k >= M the solve
+/// takes eigen_topk_from's dense branch, which is eigen_sym_from, so it
+/// equals eigen_sym on the same covariance bit for bit.
 ///
 /// Threading: the reduction and the back-transform run on the active
 /// pool's team (see eigen_sym.h); the single-participant path is the
@@ -96,7 +88,8 @@ struct PcaSpectrum {
   TridiagonalReduction tridiag;
 };
 
-/// Phase one: center/standardize, covariance, full eigenvalue spectrum.
+/// Phase one: center/standardize, covariance, full eigenvalue spectrum
+/// (clamped at 0).
 PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize = false);
 
 /// Phase two: attaches the k leading eigenvectors (eigen_topk_from on the

@@ -13,6 +13,7 @@
 #include "core/blocking.h"
 #include "core/dpz.h"
 #include "core/chunked.h"
+#include "core/layout.h"
 #include "core/rate_control.h"
 #include "core/sampling.h"
 #include "core/verify.h"
@@ -24,7 +25,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
-#include "stats/vif.h"
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/format.h"
@@ -301,13 +301,13 @@ int cmd_compress(const CliArgs& args, std::ostream& out) {
   Timer timer;
   DpzStats stats;
   std::vector<std::uint8_t> archive;
+  ChunkedConfig ccfg;
+  ccfg.dpz = config;
+  ccfg.chunk_values = chunk;
+  // The container fans out over frames, so the knob moves to the outer
+  // loop; per-frame threading is disabled inside chunked_compress.
+  ccfg.threads = config.threads;
   if (chunk != 0) {
-    ChunkedConfig ccfg;
-    ccfg.dpz = config;
-    ccfg.chunk_values = chunk;
-    // The container fans out over frames, so the knob moves to the outer
-    // loop; per-frame threading is disabled inside chunked_compress.
-    ccfg.threads = config.threads;
     if (parity_m != 0) {
       ccfg.parity_k = parity_k;
       ccfg.parity_m = parity_m;
@@ -355,7 +355,7 @@ int cmd_compress(const CliArgs& args, std::ostream& out) {
   if (args.get_bool("verify", false)) {
     ErrorStats err;
     if (chunk != 0) {
-      const FloatArray back = chunked_decompress(archive, config.threads);
+      const FloatArray back = chunked_decompress(archive, ccfg);
       err = compute_error_stats(data.flat(), back.flat());
     } else if (f64) {
       const DoubleArray back =
@@ -385,13 +385,8 @@ int cmd_decompress(const CliArgs& args, std::ostream& out) {
 
   const std::vector<std::uint8_t> archive = read_bytes(in_path);
 
-  // Chunked containers carry their own magic ("DZCK" v1, "DZC2" v2,
-  // "DZC3" with parity); route them directly.
-  const bool is_chunked =
-      archive.size() >= 4 && archive[0] == 0x44 && archive[1] == 0x5A &&
-      archive[2] == 0x43 &&
-      (archive[3] == 0x4B || archive[3] == 0x32 || archive[3] == 0x33);
-  if (is_chunked) {
+  // Chunked containers carry their own magics; route them directly.
+  if (detail::format_of(archive) == detail::Format::kChunked) {
     ChunkedConfig config;
     config.threads = threads;
     config.dpz.limits = limits;
@@ -638,17 +633,13 @@ int cmd_probe(const CliArgs& args, std::ostream& out) {
   const FloatArray data =
       read_f32(args.positional()[1], parse_shape(shape_text));
 
+  DpzConfig config = DpzConfig::strict();
+  config.tve = args.get_double("tve", config.tve);
   const BlockLayout layout = choose_block_layout(data.size());
   Matrix blocks = to_blocks(data.flat(), layout);
-  Rng vif_rng(2021);
-  std::vector<double> vifs = sampled_vif(blocks, 0.01, 256, vif_rng);
-
+  const SamplingConfig scfg = detail::sampling_config(blocks, config);
   dct_rows(blocks);
-
-  SamplingConfig config;
-  config.tve = args.get_double("tve", 0.99999);
-  config.precomputed_vifs = std::move(vifs);
-  const SamplingReport report = run_sampling(blocks, config);
+  const SamplingReport report = run_sampling(blocks, scfg);
 
   out << "blocks:      " << layout.m << " x " << layout.n << "\n"
       << "VIF median:  " << fixed(report.vif_median, 1)

@@ -1,7 +1,7 @@
 // Boundary: src/core/dpz.cpp is the one caller of zlib_decompress in
 // src/core (rule 5); the checksum gate lives here. It also defines the
-// stage functions, so its DCT row loop and score normalization are the
-// single-stage check's one allowed copy.
+// stage functions, so its DCT row loop, score normalization, k rule and
+// VIF probe are the single-stage check's one allowed copy.
 #include <cstddef>
 #include <vector>
 
@@ -19,6 +19,16 @@ double component_scale(std::span<const double> scores);
 
 double stage3_scale(const Matrix& scores) {
   return component_scale(scores.row(0));
+}
+
+std::size_t select_k(const PcaModel& spectrum, const DpzConfig& config) {
+  if (config.selection == KSelectionMethod::kKneePoint)
+    return detect_knee(spectrum.tve_curve(), config.knee_fit).k;
+  return spectrum.k_for_tve(config.tve);
+}
+
+std::vector<double> spatial_probe(const Matrix& blocks, Rng& rng) {
+  return sampled_vif(blocks, 0.01, 256, rng);
 }
 
 std::vector<unsigned char> zlib_decompress(const unsigned char*,

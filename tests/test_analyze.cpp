@@ -61,6 +61,9 @@ TEST(Analyze, BadTreeEveryPlantedViolationFlagged) {
       {"unguarded-inflate", "src/core/inflate.cpp", 10, "zlib_decompress"},
       {"telemetry-name", "src/core/log_site.cpp", 6,
        "\"decode_abort\""},
+      {"single-stage", "src/core/rechoose.cpp", 7, "detect_knee"},
+      {"single-stage", "src/core/rechoose.cpp", 8, "k_for_tve"},
+      {"single-stage", "src/core/rechoose.cpp", 12, "sampled_vif"},
       {"telemetry-name", "src/core/record.cpp", 6, "\"bytes_in\""},
       {"single-parser", "src/core/reparse.cpp", 7, "check_header_crc"},
       {"simd-isolated", "src/core/vector.cpp", 1, "immintrin"},

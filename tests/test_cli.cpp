@@ -9,9 +9,11 @@
 #include <filesystem>
 #include <sstream>
 
+#include "core/chunked.h"
 #include "io/file_io.h"
 #include "tools/cli_app.h"
 #include "util/error.h"
+#include "util/resource.h"
 
 namespace dpz::tools {
 namespace {
@@ -439,6 +441,60 @@ TEST_F(CliFlowTest, ResourceLimitFlagsGovernCompress) {
       << err_.str();
   EXPECT_EQ(read_bytes(path("rc_plain.dpz")),
             read_bytes(path("rc_gov.dpz")));
+}
+
+TEST_F(CliFlowTest, ChunkedVerifyDecodesUnderTheMemoryBudget) {
+  // --verify decodes a chunked container under --max-memory too: a budget
+  // the compress fits in but the decode's pre-flight does not stops the
+  // command with the resource exit code. Compress holds one small frame
+  // at a time; the decode also holds the whole 384 KiB output.
+  FloatArray field({256, 384});
+  for (std::size_t i = 0; i < field.size(); ++i)
+    field[i] = static_cast<float>(std::sin(0.01 * static_cast<double>(i)));
+  write_f32(path("big.f32"), field);
+  ChunkedConfig config;
+  config.chunk_values = 2048;
+  config.threads = 1;
+  std::uint64_t compress_peak = 0;
+  std::vector<std::uint8_t> container;
+  {
+    ResourceLimits accounting;
+    accounting.max_memory_bytes = 1ULL << 40;
+    const GovernorScope scope(accounting);
+    container = chunked_compress(field, config);
+    compress_peak = current_governor()->arena().peak();
+  }
+  const std::uint64_t decode_peak =
+      chunked_decode_preflight(container).peak_bytes;
+  ASSERT_LT(compress_peak, decode_peak);
+  const std::string budget =
+      "--max-memory=" + std::to_string((compress_peak + decode_peak) / 2);
+
+  ASSERT_EQ(run({"compress", path("big.f32"), path("cg.dpzc"),
+                 "--shape=256x384", "--chunk=2048", "--threads=1", budget}),
+            0)
+      << err_.str();
+  EXPECT_EQ(read_bytes(path("cg.dpzc")), container);
+  EXPECT_EQ(run({"compress", path("big.f32"), path("cg.dpzc"),
+                 "--shape=256x384", "--chunk=2048", "--threads=1", budget,
+                 "--verify"}),
+            4);
+  EXPECT_NE(err_.str().find("memory budget"), std::string::npos);
+}
+
+TEST_F(CliFlowTest, DecompressRoutesGoldenChunkedContainers) {
+  // Both committed container generations (v1 "DZCK", v2 "DZC2") are
+  // recognized by their magic and decoded as chunked containers.
+  for (const std::string stem :
+       {"chunked_2d_f32_strict", "chunked_2d_f32_strict.v2"}) {
+    ASSERT_EQ(run({"decompress",
+                   std::string(DPZ_GOLDEN_DIR) + "/" + stem + ".dpz",
+                   path(stem + ".f32")}),
+              0)
+        << stem << ": " << err_.str();
+    EXPECT_NE(out_.str().find(" frames)"), std::string::npos) << stem;
+    EXPECT_NO_THROW(read_f32(path(stem + ".f32"), {128, 96})) << stem;
+  }
 }
 
 TEST_F(CliFlowTest, MalformedResourceFlagsFail) {

@@ -133,8 +133,8 @@ TEST(Determinism, DpzF64ArchiveAndDecodeAreThreadCountInvariant) {
 }
 
 TEST(Determinism, DpzSamplingPathIsThreadCountInvariant) {
-  // Algorithm 2 adds the subset estimator and the truncated eigensolver
-  // to the parallel surface; the seed pins its subset choice, so bytes
+  // Algorithm 2 adds the VIF probe and the subset estimator to the
+  // parallel surface; the seed pins its subset choice, so bytes
   // must still be invariant. The first input (M = 64) takes the dense
   // top-k fallback. The second must reach inverse iteration, which the
   // stats check pins so the coverage cannot drift away; at the strict

@@ -9,6 +9,7 @@
 #include "core/analysis.h"
 #include "core/dpz.h"
 #include "data/datasets.h"
+#include "linalg/eigen_sym.h"
 #include "metrics/metrics.h"
 #include "synthetic_2d.h"
 #include "util/rng.h"
@@ -162,6 +163,26 @@ TEST(Dpz, SamplingAndDefaultRoutesShareTheBasisAtEqualK) {
   ASSERT_EQ(stats.layout.m, 160U);
   config.use_sampling = true;
   EXPECT_EQ(dpz_compress(data, config), default_archive);
+
+  // Rank-deficient: every 320-value block is a_i u + b_i w with small
+  // integers (exact in f32), so the covariance has rank 2 and k = 6 reads
+  // rounding residues of the spectrum; 2k < M keeps inverse iteration.
+  std::vector<float> values(256 * 200);
+  for (std::size_t t = 0; t < values.size(); ++t) {
+    const double i = static_cast<double>(t / 320);
+    const double c = static_cast<double>(t % 320);
+    values[t] = static_cast<float>(
+        (std::fmod(i, 7.0) - 3.0) * (std::fmod(c, 11.0) - 5.0) +
+        (std::fmod(i, 5.0) - 2.0) * (std::fmod(c, 13.0) - 6.0));
+  }
+  const FloatArray rank2({256, 200}, std::move(values));
+  config.use_sampling = false;
+  const auto rank2_default = dpz_compress(rank2, config, &stats);
+  ASSERT_EQ(stats.layout.n, 320U);
+  ASSERT_EQ(stats.k, 6U);
+  ASSERT_FALSE(topk_is_dense(stats.layout.m, stats.k));
+  config.use_sampling = true;
+  EXPECT_EQ(dpz_compress(rank2, config), rank2_default);
 }
 
 TEST(Dpz, StatsAccountingInvariants) {

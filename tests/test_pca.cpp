@@ -1,7 +1,8 @@
 // Unit and property tests for PCA: covariance correctness, variance
 // capture on constructed low-rank data, exact reconstruction at full rank,
 // TVE-curve semantics, the DCT-domain identity from SS III-B2 (Eq. 4-6),
-// and the truncated fit against the dense one.
+// the full-basis fit against eigen_sym, and top-k fits against the full
+// one.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,6 +28,11 @@ Matrix low_rank_data(std::size_t m, std::size_t n, std::size_t rank,
   return x;
 }
 
+// The full basis: every component attached to the spectrum-first fit.
+PcaModel full_fit(const Matrix& x, bool standardize = false) {
+  return attach_top_components(fit_pca_spectrum(x, standardize), x.rows());
+}
+
 TEST(Covariance, MatchesHandComputed) {
   // Two features, three samples.
   const Matrix x(2, 3, {1, 2, 3, 2, 4, 6});
@@ -50,7 +56,7 @@ TEST(Pca, EigenvalueSumEqualsTotalVariance) {
   Rng rng(2);
   Matrix x(8, 100);
   for (double& v : x.flat()) v = rng.normal();
-  const PcaModel model = fit_pca(x);
+  const PcaModel model = full_fit(x);
   const Matrix cov = covariance(x);
   double trace = 0.0, sum = 0.0;
   for (std::size_t i = 0; i < 8; ++i) trace += cov(i, i);
@@ -60,7 +66,7 @@ TEST(Pca, EigenvalueSumEqualsTotalVariance) {
 
 TEST(Pca, LowRankDataNeedsFewComponents) {
   const Matrix x = low_rank_data(20, 300, 3, 7);
-  const PcaModel model = fit_pca(x);
+  const PcaModel model = full_fit(x);
   // Rank-3 data: three components explain essentially everything.
   EXPECT_EQ(model.k_for_tve(0.999), 3U);
   const std::vector<double> tve = model.tve_curve();
@@ -71,7 +77,7 @@ TEST(Pca, FullRankRoundTripIsExact) {
   Rng rng(3);
   Matrix x(6, 50);
   for (double& v : x.flat()) v = rng.normal();
-  const PcaModel model = fit_pca(x);
+  const PcaModel model = full_fit(x);
   const Matrix scores = model.transform(x, 6);
   const Matrix back = model.inverse_transform(scores);
   EXPECT_LT(back.max_abs_diff(x), 1e-9);
@@ -85,7 +91,7 @@ TEST(Pca, TruncatedReconstructionErrorMatchesDiscardedVariance) {
     const double s = std::pow(0.4, static_cast<double>(i));
     for (std::size_t c = 0; c < n; ++c) x(i, c) = s * rng.normal();
   }
-  const PcaModel model = fit_pca(x);
+  const PcaModel model = full_fit(x);
   const Matrix back = model.inverse_transform(model.transform(x, k));
   double err = 0.0;
   for (std::size_t i = 0; i < m; ++i)
@@ -102,7 +108,7 @@ TEST(Pca, TruncatedReconstructionErrorMatchesDiscardedVariance) {
 
 TEST(Pca, TveCurveIsMonotonicAndEndsAtOne) {
   const Matrix x = low_rank_data(12, 80, 5, 8, 1e-3);
-  const PcaModel model = fit_pca(x);
+  const PcaModel model = full_fit(x);
   const std::vector<double> tve = model.tve_curve();
   for (std::size_t i = 1; i < tve.size(); ++i)
     EXPECT_GE(tve[i] + 1e-15, tve[i - 1]);
@@ -112,7 +118,7 @@ TEST(Pca, TveCurveIsMonotonicAndEndsAtOne) {
 TEST(Pca, ConstantDataDegeneratesGracefully) {
   Matrix x(4, 30);
   for (double& v : x.flat()) v = 2.5;
-  const PcaModel model = fit_pca(x);
+  const PcaModel model = full_fit(x);
   EXPECT_EQ(model.k_for_tve(0.999), 1U);
   const Matrix back = model.inverse_transform(model.transform(x, 1));
   EXPECT_LT(back.max_abs_diff(x), 1e-12);
@@ -129,8 +135,8 @@ TEST(Pca, StandardizationEqualizesFeatureWeight) {
     x(1, c) = rng.normal();
     x(2, c) = rng.normal();
   }
-  const PcaModel raw = fit_pca(x, false);
-  const PcaModel std_model = fit_pca(x, true);
+  const PcaModel raw = full_fit(x, false);
+  const PcaModel std_model = full_fit(x, true);
   // Raw: first component aligned almost entirely with feature 0.
   EXPECT_GT(std::abs(raw.components(0, 0)), 0.99);
   // Standardized: eigenvalues near 1 each (uncorrelated unit features).
@@ -140,7 +146,7 @@ TEST(Pca, StandardizationEqualizesFeatureWeight) {
 
 TEST(Pca, KForTveBoundaries) {
   const Matrix x = low_rank_data(10, 60, 2, 9);
-  const PcaModel model = fit_pca(x);
+  const PcaModel model = full_fit(x);
   EXPECT_EQ(model.k_for_tve(1e-9), 1U);
   EXPECT_THROW((void)model.k_for_tve(0.0), InvalidArgument);
   EXPECT_THROW((void)model.k_for_tve(1.1), InvalidArgument);
@@ -151,7 +157,7 @@ TEST(Pca, TransformRejectsBadK) {
   Rng rng(10);
   Matrix x(5, 20);
   for (double& v : x.flat()) v = rng.normal();
-  const PcaModel model = fit_pca(x);
+  const PcaModel model = full_fit(x);
   EXPECT_THROW(model.transform(x, 0), InvalidArgument);
   EXPECT_THROW(model.transform(x, 6), InvalidArgument);
 }
@@ -180,30 +186,65 @@ TEST(Pca, DctDomainEigenvaluesMatchSpatialDomain) {
     for (std::size_t i = 0; i < m; ++i) z(i, c) = out[i];
   }
 
-  const PcaModel spatial = fit_pca(x);
-  const PcaModel dct_domain = fit_pca(z);
+  const PcaModel spatial = full_fit(x);
+  const PcaModel dct_domain = full_fit(z);
   for (std::size_t j = 0; j < m; ++j)
     EXPECT_NEAR(spatial.eigenvalues[j], dct_domain.eigenvalues[j],
                 1e-8 * std::max(1.0, spatial.eigenvalues[0]))
         << "eigenvalue " << j;
 }
 
-// ---- Truncated fit -------------------------------------------------------
+// ---- Full basis and top-k fits -----------------------------------------
+
+// The full-basis fit is eigen_sym on the centered covariance, bit for bit:
+// the values-only spectrum equals the QL-with-vectors values, and 2k >= M
+// takes eigen_topk_from's dense branch, which is eigen_sym_from.
+TEST(Pca, FullBasisIsEigenSymOfTheCenteredCovariance) {
+  const Matrix x = low_rank_data(40, 150, 7, 14, 1e-3);
+  const PcaModel fit = full_fit(x);
+  // The fit's own centering: row means summed in order, x - mean.
+  Matrix centered = x;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    double sum = 0.0;
+    for (const double v : x.row(i)) sum += v;
+    const double mean = sum / static_cast<double>(x.cols());
+    for (double& v : centered.row(i)) v -= mean;
+  }
+  const SymmetricEigen eig = eigen_sym(covariance(centered));
+  ASSERT_EQ(fit.eigenvalues.size(), eig.values.size());
+  for (std::size_t j = 0; j < eig.values.size(); ++j)
+    EXPECT_EQ(fit.eigenvalues[j], std::max(eig.values[j], 0.0)) << j;
+  ASSERT_EQ(fit.components.rows(), eig.vectors.rows());
+  ASSERT_EQ(fit.components.cols(), eig.vectors.cols());
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (std::size_t j = 0; j < x.rows(); ++j)
+      EXPECT_EQ(fit.components(i, j), eig.vectors(i, j)) << i << "," << j;
+}
 
 TEST(PcaTopK, MatchesFullFitOnLeadingComponents) {
+  // k = 6 of M = 80 takes the inverse-iteration branch: each of its
+  // vectors carries the full fit's eigenvalue as its Rayleigh quotient.
   const Matrix x = low_rank_data(80, 400, 6, 12, 1e-4);
-  const PcaModel full = fit_pca(x);
-  const PcaModel topk = fit_pca_topk(x, 6);
-  ASSERT_EQ(topk.eigenvalues.size(), 6U);
-  for (std::size_t j = 0; j < 6; ++j)
-    EXPECT_NEAR(topk.eigenvalues[j], full.eigenvalues[j],
+  const PcaModel full = full_fit(x);
+  const PcaModel topk = attach_top_components(fit_pca_spectrum(x), 6);
+  ASSERT_FALSE(topk_is_dense(80, 6));
+  ASSERT_EQ(topk.components.cols(), 6U);
+  EXPECT_EQ(topk.eigenvalues, full.eigenvalues);
+  const Matrix cov = covariance(x);
+  for (std::size_t j = 0; j < 6; ++j) {
+    double rayleigh = 0.0;
+    for (std::size_t a = 0; a < 80; ++a)
+      for (std::size_t b = 0; b < 80; ++b)
+        rayleigh += topk.components(a, j) * cov(a, b) * topk.components(b, j);
+    EXPECT_NEAR(rayleigh, full.eigenvalues[j],
                 1e-5 * std::max(1.0, full.eigenvalues[0]));
+  }
 }
 
 TEST(PcaTopK, ReconstructionMatchesFullFit) {
   const Matrix x = low_rank_data(60, 300, 4, 13, 1e-5);
-  const PcaModel full = fit_pca(x);
-  const PcaModel topk = fit_pca_topk(x, 4);
+  const PcaModel full = full_fit(x);
+  const PcaModel topk = attach_top_components(fit_pca_spectrum(x), 4);
   const Matrix full_rec = full.inverse_transform(full.transform(x, 4));
   const Matrix topk_rec = topk.inverse_transform(topk.transform(x, 4));
   EXPECT_LT(full_rec.max_abs_diff(topk_rec), 1e-4);

@@ -3,8 +3,8 @@
 // with a self-consistent archive, monotone quality behavior, and intact
 // invariants. These tests are deliberately broad rather than deep — each
 // configuration exercises a different combination of code paths (layout
-// divisor vs padding, knee vs TVE, full vs truncated eigensolver, 1- vs
-// 2-byte codes).
+// divisor vs padding, knee vs TVE, dense vs inverse-iteration top-k
+// solve, 1- vs 2-byte codes).
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -125,5 +125,18 @@ TEST(SharedBasis, KneeSelectionSupported) {
   EXPECT_EQ(back.shape(), snap.shape());
 }
 
+TEST(SharedBasis, FixedKIsHonoured) {
+  // The codec selects k with the compressor's own rule, so fixed_k wins
+  // over the TVE threshold. k() counts the appended DC drift direction
+  // (the campaign field's offset is not in the leading components).
+  const FloatArray snap = campaign_snapshot(64, 128, 0.0, 9);
+  DpzConfig config = DpzConfig::strict();
+  config.fixed_k = 5;
+  const SharedBasisCodec codec = SharedBasisCodec::train(snap, config);
+  EXPECT_EQ(codec.k(), 6U);
+  config.fixed_k = 0;
+  EXPECT_NE(SharedBasisCodec::train(snap, config).k(), 6U);
+}
+
 }  // namespace
 }  // namespace dpz

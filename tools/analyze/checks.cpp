@@ -43,9 +43,12 @@ const std::vector<CheckInfo> kChecks = {
     {"single-stage",
      "DCT row calls (.forward(/.inverse( on a plan) and component_scale( "
      "appear in src/ only in the stage home (core/archive_detail.h, "
-     "defined in core/dpz.cpp) and under src/dsp/; every pipeline calls "
-     "dct_rows/idct_rows and detail::stage3_forward instead of "
-     "re-writing a stage"},
+     "defined in core/dpz.cpp) and under src/dsp/; .k_for_tve( and "
+     "detect_knee( only there, under src/stats/ and src/linalg/, and in "
+     "core/analysis.cpp; sampled_vif( only there, under src/stats/ and "
+     "in core/sampling.cpp. Every pipeline calls dct_rows/idct_rows, "
+     "detail::stage3_forward, detail::select_k and "
+     "detail::sampling_config instead of re-writing a stage"},
     {"telemetry-dup",
      "span/counter/histogram display names in obs/names.h must be "
      "unique; duplicates merge silently in every JSON artifact"},
@@ -284,12 +287,22 @@ void check_single_span(const FileMap& files, std::vector<Finding>* out) {
 // (core/archive_detail.h, defined in core/dpz.cpp) is a second copy of
 // Stage 1 or Stage 3, free to drift from the archive that ships
 // (DpzAnalysis once predicted sizes from such a copy). The transforms
-// themselves live in src/dsp/.
+// themselves live in src/dsp/. Likewise Stage 2's k rule (a TVE
+// threshold or a knee on the TVE curve) lives in detail::select_k and
+// Algorithm 2's VIF probe in detail::sampling_config: a hand copy once
+// silently ignored fixed_k. The curve primitives live in src/stats/ and
+// src/linalg/; DpzAnalysis's PSNR knee (core/analysis.cpp) and
+// run_sampling's probe of an unprobed matrix (core/sampling.cpp) are the
+// two sanctioned callers outside the stage home.
 void check_single_stage(const FileMap& files, std::vector<Finding>* out) {
   for (const auto& [path, file] : files) {
-    if (starts_with(path, "src/dsp/") ||
-        path == "src/core/archive_detail.h" || path == "src/core/dpz.cpp")
+    if (path == "src/core/archive_detail.h" || path == "src/core/dpz.cpp")
       continue;
+    const bool dsp = starts_with(path, "src/dsp/");
+    const bool stats = starts_with(path, "src/stats/");
+    const bool k_rule_ok = stats || starts_with(path, "src/linalg/") ||
+                           path == "src/core/analysis.cpp";
+    const bool vif_ok = stats || path == "src/core/sampling.cpp";
     const std::vector<Token>& toks = file.tokens;
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
       if (toks[i].kind != TokKind::kIdent || toks[i + 1].text != "(")
@@ -300,14 +313,23 @@ void check_single_stage(const FileMap& files, std::vector<Finding>* out) {
           i > 0 && (toks[i - 1].text == "." ||
                     (i > 1 && toks[i - 1].text == ">" &&
                      toks[i - 2].text == "-"));
-      if (member_call && (t == "forward" || t == "inverse"))
+      if (!dsp && member_call && (t == "forward" || t == "inverse"))
         add(out, "single-stage", path, toks[i].line,
             "DCT " + t + " call outside the stage home; run Stage 1 "
             "through dct_rows/idct_rows");
-      if (t == "component_scale")
+      if (!dsp && t == "component_scale")
         add(out, "single-stage", path, toks[i].line,
             "component_scale outside the stage home; normalize and "
             "quantize through detail::stage3_forward");
+      if (!k_rule_ok &&
+          ((member_call && t == "k_for_tve") || t == "detect_knee"))
+        add(out, "single-stage", path, toks[i].line,
+            t + " outside the stage home; choose k through "
+            "detail::select_k");
+      if (!vif_ok && t == "sampled_vif")
+        add(out, "single-stage", path, toks[i].line,
+            "sampled_vif outside the stage home; probe through "
+            "detail::sampling_config");
     }
   }
 }
