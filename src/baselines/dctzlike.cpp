@@ -5,6 +5,7 @@
 #include "codec/zlib_codec.h"
 #include "core/archive_detail.h"
 #include "core/blocking.h"
+#include "core/layout.h"
 #include "util/error.h"
 
 namespace dpz {
@@ -63,30 +64,12 @@ FloatArray dctzlike_decompress(std::span<const std::uint8_t> archive) {
   if (!(qcfg.error_bound > 0.0))
     throw FormatError("DCTZ-like archive: bad error bound");
 
-  const std::uint8_t rank = r.get_u8();
-  if (rank < 1 || rank > 4) throw FormatError("DCTZ-like archive: bad rank");
-  std::vector<std::size_t> shape(rank);
-  std::uint64_t total = 1;
-  constexpr std::uint64_t kMaxElements = 1ULL << 40;
-  for (auto& d : shape) {
-    const std::uint64_t e = r.get_u64();
-    if (e == 0 || e > kMaxElements)
-      throw FormatError("DCTZ-like archive: implausible extent");
-    total *= e;
-    if (total > kMaxElements)
-      throw FormatError("DCTZ-like archive: implausible total");
-    d = static_cast<std::size_t>(e);
-  }
-
+  // The layout module's readers hold the geometry to DPZ's invariants.
+  const std::vector<std::size_t> shape =
+      detail::read_shape(r, "DCTZ-like archive");
   BlockLayout layout;
-  layout.m = static_cast<std::size_t>(r.get_u64());
-  layout.n = static_cast<std::size_t>(r.get_u64());
-  layout.original_total = static_cast<std::size_t>(r.get_u64());
-  layout.padded = layout.m * layout.n != layout.original_total;
-  if (total != layout.original_total || layout.m == 0 || layout.n == 0 ||
-      layout.m > kMaxElements / layout.n ||
-      layout.padded_total() < layout.original_total ||
-      layout.padded_total() > 4 * layout.original_total + 16)
+  detail::read_blocks(r, layout);
+  if (!detail::valid_blocks(layout, detail::element_count(shape), layout.m))
     throw FormatError("DCTZ-like archive: inconsistent geometry");
 
   const std::uint64_t outlier_count = r.get_u64();
@@ -111,12 +94,7 @@ FloatArray dctzlike_decompress(std::span<const std::uint8_t> archive) {
 
   Matrix blocks(layout.m, layout.n);
   dequantize(qs, qcfg, blocks.flat());
-
-  idct_rows(blocks);
-
-  FloatArray out(shape);
-  from_blocks(blocks, layout, out.flat());
-  return out;
+  return detail::stage1_inverse<float>(std::move(blocks), layout, shape);
 }
 
 }  // namespace dpz

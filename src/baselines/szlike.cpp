@@ -5,6 +5,7 @@
 #include "codec/bytes.h"
 #include "codec/huffman.h"
 #include "codec/zlib_codec.h"
+#include "core/layout.h"
 #include "util/error.h"
 
 namespace dpz {
@@ -147,20 +148,9 @@ FloatArray szlike_decompress(std::span<const std::uint8_t> archive) {
   if (r.get_u32() != kMagic) throw FormatError("not an SZ-like archive");
   const double eb = r.get_f64();
   if (!(eb > 0.0)) throw FormatError("SZ-like archive: bad error bound");
-  const std::uint8_t rank = r.get_u8();
-  if (rank < 1 || rank > 3) throw FormatError("SZ-like archive: bad rank");
-  std::vector<std::size_t> shape(rank);
-  std::uint64_t n = 1;
-  constexpr std::uint64_t kMaxElements = 1ULL << 40;
-  for (auto& d : shape) {
-    const std::uint64_t e = r.get_u64();
-    if (e == 0 || e > kMaxElements)
-      throw FormatError("SZ-like archive: implausible extent");
-    n *= e;
-    if (n > kMaxElements)
-      throw FormatError("SZ-like archive: implausible total");
-    d = static_cast<std::size_t>(e);
-  }
+  const std::vector<std::size_t> shape =
+      detail::read_shape(r, "SZ-like archive", 3);
+  const std::uint64_t n = detail::element_count(shape);
   const std::uint64_t raw_count = r.get_u64();
   if (raw_count > n)
     throw FormatError("SZ-like archive: implausible raw-value count");

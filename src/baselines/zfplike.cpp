@@ -6,6 +6,7 @@
 
 #include "codec/bitstream.h"
 #include "codec/bytes.h"
+#include "core/layout.h"
 #include "util/error.h"
 
 namespace dpz {
@@ -338,20 +339,10 @@ FloatArray zfplike_decompress(std::span<const std::uint8_t> archive) {
                                 : ZfpLikeConfig::Mode::kFixedAccuracy;
   config.precision = r.get_u32();
   config.tolerance = r.get_f64();
-  const std::size_t d = r.get_u8();
-  if (d < 1 || d > 3) throw FormatError("ZFP-like archive: bad rank");
-  std::vector<std::size_t> shape(d);
-  std::uint64_t total = 1;
-  constexpr std::uint64_t kMaxElements = 1ULL << 40;
-  for (auto& e : shape) {
-    const std::uint64_t v = r.get_u64();
-    if (v == 0 || v > kMaxElements)
-      throw FormatError("ZFP-like archive: implausible extent");
-    total *= v;
-    if (total > kMaxElements)
-      throw FormatError("ZFP-like archive: implausible total");
-    e = static_cast<std::size_t>(v);
-  }
+  const std::vector<std::size_t> shape =
+      detail::read_shape(r, "ZFP-like archive", 3);
+  const std::size_t d = shape.size();
+  const std::uint64_t total = detail::element_count(shape);
   const std::vector<std::uint8_t> payload = r.get_blob();
   // Every 4^d block emits at least its one occupancy bit, so the claimed
   // shape can cover at most 64 values per payload bit. Anything larger is

@@ -130,4 +130,19 @@ void dequantize(const QuantizedStream& stream, const QuantizerConfig& config,
   });
 }
 
+void keep_prefix(QuantizedStream& stream, const QuantizerConfig& config,
+                 std::size_t count) {
+  DPZ_REQUIRE(count <= stream.count, "prefix longer than the stream");
+  std::size_t escapes = 0;
+  for (std::size_t i = 0; i < count; ++i)
+    if (read_code(stream.codes.data(), i, config.wide_codes) ==
+        config.bin_count())
+      ++escapes;
+  if (escapes > stream.outliers.size())
+    throw FormatError("DPZ outlier count inconsistent with codes");
+  stream.count = count;
+  stream.codes.resize(count * config.code_bytes());
+  stream.outliers.resize(escapes);
+}
+
 }  // namespace dpz

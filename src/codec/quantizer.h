@@ -59,4 +59,9 @@ QuantizedStream quantize(std::span<const double> values,
 void dequantize(const QuantizedStream& stream, const QuantizerConfig& config,
                 std::span<double> out);
 
+/// Truncates `stream` in place to its first `count` values and their
+/// outliers; FormatError when those codes escape more than it holds.
+void keep_prefix(QuantizedStream& stream, const QuantizerConfig& config,
+                 std::size_t count);
+
 }  // namespace dpz

@@ -87,11 +87,9 @@ std::size_t DpzAnalysis::k_for_psnr_knee(const QuantizerConfig& qcfg,
 
 FloatArray DpzAnalysis::reconstruct_exact(std::size_t k) {
   const PcaModel fit = model(k);
-  Matrix blocks = fit.inverse_transform(fit.transform(dct_blocks_, k));
-  idct_rows(blocks);
-  FloatArray out(original_.shape());
-  from_blocks(blocks, layout_, out.flat());
-  return out;
+  return detail::stage1_inverse<float>(
+      fit.inverse_transform(fit.transform(dct_blocks_, k)), layout_,
+      original_.shape());
 }
 
 DpzAnalysis::Evaluation DpzAnalysis::evaluate(std::size_t k,

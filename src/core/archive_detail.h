@@ -3,11 +3,12 @@
 // layouts here may change between archive versions. dpz_compress is
 // Stage 1 (to_blocks + dct_rows) + Stage 2 (fit_pca_spectrum, select_k,
 // attach_top_components; Algorithm 2 through sampling_config and
-// run_sampling only estimates k) + encode; decode inverts them with
-// stage3_inverse, pca_back_project and idct_rows. Every other pipeline
-// calls the same functions, and dpz_analyze's single-stage check keeps
-// the DCT row loops, the score normalization, the k rule and the VIF
-// probe here.
+// run_sampling only estimates k) + encode; decode is read_payload +
+// reconstruct (stage3_inverse, pca_back_project, stage1_inverse). Every
+// other pipeline, the shared-basis codec included, calls the same
+// functions, and dpz_analyze's single-stage check keeps the DCT row
+// loops, the score normalization, the k rule, the VIF probe, the
+// back-projection and the de-blocking here.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +26,6 @@ namespace dpz {
 /// Stage 1: orthonormal DCT-II of every block (row) of an M x N block
 /// matrix, in place.
 void dct_rows(Matrix& blocks);
-
-/// Stage 1 inverse: DCT-III of every row, in place.
-void idct_rows(Matrix& blocks);
 
 }  // namespace dpz
 
@@ -128,6 +126,19 @@ std::vector<std::uint8_t> encode(const NdArray<T>& data,
                                  DpzStats& st,
                                  double sigma_scale = kScoreSigmaScale);
 
+/// Payload codec: the codes section, then the outliers cast to T; fills
+/// st's outlier_count, stage3_bytes and zlib_payload_bytes. read_payload
+/// reads both from the sections a layout parse located, each sized
+/// (expected_raw) by the header or, for a snapshot, by the codec.
+template <typename T>
+void put_payload(ByteWriter& w, const QuantizedStream& qs, int level,
+                 DpzStats& st);
+struct Section;
+template <typename T>
+QuantizedStream read_payload(std::span<const std::uint8_t> archive,
+                             const Section& codes, const Section& outliers,
+                             std::size_t count);
+
 /// Counts a shipped archive's sizes in the metrics registry. encode counts
 /// nothing: rate control encodes many probes and ships one.
 void count_archive(const DpzStats& st);
@@ -145,6 +156,33 @@ std::vector<std::uint8_t> serialize_side(const SideData& side,
 SideData deserialize_side(std::span<const std::uint8_t> bytes, std::size_t m,
                           std::size_t k, bool standardized);
 
+/// Basis blob: an M x k basis as byte-shuffled f32 (the tail of a DPZ
+/// side section; the whole basis section of a shared-basis blob).
+void put_basis(ByteWriter& w, const Matrix& basis);
+Matrix get_basis(std::span<const std::uint8_t> bytes, std::size_t m,
+                 std::size_t k);
+
+/// Stage 1 inverse under the decode_idct span: DCT-III of every block
+/// (row), then from_blocks into an array of `shape`.
+template <typename T>
+NdArray<T> stage1_inverse(Matrix blocks, const BlockLayout& layout,
+                          const std::vector<std::size_t>& shape);
+
+/// The decode tail, one span and governor poll per stage: stage3_inverse
+/// (k = qs.count / n rows), pca_back_project through the leading k columns
+/// of `basis`, then stage1_inverse. Counts the decoded bytes.
+template <typename T>
+NdArray<T> reconstruct(const QuantizedStream& qs, const QuantizerConfig& qcfg,
+                       double score_scale, const Matrix& basis,
+                       std::span<const double> mean,
+                       std::span<const double> scale,
+                       const BlockLayout& layout,
+                       const std::vector<std::size_t>& shape);
+
+/// dpz_decode_preflight's price, given the side data's bytes per feature.
+DecodePreflight decode_price(const DpzArchiveInfo& info,
+                             std::uint64_t side_bytes_per_feature);
+
 /// Section framing.
 ///   v1: raw_size:u64, blob:u64-length-prefixed zlib stream
 ///   v2: raw_size:u64, crc:u32, blob  — crc is CRC32C over the 8
@@ -155,7 +193,6 @@ SideData deserialize_side(std::span<const std::uint8_t> bytes, std::size_t m,
 /// an error breadcrumb naming the section and its offset), then checks
 /// the raw size the header implies, so corrupted payloads never reach
 /// the inflater or size an allocation.
-struct Section;
 void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
                  int level);
 std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,

@@ -35,14 +35,6 @@ void dct_rows(Matrix& blocks) {
   });
 }
 
-void idct_rows(Matrix& blocks) {
-  const DctPlan plan(blocks.cols());
-  parallel_for(0, blocks.rows(), [&](std::size_t i) {
-    auto row = blocks.row(i);
-    plan.inverse(row, row);
-  });
-}
-
 namespace detail {
 
 std::vector<std::uint8_t> serialize_side(const SideData& side,
@@ -52,15 +44,7 @@ std::vector<std::uint8_t> serialize_side(const SideData& side,
   if (standardized)
     for (const double v : side.scale) w.put_f64(v);
   w.put_f64(side.score_scale);
-
-  // Basis as byte-shuffled f32: the shuffle groups sign/exponent bytes of
-  // neighboring basis entries together so the section-level zlib pass can
-  // actually compress them (raw float soup is nearly incompressible).
-  ByteWriter basis_bytes;
-  for (std::size_t i = 0; i < side.basis.rows(); ++i)
-    for (std::size_t j = 0; j < side.basis.cols(); ++j)
-      basis_bytes.put_f32(static_cast<float>(side.basis(i, j)));
-  w.put_bytes(shuffle_bytes(basis_bytes.bytes(), sizeof(float)));
+  put_basis(w, side.basis);
   return w.take();
 }
 
@@ -80,19 +64,32 @@ SideData deserialize_side(std::span<const std::uint8_t> bytes,
   side.score_scale = r.get_f64();
   if (!(side.score_scale > 0.0))
     throw FormatError("DPZ side section: invalid score scale");
-
-  const std::vector<std::uint8_t> shuffled =
-      r.get_bytes(m * k * sizeof(float));
-  const std::vector<std::uint8_t> raw =
-      unshuffle_bytes(shuffled, sizeof(float));
-  ByteReader basis_reader(raw);
-  side.basis = Matrix(m, k);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < k; ++j)
-      side.basis(i, j) = static_cast<double>(basis_reader.get_f32());
+  side.basis = get_basis(r.get_bytes(m * k * sizeof(float)), m, k);
   if (r.remaining() != 0)
     throw FormatError("DPZ side section has trailing bytes");
   return side;
+}
+
+void put_basis(ByteWriter& w, const Matrix& basis) {
+  // The shuffle groups sign/exponent bytes of neighboring basis entries
+  // together so the section-level zlib pass can actually compress them
+  // (raw float soup is nearly incompressible).
+  ByteWriter raw;
+  for (std::size_t i = 0; i < basis.rows(); ++i)
+    for (std::size_t j = 0; j < basis.cols(); ++j)
+      raw.put_f32(static_cast<float>(basis(i, j)));
+  w.put_bytes(shuffle_bytes(raw.bytes(), sizeof(float)));
+}
+
+Matrix get_basis(std::span<const std::uint8_t> bytes, std::size_t m,
+                 std::size_t k) {
+  const std::vector<std::uint8_t> raw = unshuffle_bytes(bytes, sizeof(float));
+  ByteReader raw_reader(raw);
+  Matrix basis(m, k);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < k; ++j)
+      basis(i, j) = static_cast<double>(raw_reader.get_f32());
+  return basis;
 }
 
 std::uint32_t section_crc(std::uint64_t raw_size,
@@ -163,7 +160,7 @@ SamplingConfig sampling_config(const Matrix& spatial_blocks,
   return scfg;
 }
 
-// ---- Stage 3 and the encoder ------------------------------------------
+// ---- Stage 3, the decoder's tail and the encoder ----------------------
 
 double component_scale(std::span<const double> scores) {
   double mean = 0.0;
@@ -203,6 +200,54 @@ Matrix stage3_inverse(const QuantizedStream& qs, const QuantizerConfig& qcfg,
   });
   return scores;
 }
+
+template <typename T>
+NdArray<T> stage1_inverse(Matrix blocks, const BlockLayout& layout,
+                          const std::vector<std::size_t>& shape) {
+  const obs::ScopedSpan span(obs::Span::kDecodeIdct);
+  governed_poll();
+  const DctPlan plan(blocks.cols());
+  parallel_for(0, blocks.rows(), [&](std::size_t i) {
+    auto row = blocks.row(i);
+    plan.inverse(row, row);
+  });
+  NdArray<T> out(shape);
+  from_blocks(blocks, layout, out.flat());
+  return out;
+}
+
+template <typename T>
+NdArray<T> reconstruct(const QuantizedStream& qs, const QuantizerConfig& qcfg,
+                       double score_scale, const Matrix& basis,
+                       std::span<const double> mean,
+                       std::span<const double> scale,
+                       const BlockLayout& layout,
+                       const std::vector<std::size_t>& shape) {
+  // Stage 3 inverse: codes -> normalized scores -> scores.
+  std::optional<obs::ScopedSpan> span(std::in_place,
+                                      obs::Span::kDecodeDequantize);
+  governed_poll();
+  const Matrix scores = stage3_inverse(qs, qcfg, score_scale,
+                                       qs.count / layout.n, layout.n);
+
+  // Stage 2 inverse through the basis's leading k columns.
+  span.emplace(obs::Span::kDecodeBackproject);
+  governed_poll();
+  Matrix blocks = pca_back_project(basis, mean, scale, scores);
+  span.reset();
+
+  NdArray<T> out = stage1_inverse<T>(std::move(blocks), layout, shape);
+  obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
+  return out;
+}
+
+template FloatArray stage1_inverse(Matrix, const BlockLayout&,
+                                   const std::vector<std::size_t>&);
+template FloatArray reconstruct(const QuantizedStream&,
+                                const QuantizerConfig&, double,
+                                const Matrix&, std::span<const double>,
+                                std::span<const double>, const BlockLayout&,
+                                const std::vector<std::size_t>&);
 
 namespace {
 
@@ -252,6 +297,39 @@ std::vector<std::uint8_t> make_stored_archive(const NdArray<T>& data,
 }  // namespace
 
 template <typename T>
+void put_payload(ByteWriter& w, const QuantizedStream& qs, int level,
+                 DpzStats& st) {
+  const std::size_t before = w.size();
+  put_section(w, qs.codes, level);
+  ByteWriter outliers;
+  for (const double v : qs.outliers) put_element<T>(outliers, v);
+  put_section(w, outliers.bytes(), level);
+  st.outlier_count = qs.outliers.size();
+  st.stage3_bytes = qs.codes.size() + qs.outliers.size() * sizeof(T);
+  st.zlib_payload_bytes = w.size() - before;
+}
+
+template <typename T>
+QuantizedStream read_payload(std::span<const std::uint8_t> archive,
+                             const Section& codes, const Section& outliers,
+                             std::size_t count) {
+  QuantizedStream qs;
+  qs.count = count;
+  qs.codes = get_section(archive, codes);
+  const std::vector<std::uint8_t> raw = get_section(archive, outliers);
+  ByteReader r(raw);
+  qs.outliers.resize(raw.size() / sizeof(T));
+  for (double& v : qs.outliers) v = get_element<T>(r);
+  return qs;
+}
+
+template void put_payload<float>(ByteWriter&, const QuantizedStream&, int,
+                                 DpzStats&);
+template QuantizedStream read_payload<float>(std::span<const std::uint8_t>,
+                                             const Section&, const Section&,
+                                             std::size_t);
+
+template <typename T>
 std::vector<std::uint8_t> encode(const NdArray<T>& data,
                                  const BlockLayout& layout, Matrix scores,
                                  const PcaModel& model, bool standardized,
@@ -271,8 +349,6 @@ std::vector<std::uint8_t> encode(const NdArray<T>& data,
     s3 = stage3_forward(scores, qcfg, sigma_scale);
   }
   const QuantizedStream& qs = s3.qs;
-  st.outlier_count = qs.outliers.size();
-  st.stage3_bytes = qs.codes.size() + qs.outliers.size() * sizeof(T);
 
   DPZ_REQUIRE(model.components.cols() == k, "encode needs k components");
   SideData side{model.mean, model.scale, s3.score_scale, model.components};
@@ -304,12 +380,7 @@ std::vector<std::uint8_t> encode(const NdArray<T>& data,
     put_section(w, serialize_side(side, standardized), zlib_level);
     st.side_bytes = w.size() - before_side;
 
-    const std::size_t before_payload = w.size();
-    put_section(w, qs.codes, zlib_level);
-    ByteWriter outlier_bytes;
-    for (const double v : qs.outliers) put_element<T>(outlier_bytes, v);
-    put_section(w, outlier_bytes.bytes(), zlib_level);
-    st.zlib_payload_bytes = w.size() - before_payload;
+    put_payload<T>(w, qs, zlib_level, st);
   }
 
   std::vector<std::uint8_t> archive = w.take();
@@ -333,6 +404,46 @@ void count_archive(const DpzStats& st) {
   obs::observe(obs::Hist::kSelectedK, st.k);
 }
 
+DecodePreflight decode_price(const DpzArchiveInfo& info,
+                             std::uint64_t side_bytes_per_feature) {
+  // Saturating arithmetic throughout: the header is untrusted, so a
+  // claimed geometry must never wrap the estimate back below the budget.
+  const auto sat_add = [](std::uint64_t a, std::uint64_t b) {
+    return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+  };
+  const auto sat_mul = [](std::uint64_t a, std::uint64_t b) {
+    if (a == 0 || b == 0) return std::uint64_t{0};
+    return a > UINT64_MAX / b ? UINT64_MAX : a * b;
+  };
+
+  const std::uint64_t elem = info.double_precision ? 8 : 4;
+  std::uint64_t total = 1;
+  for (const std::size_t d : info.shape) total = sat_mul(total, d);
+
+  DecodePreflight pf;
+  pf.decoded_bytes = sat_mul(total, elem);
+  if (info.stored_raw) {
+    // Stored archives inflate the raw element stream (one charged
+    // buffer) and materialize the output array next to it.
+    pf.peak_bytes = sat_add(pf.decoded_bytes, pf.decoded_bytes);
+    return pf;
+  }
+
+  const std::uint64_t m = info.layout.m, n = info.layout.n, k = info.k;
+  // Dominant charged allocations live concurrently near the end of the
+  // decode: the output array, the back-projected block matrix (m x n
+  // doubles), the score matrix (k x n doubles), the side data, the
+  // inflated code stream, and the outlier stream (raw section + doubles).
+  std::uint64_t peak = pf.decoded_bytes;
+  peak = sat_add(peak, sat_mul(sat_mul(m, n), 8));
+  peak = sat_add(peak, sat_mul(sat_mul(k, n), 8));
+  peak = sat_add(peak, sat_mul(m, side_bytes_per_feature));
+  peak = sat_add(peak, sat_mul(sat_mul(k, n), info.wide_codes ? 2 : 1));
+  peak = sat_add(peak, sat_mul(info.outlier_count, 8 + elem));
+  pf.peak_bytes = peak;
+  return pf;
+}
+
 // DpzAnalysis encodes f32 data from its own translation unit.
 template std::vector<std::uint8_t> encode(const FloatArray&,
                                           const BlockLayout&, Matrix,
@@ -344,8 +455,6 @@ template std::vector<std::uint8_t> encode(const FloatArray&,
 
 namespace {
 
-using detail::SideData;
-using detail::deserialize_side;
 using detail::get_element;
 using detail::get_section;
 
@@ -449,10 +558,10 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
   const GovernorScope governor_scope(limits);
   governed_poll();
   obs::count(obs::Counter::kDecompressCalls);
-  // One trace span per decode stage; emplace() closes the previous stage
-  // and opens the next (optional<> because the stages share scope).
-  std::optional<obs::ScopedSpan> span;
-  span.emplace(obs::Span::kDecodeSections);
+  // Section reads are the first decode stage; the span closes before
+  // detail::reconstruct opens the next (optional<> so it can end early).
+  std::optional<obs::ScopedSpan> span(std::in_place,
+                                      obs::Span::kDecodeSections);
   const detail::DpzLayout parsed =
       detail::parse_layout<detail::DpzLayout>(archive);
   const DpzArchiveInfo& info = parsed.info;
@@ -482,76 +591,27 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
     return out;
   }
 
-  QuantizerConfig qcfg;
-  qcfg.error_bound = info.error_bound;
-  qcfg.wide_codes = info.wide_codes;
+  const QuantizerConfig qcfg{info.error_bound, info.wide_codes};
   const BlockLayout& layout = info.layout;
   const std::size_t k = info.k;
 
   // get_section holds each section to the exact size the validated
   // header implies before inflating it, so the score matrices, outlier
   // buffers and dequantize()'s size contract below never see any other.
-  const SideData side = deserialize_side(
+  const detail::SideData side = detail::deserialize_side(
       get_section(archive, parsed.sections[1]), layout.m, k,
       info.standardized);
-
-  QuantizedStream qs;
-  qs.count = k * layout.n;
-  qs.codes = get_section(archive, parsed.sections[2]);
-  const std::vector<std::uint8_t> outlier_raw =
-      get_section(archive, parsed.sections[3]);
-  ByteReader outlier_reader(outlier_raw);
-  qs.outliers.resize(static_cast<std::size_t>(info.outlier_count));
-  for (double& v : qs.outliers) v = get_element<T>(outlier_reader);
+  QuantizedStream qs = detail::read_payload<T>(
+      archive, parsed.sections[2], parsed.sections[3], k * layout.n);
 
   // Progressive reconstruction: score streams are stored in component
-  // order, so truncating the code stream after use_k components (and the
-  // outlier list after the escapes that prefix contains) yields a valid
-  // lower-rank archive view.
-  const std::size_t use_k =
-      max_components == 0 ? k : std::min(max_components, k);
-  if (use_k < k) {
-    const std::size_t code_bytes = qcfg.code_bytes();
-    qs.count = use_k * layout.n;
-    qs.codes.resize(qs.count * code_bytes);
-
-    const std::uint32_t escape = qcfg.bin_count();
-    std::size_t escapes = 0;
-    for (std::size_t i = 0; i < qs.count; ++i) {
-      std::uint32_t code = qs.codes[i * code_bytes];
-      if (qcfg.wide_codes)
-        code |= static_cast<std::uint32_t>(qs.codes[i * code_bytes + 1])
-                << 8;
-      if (code == escape) ++escapes;
-    }
-    if (escapes > qs.outliers.size())
-      throw FormatError("DPZ outlier count inconsistent with codes");
-    qs.outliers.resize(escapes);
-  }
-
-  // Stage 3 inverse: codes -> normalized scores -> scores.
-  span.emplace(obs::Span::kDecodeDequantize);
-  governed_poll();
-  const Matrix scores = detail::stage3_inverse(qs, qcfg, side.score_scale,
-                                               use_k, layout.n);
-
-  // Stage 2 inverse: back-project through the stored basis (only its
-  // leading use_k columns are read).
-  span.emplace(obs::Span::kDecodeBackproject);
-  governed_poll();
-  Matrix blocks =
-      pca_back_project(side.basis, side.mean, side.scale, scores);
-
-  // Stage 1 inverse: inverse DCT per block, then de-block.
-  span.emplace(obs::Span::kDecodeIdct);
-  governed_poll();
-  idct_rows(blocks);
-
-  NdArray<T> out(info.shape);
-  from_blocks(blocks, layout, out.flat());
+  // order, so the stream's first max_components * n codes (and the
+  // outliers their escapes consume) are a valid lower-rank archive view.
+  if (max_components != 0 && max_components < k)
+    keep_prefix(qs, qcfg, max_components * layout.n);
   span.reset();
-  obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
-  return out;
+  return detail::reconstruct<T>(qs, qcfg, side.score_scale, side.basis,
+                                side.mean, side.scale, layout, info.shape);
 }
 
 }  // namespace
@@ -581,46 +641,9 @@ DoubleArray dpz_decompress_f64(std::span<const std::uint8_t> archive,
 }
 
 DecodePreflight dpz_decode_preflight(const DpzArchiveInfo& info) {
-  // Saturating arithmetic throughout: the header is untrusted, so a
-  // claimed geometry must never wrap the estimate back below the budget.
-  const auto sat_add = [](std::uint64_t a, std::uint64_t b) {
-    return a > UINT64_MAX - b ? UINT64_MAX : a + b;
-  };
-  const auto sat_mul = [](std::uint64_t a, std::uint64_t b) {
-    if (a == 0 || b == 0) return std::uint64_t{0};
-    return a > UINT64_MAX / b ? UINT64_MAX : a * b;
-  };
-
-  const std::uint64_t elem = info.double_precision ? 8 : 4;
-  std::uint64_t total = 1;
-  for (const std::size_t d : info.shape) total = sat_mul(total, d);
-
-  DecodePreflight pf;
-  pf.decoded_bytes = sat_mul(total, elem);
-  if (info.stored_raw) {
-    // Stored archives inflate the raw element stream (one charged
-    // buffer) and materialize the output array next to it.
-    pf.peak_bytes = sat_add(pf.decoded_bytes, pf.decoded_bytes);
-    return pf;
-  }
-
-  const std::uint64_t m = info.layout.m;
-  const std::uint64_t n = info.layout.n;
-  const std::uint64_t k = info.k;
-  // Dominant charged allocations live concurrently near the end of the
-  // decode: the output array, the back-projected block matrix (m x n
-  // doubles), the score matrix (k x n doubles), the basis (m x k doubles
-  // plus its serialized f32 image), per-feature means/scales, the
-  // inflated code stream, and the outlier stream (raw section + doubles).
-  std::uint64_t peak = pf.decoded_bytes;
-  peak = sat_add(peak, sat_mul(sat_mul(m, n), 8));
-  peak = sat_add(peak, sat_mul(sat_mul(k, n), 8));
-  peak = sat_add(peak, sat_mul(sat_mul(m, k), 12));
-  peak = sat_add(peak, sat_mul(m, 24));
-  peak = sat_add(peak, sat_mul(sat_mul(k, n), info.wide_codes ? 2 : 1));
-  peak = sat_add(peak, sat_mul(info.outlier_count, 8 + elem));
-  pf.peak_bytes = peak;
-  return pf;
+  // A DPZ archive's side data: the basis (m x k doubles plus its
+  // serialized f32 image) and the per-feature means and scales.
+  return detail::decode_price(info, 12 * std::uint64_t{info.k} + 24);
 }
 
 DpzArchiveInfo dpz_inspect(std::span<const std::uint8_t> archive) {

@@ -20,26 +20,6 @@ namespace {
 // validation runs (2^40 elements = 4 TiB of f32).
 constexpr std::uint64_t kMaxElements = 1ULL << 40;
 
-// Layer 2, the one shape reader: a rank byte in [1, 4], then u64
-// extents, each nonzero and their product at most kMaxElements.
-std::vector<std::size_t> read_shape(ByteReader& r, const char* what) {
-  const std::uint8_t rank = r.get_u8();
-  if (rank == 0 || rank > 4)
-    throw FormatError(std::string(what) + ": bad rank");
-  std::vector<std::size_t> shape(rank);
-  std::uint64_t total = 1;
-  for (std::size_t& d : shape) {
-    const std::uint64_t e = r.get_u64();
-    if (e == 0 || e > kMaxElements)
-      throw FormatError(std::string(what) + ": implausible extent");
-    total *= e;
-    if (total > kMaxElements)
-      throw FormatError(std::string(what) + ": implausible total size");
-    d = static_cast<std::size_t>(e);
-  }
-  return shape;
-}
-
 // Records the header row and, for v2+ headers, checks the seal: the
 // stored CRC32C of every byte before it. The seal is checked before any
 // header field drives work, so a flipped bit in a fixed field is
@@ -109,25 +89,6 @@ void require_consumed(const ByteReader& r) {
                       " trailing bytes after the last section");
 }
 
-void read_blocks(ByteReader& r, BlockLayout& layout) {
-  layout.m = static_cast<std::size_t>(r.get_u64());
-  layout.n = static_cast<std::size_t>(r.get_u64());
-  layout.original_total = static_cast<std::size_t>(r.get_u64());
-}
-
-// Layer 4: the block geometry the compressor always produces. m < n
-// keeps every m*k and k*n product far from overflow, and the padded
-// total stays within the layout chooser's worst case. Sets `padded`.
-bool valid_blocks(BlockLayout& layout, std::uint64_t total, std::size_t k) {
-  const bool ok = total == layout.original_total && layout.m != 0 &&
-                  layout.n != 0 && layout.m < layout.n && k != 0 &&
-                  k <= layout.m && layout.m <= kMaxElements / layout.n &&
-                  layout.padded_total() >= layout.original_total &&
-                  layout.padded_total() <= 4 * layout.original_total + 16;
-  layout.padded = ok && layout.padded_total() != layout.original_total;
-  return ok;
-}
-
 // Frames the compressor emits for (total, chunk_values): one per full
 // chunk, the tail merged into the previous frame when it would fall
 // below the pipeline minimum of 8 values. Computed arithmetically, so a
@@ -140,6 +101,41 @@ std::size_t expected_frame_count(std::size_t total,
 }
 
 }  // namespace
+
+std::vector<std::size_t> read_shape(ByteReader& r, const char* what,
+                                    std::size_t max_rank) {
+  const std::uint8_t rank = r.get_u8();
+  if (rank == 0 || rank > max_rank)
+    throw FormatError(std::string(what) + ": bad rank");
+  std::vector<std::size_t> shape(rank);
+  std::uint64_t total = 1;
+  for (std::size_t& d : shape) {
+    const std::uint64_t e = r.get_u64();
+    if (e == 0 || e > kMaxElements)
+      throw FormatError(std::string(what) + ": implausible extent");
+    total *= e;
+    if (total > kMaxElements)
+      throw FormatError(std::string(what) + ": implausible total size");
+    d = static_cast<std::size_t>(e);
+  }
+  return shape;
+}
+
+void read_blocks(ByteReader& r, BlockLayout& layout) {
+  layout.m = static_cast<std::size_t>(r.get_u64());
+  layout.n = static_cast<std::size_t>(r.get_u64());
+  layout.original_total = static_cast<std::size_t>(r.get_u64());
+}
+
+bool valid_blocks(BlockLayout& layout, std::uint64_t total, std::size_t k) {
+  const bool ok = total == layout.original_total && layout.m != 0 &&
+                  layout.n != 0 && layout.m < layout.n && k != 0 &&
+                  k <= layout.m && layout.m <= kMaxElements / layout.n &&
+                  layout.padded_total() >= layout.original_total &&
+                  layout.padded_total() <= 4 * layout.original_total + 16;
+  layout.padded = ok && layout.padded_total() != layout.original_total;
+  return ok;
+}
 
 Format format_of(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < 4) return Format::kUnknown;

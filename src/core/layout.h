@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "codec/bytes.h"
 #include "core/dpz.h"
 
 namespace dpz::detail {
@@ -132,5 +133,15 @@ bool crc_ok(std::span<const std::uint8_t> input, const Section& section);
 std::string raw_size_problem(const Section& section);
 
 std::uint64_t element_count(std::span<const std::size_t> shape);
+
+/// Layer 2, the one shape reader (baseline formats too): a rank byte in
+/// [1, max_rank], then u64 extents, nonzero, with product <= 2^40.
+std::vector<std::size_t> read_shape(ByteReader& r, const char* what,
+                                    std::size_t max_rank = 4);
+/// Layer 4: the block geometry; valid_blocks holds it to what the
+/// compressor produces for `total` values and k components (m < n keeps
+/// m*k and k*n far from overflow) and sets `padded`.
+void read_blocks(ByteReader& r, BlockLayout& layout);
+bool valid_blocks(BlockLayout& layout, std::uint64_t total, std::size_t k);
 
 }  // namespace dpz::detail

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "codec/bytes.h"
-#include "codec/shuffle.h"
 #include "core/archive_detail.h"
 #include "core/layout.h"
 #include "obs/metrics.h"
@@ -18,6 +17,9 @@ namespace dpz {
 SharedBasisCodec SharedBasisCodec::train(const FloatArray& reference,
                                          const DpzConfig& config) {
   DPZ_REQUIRE(reference.size() >= 8, "training snapshot too small");
+  // A snapshot carries no per-feature scales and no DCT truncation.
+  DPZ_REQUIRE(config.standardize <= 0 && config.dct_keep_fraction == 1.0,
+              "a shared basis needs standardize <= 0 and dct_keep_fraction 1");
   const ScopedThreads pool_scope(config.threads);
   const GovernorScope governor_scope(config.limits);
   governed_poll();
@@ -26,8 +28,8 @@ SharedBasisCodec SharedBasisCodec::train(const FloatArray& reference,
   codec.limits_ = config.limits;
   codec.layout_ = choose_block_layout(reference.size());
   codec.shape_ = reference.shape();
-  codec.qcfg_.error_bound = config.effective_error_bound();
-  codec.qcfg_.wide_codes = config.effective_wide_codes();
+  codec.qcfg_ = {config.effective_error_bound(),
+                 config.effective_wide_codes()};
   codec.zlib_level_ = config.zlib_level;
 
   Matrix blocks = to_blocks(reference.flat(), codec.layout_);
@@ -35,7 +37,7 @@ SharedBasisCodec SharedBasisCodec::train(const FloatArray& reference,
   // Spectrum-first fit: the full eigenvalue curve drives k selection, and
   // only the k leading eigenvectors are ever solved for (the trailing
   // M - k columns a dense solve would produce are discarded anyway).
-  PcaSpectrum spec = fit_pca_spectrum(blocks, config.standardize > 0);
+  PcaSpectrum spec = fit_pca_spectrum(blocks, false);
   const std::size_t k = detail::select_k(spec.model, config);
   const PcaModel model = attach_top_components(std::move(spec), k);
 
@@ -89,33 +91,23 @@ std::vector<std::uint8_t> SharedBasisCodec::serialize() const {
   w.put_u32(static_cast<std::uint32_t>(basis_.cols()));
   detail::put_header_crc(w);
 
-  ByteWriter basis_bytes;
-  for (std::size_t i = 0; i < basis_.rows(); ++i)
-    for (std::size_t j = 0; j < basis_.cols(); ++j)
-      basis_bytes.put_f32(static_cast<float>(basis_(i, j)));
-  const auto shuffled = shuffle_bytes(basis_bytes.bytes(), sizeof(float));
-  detail::put_section(w, shuffled, zlib_level_);
+  ByteWriter basis;
+  detail::put_basis(basis, basis_);
+  detail::put_section(w, basis.bytes(), zlib_level_);
   return w.take();
 }
 
 SharedBasisCodec SharedBasisCodec::deserialize(
     std::span<const std::uint8_t> blob) {
-  const detail::BasisLayout parsed =
-      detail::parse_layout<detail::BasisLayout>(blob);
+  detail::BasisLayout parsed;
+  detail::parse_layout(blob, parsed);
   SharedBasisCodec codec;
-  codec.qcfg_.wide_codes = parsed.wide_codes;
-  codec.qcfg_.error_bound = parsed.error_bound;
+  codec.qcfg_ = {parsed.error_bound, parsed.wide_codes};
   codec.shape_ = parsed.shape;
   codec.layout_ = parsed.layout;
-  const std::size_t k = parsed.k;
-
-  const std::vector<std::uint8_t> raw = unshuffle_bytes(
-      detail::get_section(blob, parsed.sections[1]), sizeof(float));
-  ByteReader basis_reader(raw);
-  codec.basis_ = Matrix(codec.layout_.m, k);
-  for (std::size_t i = 0; i < codec.layout_.m; ++i)
-    for (std::size_t j = 0; j < k; ++j)
-      codec.basis_(i, j) = static_cast<double>(basis_reader.get_f32());
+  codec.basis_ = detail::get_basis(
+      detail::get_section(blob, parsed.sections[1]), codec.layout_.m,
+      parsed.k);
   return codec;
 }
 
@@ -154,9 +146,8 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
   stage.emplace(obs::Span::kStage3Quantize, &st.timers);
   governed_poll();
   const auto [score_scale, qs] = detail::stage3_forward(scores, qcfg_);
-  st.outlier_count = qs.outliers.size();
-  st.stage3_bytes = qs.codes.size() + qs.outliers.size() * sizeof(float);
 
+  // The encode span runs to the return, which frees the stage buffers.
   stage.emplace(obs::Span::kZlibEncode, &st.timers);
   governed_poll();
   ByteWriter w;
@@ -169,23 +160,10 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
   ByteWriter mean_bytes;
   for (const double v : mean) mean_bytes.put_f64(v);
   detail::put_section(w, mean_bytes.bytes(), zlib_level_);
-
-  const std::size_t before_payload = w.size();
-  detail::put_section(w, qs.codes, zlib_level_);
-  ByteWriter outlier_bytes;
-  for (const double v : qs.outliers)
-    outlier_bytes.put_f32(static_cast<float>(v));
-  detail::put_section(w, outlier_bytes.bytes(), zlib_level_);
-  st.zlib_payload_bytes = w.size() - before_payload;
-  stage.reset();
-
+  detail::put_payload<float>(w, qs, zlib_level_, st);
   std::vector<std::uint8_t> archive = w.take();
   st.archive_bytes = archive.size();
-  obs::count(obs::Counter::kBytesArchive, st.archive_bytes);
-  obs::count(obs::Counter::kBytesStage3, st.stage3_bytes);
-  obs::count(obs::Counter::kBytesZlibPayload, st.zlib_payload_bytes);
-  obs::count(obs::Counter::kOutliers, st.outlier_count);
-  obs::observe(obs::Hist::kSelectedK, st.k);
+  detail::count_archive(st);
   return archive;
 }
 
@@ -195,41 +173,31 @@ FloatArray SharedBasisCodec::decompress(
   const GovernorScope governor_scope(limits_);
   governed_poll();
   obs::count(obs::Counter::kDecompressCalls);
-  std::optional<obs::ScopedSpan> span;
-  span.emplace(obs::Span::kDecodeSections);
-  detail::SnapshotLayout parsed =
-      detail::parse_layout<detail::SnapshotLayout>(archive);
+  std::optional<obs::ScopedSpan> span(std::in_place,
+                                      obs::Span::kDecodeSections);
+  detail::SnapshotLayout parsed;
+  detail::parse_layout(archive, parsed);
   const std::uint64_t outlier_count = parsed.outlier_count;
   const std::size_t k = basis_.cols();
   if (outlier_count > k * layout_.n)
     throw FormatError("snapshot archive: implausible outlier count");
 
-  // Pre-flight admission. The codec's own (already validated) geometry
-  // prices the decode — a snapshot archive claims only the outlier count
-  // — so the budget is checked before any section inflates. The resident
-  // basis is not part of this operation's working set.
+  // Pre-flight admission, before any section inflates: the codec's own
+  // (validated) geometry prices the decode, with the means as its side
+  // data; the resident basis is not part of this operation's working set.
   if (const ResourceGovernor* g = current_governor()) {
-    const auto m = static_cast<std::uint64_t>(layout_.m);
-    const auto n = static_cast<std::uint64_t>(layout_.n);
-    const auto kc = static_cast<std::uint64_t>(k);
-    const std::uint64_t peak =
-        static_cast<std::uint64_t>(layout_.original_total) *
-            sizeof(float) +                      // output array
-        m * n * sizeof(double) +                 // block matrix
-        kc * n * sizeof(double) +                // score matrix
-        m * sizeof(double) +                     // means
-        kc * n * qcfg_.code_bytes() +            // inflated codes
-        outlier_count * (sizeof(double) + 4);    // outlier stream
-    g->admit(peak, "shared-basis snapshot");
+    const DpzArchiveInfo claim{.wide_codes = qcfg_.wide_codes,
+                               .shape = shape_, .layout = layout_, .k = k,
+                               .outlier_count = outlier_count};
+    g->admit(detail::decode_price(claim, sizeof(double)).peak_bytes,
+             "shared-basis snapshot");
   }
 
   // A snapshot's section sizes follow from the codec's geometry rather
   // than its own header; get_section holds each section to them before
   // inflating, so dequantize()'s size contract never sees archive bytes.
-  QuantizedStream qs;
-  qs.count = k * layout_.n;
   parsed.sections[1].expected_raw = layout_.m * sizeof(double);
-  parsed.sections[2].expected_raw = qs.count * qcfg_.code_bytes();
+  parsed.sections[2].expected_raw = k * layout_.n * qcfg_.code_bytes();
   parsed.sections[3].expected_raw = outlier_count * sizeof(float);
 
   const std::vector<std::uint8_t> mean_raw =
@@ -237,35 +205,12 @@ FloatArray SharedBasisCodec::decompress(
   ByteReader mean_reader(mean_raw);
   std::vector<double> mean(layout_.m);
   for (double& v : mean) v = mean_reader.get_f64();
-
-  qs.codes = detail::get_section(archive, parsed.sections[2]);
-  const std::vector<std::uint8_t> outlier_raw =
-      detail::get_section(archive, parsed.sections[3]);
-  ByteReader outlier_reader(outlier_raw);
-  qs.outliers.resize(static_cast<std::size_t>(outlier_count));
-  for (double& v : qs.outliers)
-    v = static_cast<double>(outlier_reader.get_f32());
-
-  span.emplace(obs::Span::kDecodeDequantize);
-  governed_poll();
-  const Matrix scores = detail::stage3_inverse(qs, qcfg_, parsed.score_scale,
-                                               k, layout_.n);
-
-  // Back-project: Z = D_k Y + mean, then inverse DCT + de-block.
-  span.emplace(obs::Span::kDecodeBackproject);
-  governed_poll();
+  const QuantizedStream qs = detail::read_payload<float>(
+      archive, parsed.sections[2], parsed.sections[3], k * layout_.n);
   const std::vector<double> unit_scale(layout_.m, 1.0);
-  Matrix blocks = pca_back_project(basis_, mean, unit_scale, scores);
-
-  span.emplace(obs::Span::kDecodeIdct);
-  governed_poll();
-  idct_rows(blocks);
-
-  FloatArray out(shape_);
-  from_blocks(blocks, layout_, out.flat());
   span.reset();
-  obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(float));
-  return out;
+  return detail::reconstruct<float>(qs, qcfg_, parsed.score_scale, basis_,
+                                    mean, unit_scale, layout_, shape_);
 }
 
 std::uint64_t SharedBasisCodec::basis_bytes() const {

@@ -386,7 +386,14 @@ int cmd_decompress(const CliArgs& args, std::ostream& out) {
   const std::vector<std::uint8_t> archive = read_bytes(in_path);
 
   // Chunked containers carry their own magics; route them directly.
-  if (detail::format_of(archive) == detail::Format::kChunked) {
+  // Each route rejects the flags only the other one honours.
+  const bool chunked =
+      detail::format_of(archive) == detail::Format::kChunked;
+  for (const std::string flag : {"components", "best-effort", "fill"})
+    if (args.has(flag) && chunked == (flag == "components"))
+      throw InvalidArgument("--" + flag + " does not apply to a " +
+                            (chunked ? "chunked container" : "DPZ archive"));
+  if (chunked) {
     ChunkedConfig config;
     config.threads = threads;
     config.dpz.limits = limits;

@@ -1,7 +1,8 @@
 // Boundary: src/core/dpz.cpp is the one caller of zlib_decompress in
 // src/core (rule 5); the checksum gate lives here. It also defines the
-// stage functions, so its DCT row loop, score normalization, k rule and
-// VIF probe are the single-stage check's one allowed copy.
+// stage functions, so its DCT row loop, score normalization, k rule,
+// VIF probe, back-projection and de-blocking are the single-stage
+// check's one allowed copy.
 #include <cstddef>
 #include <vector>
 
@@ -29,6 +30,15 @@ std::size_t select_k(const PcaModel& spectrum, const DpzConfig& config) {
 
 std::vector<double> spatial_probe(const Matrix& blocks, Rng& rng) {
   return sampled_vif(blocks, 0.01, 256, rng);
+}
+
+FloatArray reconstruct(const Matrix& basis, const Matrix& scores,
+                       std::span<const double> mean,
+                       std::span<const double> scale,
+                       const BlockLayout& layout, FloatArray& out) {
+  Matrix blocks = pca_back_project(basis, mean, scale, scores);
+  from_blocks(blocks, layout, out.flat());
+  return out;
 }
 
 std::vector<unsigned char> zlib_decompress(const unsigned char*,

@@ -65,6 +65,8 @@ TEST(Analyze, BadTreeEveryPlantedViolationFlagged) {
       {"single-stage", "src/core/rechoose.cpp", 8, "k_for_tve"},
       {"single-stage", "src/core/rechoose.cpp", 12, "sampled_vif"},
       {"telemetry-name", "src/core/record.cpp", 6, "\"bytes_in\""},
+      {"single-stage", "src/core/redecode.cpp", 8, "pca_back_project"},
+      {"single-stage", "src/core/redecode.cpp", 10, "from_blocks"},
       {"single-parser", "src/core/reparse.cpp", 7, "check_header_crc"},
       {"simd-isolated", "src/core/vector.cpp", 1, "immintrin"},
       {"simd-isolated", "src/core/vector.cpp", 6, "__m256d"},

@@ -112,6 +112,43 @@ TEST_F(CliFlowTest, PartialDecompression) {
   EXPECT_NO_THROW(read_f32(path("partial.f32"), {64, 96}));
 }
 
+TEST_F(CliFlowTest, DecompressRejectsFlagsTheInputCannotHonour) {
+  // --components selects a prefix of one archive's components; a chunked
+  // container has no such prefix. --best-effort/--fill salvage lost
+  // frames, which a single archive does not have. Each is named, never
+  // silently ignored.
+  ASSERT_EQ(run({"compress", path("in.f32"), path("r.dpz"),
+                 "--shape=64x96"}),
+            0)
+      << err_.str();
+  ASSERT_EQ(run({"compress", path("in.f32"), path("r.dpzc"),
+                 "--shape=64x96", "--chunk=2048"}),
+            0)
+      << err_.str();
+
+  EXPECT_EQ(run({"decompress", path("r.dpzc"), path("r_out.f32"),
+                 "--components=1"}),
+            1);
+  EXPECT_NE(err_.str().find("--components"), std::string::npos)
+      << err_.str();
+  for (const std::string flag : {"best-effort", "fill"}) {
+    EXPECT_EQ(run({"decompress", path("r.dpz"), path("r_out.f32"),
+                   "--" + flag + (flag == "fill" ? "=0" : "")}),
+              1)
+        << flag;
+    EXPECT_NE(err_.str().find("--" + flag), std::string::npos)
+        << err_.str();
+  }
+
+  // Without the foreign flags both still decode.
+  EXPECT_EQ(run({"decompress", path("r.dpzc"), path("r_out.f32")}), 0)
+      << err_.str();
+  EXPECT_EQ(run({"decompress", path("r.dpz"), path("r_out.f32"),
+                 "--components=1"}),
+            0)
+      << err_.str();
+}
+
 TEST_F(CliFlowTest, ProbeReportsVifAndEstimate) {
   ASSERT_EQ(run({"probe", path("in.f32"), "--shape=64x96"}), 0)
       << err_.str();

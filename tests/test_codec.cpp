@@ -284,6 +284,48 @@ TEST_P(QuantizerSchemeTest, CodeBytesMatchScheme) {
   EXPECT_EQ(qs.codes.size(), values.size() * cfg.code_bytes());
 }
 
+TEST_P(QuantizerSchemeTest, KeepPrefixMatchesTheFullDecodesLeadingValues) {
+  // The quantizer works in 64 Ki-value strips; the stream spans more
+  // than two and puts escapes on both sides of each strip boundary, so a
+  // prefix cut near a boundary must keep exactly the outliers before it.
+  constexpr std::size_t kStrip = std::size_t{1} << 16;
+  QuantizerConfig cfg;
+  cfg.wide_codes = GetParam();
+  cfg.error_bound = 1e-3;
+  const double half = cfg.half_range();
+  Rng rng(17);
+  std::vector<double> values(2 * kStrip + 4321);
+  for (double& v : values) v = rng.uniform(-half, half);
+  for (const std::size_t i : {std::size_t{0}, kStrip - 2, kStrip - 1, kStrip,
+                              kStrip + 1, 2 * kStrip - 1, 2 * kStrip,
+                              values.size() - 1})
+    values[i] = (i % 2 == 0 ? 3.0 : -2.0) * half;
+
+  const QuantizedStream full = quantize(values, cfg);
+  ASSERT_EQ(full.outliers.size(), 8U);
+  std::vector<double> full_back(values.size());
+  dequantize(full, cfg, full_back);
+
+  for (const std::size_t count : {std::size_t{1}, kStrip - 1, kStrip,
+                                  kStrip + 1, values.size()}) {
+    SCOPED_TRACE("prefix " + std::to_string(count));
+    QuantizedStream prefix = full;
+    keep_prefix(prefix, cfg, count);
+    EXPECT_EQ(prefix.count, count);
+    EXPECT_EQ(prefix.codes.size(), count * cfg.code_bytes());
+    std::vector<double> back(count);
+    dequantize(prefix, cfg, back);
+    for (std::size_t i = 0; i < count; ++i)
+      ASSERT_EQ(back[i], full_back[i]) << "index " << i;
+  }
+
+  // A prefix holding more escapes than the stream has outliers is a
+  // damaged stream, not a precondition breach.
+  QuantizedStream short_outliers = full;
+  short_outliers.outliers.resize(2);
+  EXPECT_THROW(keep_prefix(short_outliers, cfg, kStrip + 1), FormatError);
+}
+
 INSTANTIATE_TEST_SUITE_P(NarrowAndWide, QuantizerSchemeTest,
                          ::testing::Values(false, true));
 

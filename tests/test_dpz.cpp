@@ -380,6 +380,26 @@ TEST(DpzPartial, SingleComponentStillHasShape) {
   EXPECT_EQ(partial.shape(), data.shape());
 }
 
+TEST(DpzPartial, EveryPrefixOfALooseArchiveWithOutliersDecodes) {
+  // DPZ-l's 1-byte codes escape a score tail to the outlier section, so
+  // each component prefix must keep exactly the outliers its codes use.
+  Rng rng(97);
+  FloatArray data = smooth_2d(64, 128, 97);
+  for (std::size_t i = 0; i < data.size(); i += 37)
+    data[i] += static_cast<float>(rng.normal());
+  DpzConfig config = DpzConfig::loose();
+  config.tve = 0.999999;
+  DpzStats stats;
+  const auto archive = dpz_compress(data, config, &stats);
+  ASSERT_FALSE(stats.stored_raw);
+  ASSERT_GT(stats.outlier_count, 0U);
+  ASSERT_GE(stats.k, 2U);
+
+  for (std::size_t k = 1; k <= stats.k; ++k)
+    EXPECT_EQ(dpz_decompress(archive, k).shape(), data.shape())
+        << "k = " << k;
+}
+
 // ---- DCT truncation (future-work pre-filter) ----------------------------------
 
 TEST(DpzTruncation, ReducesKAtFixedTve) {

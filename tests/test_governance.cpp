@@ -317,6 +317,33 @@ TEST(Admission, ChunkedContainerIsPricedBeforeFrameDecode) {
                ResourceExhausted);
 }
 
+TEST(Admission, SharedBasisSnapshotIsPricedBeforeSectionsInflate) {
+  const obs::ScopedTelemetry telemetry(true);
+  const FloatArray input = smooth_f32({64, 96}, 33);
+  SharedBasisCodec codec =
+      SharedBasisCodec::train(input, DpzConfig::strict());
+  const std::vector<std::uint8_t> archive = codec.compress(input);
+  obs::MetricsRegistry::instance().reset();
+
+  ResourceLimits tiny;
+  tiny.max_memory_bytes = 1024;  // smaller than the output alone
+  codec.set_limits(tiny);
+  try {
+    (void)codec.decompress(archive);
+    FAIL() << "snapshot decode fit in a 1 KB budget";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), StatusCode::kResourceExhausted) << e.what();
+  }
+  EXPECT_EQ(obs::MetricsRegistry::instance().snapshot().counter(
+                obs::Counter::kAdmissionRejected),
+            1U);
+
+  ResourceLimits generous;
+  generous.max_memory_bytes = 256ULL << 20;
+  codec.set_limits(generous);
+  EXPECT_EQ(codec.decompress(archive).shape(), input.shape());
+}
+
 TEST(Admission, PreflightReturnsNulloptForUnpriceableBytes) {
   const std::vector<std::uint8_t> garbage = {0xDE, 0xAD, 0xBE, 0xEF, 0x00};
   EXPECT_FALSE(decode_preflight(garbage).has_value());

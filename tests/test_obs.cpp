@@ -15,6 +15,7 @@
 
 #include "core/chunked.h"
 #include "core/dpz.h"
+#include "core/shared_basis.h"
 #include "data/datasets.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -281,6 +282,31 @@ TEST(ObsMetrics, CompressionCountersMatchStats) {
   // Strict archives are format v2: the decode verifies section CRCs.
   EXPECT_GT(snap2.counter(Counter::kCrcChecks), 0U);
   EXPECT_EQ(snap2.counter(Counter::kCrcFailures), 0U);
+}
+
+TEST(ObsMetrics, SharedBasisCountersMatchStats) {
+  const obs::ScopedTelemetry telemetry(true);
+  const Dataset ds = make_dataset("CLDHGH", 0.05, 2021);
+  const SharedBasisCodec codec =
+      SharedBasisCodec::train(ds.data, DpzConfig::strict());
+  obs::MetricsRegistry::instance().reset();
+
+  DpzStats st;
+  const std::vector<std::uint8_t> archive = codec.compress(ds.data, &st);
+  const obs::MetricsSnapshot snap =
+      obs::MetricsRegistry::instance().snapshot();
+  EXPECT_EQ(snap.counter(Counter::kCompressCalls), 1U);
+  EXPECT_EQ(snap.counter(Counter::kBytesIn), st.original_bytes);
+  EXPECT_EQ(snap.counter(Counter::kBytesArchive), st.archive_bytes);
+  EXPECT_EQ(snap.counter(Counter::kBytesArchive), archive.size());
+  EXPECT_EQ(snap.counter(Counter::kBytesStage12), st.stage12_bytes);
+  EXPECT_GT(st.stage12_bytes, 0U);
+  EXPECT_EQ(snap.counter(Counter::kBytesStage3), st.stage3_bytes);
+  EXPECT_EQ(snap.counter(Counter::kBytesZlibPayload),
+            st.zlib_payload_bytes);
+  EXPECT_EQ(snap.counter(Counter::kBytesSide), st.side_bytes);
+  EXPECT_EQ(snap.counter(Counter::kOutliers), st.outlier_count);
+  EXPECT_EQ(snap.hist_count(Hist::kSelectedK), 1U);
 }
 
 TEST(ObsMetrics, ChunkedFrameCountersMatchTheContainer) {

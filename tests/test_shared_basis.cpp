@@ -138,5 +138,20 @@ TEST(SharedBasis, FixedKIsHonoured) {
   EXPECT_NE(SharedBasisCodec::train(snap, config).k(), 6U);
 }
 
+TEST(SharedBasis, TrainRejectsSettingsASnapshotCannotCarry) {
+  // A snapshot stores no per-feature scales and keeps every DCT
+  // coefficient, so a standardized or truncated fit could not be applied
+  // the way it was trained.
+  const FloatArray snap = campaign_snapshot(48, 96, 0.0, 10);
+  DpzConfig config = DpzConfig::strict();
+  config.standardize = 1;
+  EXPECT_THROW(SharedBasisCodec::train(snap, config), InvalidArgument);
+  config.standardize = 0;
+  config.dct_keep_fraction = 0.5;
+  EXPECT_THROW(SharedBasisCodec::train(snap, config), InvalidArgument);
+  config.dct_keep_fraction = 1.0;
+  EXPECT_NO_THROW(SharedBasisCodec::train(snap, config));
+}
+
 }  // namespace
 }  // namespace dpz

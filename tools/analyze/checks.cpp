@@ -46,9 +46,12 @@ const std::vector<CheckInfo> kChecks = {
      "defined in core/dpz.cpp) and under src/dsp/; .k_for_tve( and "
      "detect_knee( only there, under src/stats/ and src/linalg/, and in "
      "core/analysis.cpp; sampled_vif( only there, under src/stats/ and "
-     "in core/sampling.cpp. Every pipeline calls dct_rows/idct_rows, "
-     "detail::stage3_forward, detail::select_k and "
-     "detail::sampling_config instead of re-writing a stage"},
+     "in core/sampling.cpp. Decode likewise: from_blocks( only there and "
+     "in core/blocking.*, pca_back_project( only there and under "
+     "src/linalg/. Every pipeline calls dct_rows, detail::stage1_inverse, "
+     "detail::stage3_forward, detail::select_k, "
+     "detail::sampling_config and detail::reconstruct instead of "
+     "re-writing a stage"},
     {"telemetry-dup",
      "span/counter/histogram display names in obs/names.h must be "
      "unique; duplicates merge silently in every JSON artifact"},
@@ -293,7 +296,10 @@ void check_single_span(const FileMap& files, std::vector<Finding>* out) {
 // silently ignored fixed_k. The curve primitives live in src/stats/ and
 // src/linalg/; DpzAnalysis's PSNR knee (core/analysis.cpp) and
 // run_sampling's probe of an unprobed matrix (core/sampling.cpp) are the
-// two sanctioned callers outside the stage home.
+// two sanctioned callers outside the stage home. Decode is the same
+// chain inverted: a back-projection or a de-blocking outside
+// detail::reconstruct/stage1_inverse is a second decoder (the
+// shared-basis codec once carried one).
 void check_single_stage(const FileMap& files, std::vector<Finding>* out) {
   for (const auto& [path, file] : files) {
     if (path == "src/core/archive_detail.h" || path == "src/core/dpz.cpp")
@@ -303,6 +309,8 @@ void check_single_stage(const FileMap& files, std::vector<Finding>* out) {
     const bool k_rule_ok = stats || starts_with(path, "src/linalg/") ||
                            path == "src/core/analysis.cpp";
     const bool vif_ok = stats || path == "src/core/sampling.cpp";
+    const bool deblock_ok = starts_with(path, "src/core/blocking.");
+    const bool backproject_ok = starts_with(path, "src/linalg/");
     const std::vector<Token>& toks = file.tokens;
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
       if (toks[i].kind != TokKind::kIdent || toks[i + 1].text != "(")
@@ -316,7 +324,7 @@ void check_single_stage(const FileMap& files, std::vector<Finding>* out) {
       if (!dsp && member_call && (t == "forward" || t == "inverse"))
         add(out, "single-stage", path, toks[i].line,
             "DCT " + t + " call outside the stage home; run Stage 1 "
-            "through dct_rows/idct_rows");
+            "through dct_rows/detail::stage1_inverse");
       if (!dsp && t == "component_scale")
         add(out, "single-stage", path, toks[i].line,
             "component_scale outside the stage home; normalize and "
@@ -330,6 +338,14 @@ void check_single_stage(const FileMap& files, std::vector<Finding>* out) {
         add(out, "single-stage", path, toks[i].line,
             "sampled_vif outside the stage home; probe through "
             "detail::sampling_config");
+      if (!deblock_ok && t == "from_blocks")
+        add(out, "single-stage", path, toks[i].line,
+            "from_blocks outside the stage home; invert Stage 1 "
+            "through detail::stage1_inverse");
+      if (!backproject_ok && t == "pca_back_project")
+        add(out, "single-stage", path, toks[i].line,
+            "pca_back_project outside the stage home; decode through "
+            "detail::reconstruct");
     }
   }
 }
