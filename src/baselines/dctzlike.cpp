@@ -38,11 +38,8 @@ std::vector<std::uint8_t> dctzlike_compress(const FloatArray& data,
   w.put_u32(kMagic);
   w.put_u8(config.wide_codes ? 1 : 0);
   w.put_f64(eb);
-  w.put_u8(static_cast<std::uint8_t>(data.rank()));
-  for (const std::size_t d : data.shape()) w.put_u64(d);
-  w.put_u64(layout.m);
-  w.put_u64(layout.n);
-  w.put_u64(layout.original_total);
+  detail::put_shape(w, data.shape());
+  detail::put_blocks(w, layout);
   w.put_u64(qs.outliers.size());
 
   w.put_u64(qs.codes.size());

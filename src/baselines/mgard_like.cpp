@@ -5,6 +5,7 @@
 #include "codec/bytes.h"
 #include "codec/huffman.h"
 #include "codec/zlib_codec.h"
+#include "core/layout.h"
 #include "util/error.h"
 
 namespace dpz {
@@ -154,8 +155,7 @@ std::vector<std::uint8_t> mgard_like_compress(
   w.put_u32(kMagic);
   w.put_f64(eb);
   w.put_f64(q);
-  w.put_u8(static_cast<std::uint8_t>(data.rank()));
-  for (const std::size_t d : dims) w.put_u64(d);
+  detail::put_shape(w, dims);
   w.put_u64(raw_values.size());
   w.put_u64(huffman.size());
   w.put_blob(zlib_compress(huffman, config.zlib_level));
@@ -172,19 +172,9 @@ FloatArray mgard_like_decompress(std::span<const std::uint8_t> archive) {
   if (!(eb > 0.0) || !(q > 0.0))
     throw FormatError("MGARD-like archive: bad bounds");
 
-  const std::uint8_t rank = r.get_u8();
-  if (rank < 1 || rank > 3)
-    throw FormatError("MGARD-like archive: bad rank");
-  std::vector<std::size_t> dims(rank);
-  std::size_t total = 1;
-  for (auto& d : dims) {
-    d = static_cast<std::size_t>(r.get_u64());
-    if (d == 0 || d > (1ULL << 32))
-      throw FormatError("MGARD-like archive: implausible extent");
-    total *= d;
-    if (total > (1ULL << 40))
-      throw FormatError("MGARD-like archive: implausible total");
-  }
+  const std::vector<std::size_t> dims =
+      detail::read_shape(r, "MGARD-like archive", 3);
+  const auto total = static_cast<std::size_t>(detail::element_count(dims));
 
   const std::uint64_t raw_count = r.get_u64();
   if (raw_count > total)

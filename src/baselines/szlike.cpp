@@ -134,8 +134,7 @@ std::vector<std::uint8_t> szlike_compress(const FloatArray& data,
   ByteWriter w;
   w.put_u32(kMagic);
   w.put_f64(eb);
-  w.put_u8(static_cast<std::uint8_t>(data.rank()));
-  for (const std::size_t d : data.shape()) w.put_u64(d);
+  detail::put_shape(w, data.shape());
   w.put_u64(raw_values.size());
   w.put_u64(huffman.size());
   w.put_blob(huffman_z);

@@ -7,6 +7,7 @@
 #include "codec/bytes.h"
 #include "codec/shuffle.h"
 #include "codec/zlib_codec.h"
+#include "core/layout.h"
 #include "linalg/eigen_sym.h"
 #include "util/error.h"
 
@@ -217,8 +218,7 @@ std::vector<std::uint8_t> tthresh_like_compress(
 
   ByteWriter w;
   w.put_u32(kMagic);
-  w.put_u8(static_cast<std::uint8_t>(dims.size()));
-  for (const std::size_t d : dims) w.put_u64(d);
+  detail::put_shape(w, dims);
   for (const std::size_t r : ranks) w.put_u64(r);
   w.put_f64(config.energy);
   w.put_u64(kept_values.size());
@@ -241,20 +241,13 @@ std::vector<std::uint8_t> tthresh_like_compress(
 FloatArray tthresh_like_decompress(std::span<const std::uint8_t> archive) {
   ByteReader r(archive);
   if (r.get_u32() != kMagic) throw FormatError("not a TTHRESH-like archive");
-  const std::uint8_t rank = r.get_u8();
-  if (rank < 2 || rank > 3)
-    throw FormatError("TTHRESH-like archive: bad rank");
-  std::vector<std::size_t> dims(rank);
-  std::size_t total = 1;
-  for (auto& d : dims) {
-    d = static_cast<std::size_t>(r.get_u64());
+  const std::vector<std::size_t> dims =
+      detail::read_shape(r, "TTHRESH-like archive", 3);
+  if (dims.size() < 2) throw FormatError("TTHRESH-like archive: bad rank");
+  for (const std::size_t d : dims)
     if (d < 2 || d > (1ULL << 24))
       throw FormatError("TTHRESH-like archive: implausible extent");
-    total *= d;
-    if (total > (1ULL << 40))
-      throw FormatError("TTHRESH-like archive: implausible total");
-  }
-  std::vector<std::size_t> ranks(rank);
+  std::vector<std::size_t> ranks(dims.size());
   std::size_t box_total = 1;
   for (std::size_t d = 0; d < dims.size(); ++d) {
     ranks[d] = static_cast<std::size_t>(r.get_u64());
@@ -303,7 +296,7 @@ FloatArray tthresh_like_decompress(std::span<const std::uint8_t> archive) {
                  /*transpose=*/false);
 
   FloatArray out(dims);
-  for (std::size_t i = 0; i < total; ++i)
+  for (std::size_t i = 0; i < out.size(); ++i)
     out[i] = static_cast<float>(tensor[i]);
   return out;
 }

@@ -325,8 +325,7 @@ std::vector<std::uint8_t> zfplike_compress(const FloatArray& data,
   w.put_u8(config.mode == ZfpLikeConfig::Mode::kFixedPrecision ? 0 : 1);
   w.put_u32(config.precision);
   w.put_f64(config.tolerance);
-  w.put_u8(static_cast<std::uint8_t>(d));
-  for (const std::size_t e : shape) w.put_u64(e);
+  detail::put_shape(w, shape);
   w.put_blob(bits.take());
   return w.take();
 }

@@ -1,6 +1,7 @@
 // Internal archive building blocks and the one home of the pipeline's
-// stage functions, all defined in dpz.cpp. Not part of the public API;
-// layouts here may change between archive versions. dpz_compress is
+// stage functions, all defined in dpz.cpp. Not part of the public API.
+// The container formats themselves (headers, section framing) live in
+// core/layout.h, included here for the section codec. dpz_compress is
 // Stage 1 (to_blocks + dct_rows) + Stage 2 (fit_pca_spectrum, select_k,
 // attach_top_components; Algorithm 2 through sampling_config and
 // run_sampling only estimates k) + encode; decode is read_payload +
@@ -18,6 +19,7 @@
 #include "codec/bytes.h"
 #include "codec/quantizer.h"
 #include "core/dpz.h"
+#include "core/layout.h"
 #include "core/sampling.h"
 #include "linalg/pca.h"
 
@@ -30,36 +32,6 @@ void dct_rows(Matrix& blocks);
 }  // namespace dpz
 
 namespace dpz::detail {
-
-/// Archive format versions. Version 2 adds CRC32C integrity: a header
-/// checksum sealing every fixed field and a per-section checksum that is
-/// verified *before* the blob reaches zlib. Writers always emit
-/// kFormatVersion; readers accept both (docs/FORMAT.md, "Format v2").
-inline constexpr std::uint8_t kFormatVersionLegacy = 1;
-inline constexpr std::uint8_t kFormatVersion = 2;
-/// Chunked-container revision 3 ("DZC3"): v2 plus an optional
-/// Reed-Solomon parity section after the frame area. Writers emit it
-/// only when parity is requested, so parity-less containers stay
-/// byte-identical v2 (docs/FORMAT.md, "DZC3").
-inline constexpr std::uint8_t kChunkedFormatVersion3 = 3;
-
-/// Container magics (little-endian u32 of the 4-byte tag). The v1 tags
-/// carry no version byte, so v2 containers announce themselves with new
-/// magics and readers accept either generation.
-inline constexpr std::uint32_t kDpzMagic = 0x315A5044;         // "DPZ1"
-inline constexpr std::uint32_t kChunkedMagicV1 = 0x4B435A44;   // "DZCK"
-inline constexpr std::uint32_t kChunkedMagicV2 = 0x32435A44;   // "DZC2"
-inline constexpr std::uint32_t kChunkedMagicV3 = 0x33435A44;   // "DZC3"
-inline constexpr std::uint32_t kBasisMagicV1 = 0x42505A44;     // "DZPB"
-inline constexpr std::uint32_t kBasisMagicV2 = 0x32425A44;     // "DZB2"
-inline constexpr std::uint32_t kSnapshotMagicV1 = 0x53505A44;  // "DZPS"
-inline constexpr std::uint32_t kSnapshotMagicV2 = 0x32535A44;  // "DZS2"
-
-/// DPZ archive header flag bits.
-inline constexpr std::uint8_t kDpzFlagWideCodes = 0x01;
-inline constexpr std::uint8_t kDpzFlagStandardized = 0x02;
-inline constexpr std::uint8_t kDpzFlagStoredRaw = 0x04;
-inline constexpr std::uint8_t kDpzFlagDouble = 0x08;
 
 /// Stage 2's k rule: `fixed_k` clamped to [1, M], else the knee of the
 /// spectrum's TVE curve (Method 1, `knee_fit`), else the smallest k whose
@@ -133,7 +105,6 @@ std::vector<std::uint8_t> encode(const NdArray<T>& data,
 template <typename T>
 void put_payload(ByteWriter& w, const QuantizedStream& qs, int level,
                  DpzStats& st);
-struct Section;
 template <typename T>
 QuantizedStream read_payload(std::span<const std::uint8_t> archive,
                              const Section& codes, const Section& outliers,
@@ -182,29 +153,5 @@ NdArray<T> reconstruct(const QuantizedStream& qs, const QuantizerConfig& qcfg,
 /// dpz_decode_preflight's price, given the side data's bytes per feature.
 DecodePreflight decode_price(const DpzArchiveInfo& info,
                              std::uint64_t side_bytes_per_feature);
-
-/// Section framing.
-///   v1: raw_size:u64, blob:u64-length-prefixed zlib stream
-///   v2: raw_size:u64, crc:u32, blob  — crc is CRC32C over the 8
-///       little-endian raw-size bytes followed by the compressed blob.
-/// put_section always writes v2. get_section reads a section a layout
-/// parse located (core/layout.h): for v2 it verifies the checksum
-/// *before* the blob is handed to zlib (ChecksumError on mismatch, with
-/// an error breadcrumb naming the section and its offset), then checks
-/// the raw size the header implies, so corrupted payloads never reach
-/// the inflater or size an allocation.
-void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
-                 int level);
-std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,
-                                      const Section& section);
-
-/// CRC32C over the section's wire image (raw-size field + blob), i.e.
-/// exactly what a v2 section checksum covers.
-std::uint32_t section_crc(std::uint64_t raw_size,
-                          std::span<const std::uint8_t> blob);
-
-/// Header seal: appends a CRC32C over every byte written so far. The
-/// layout parsers check it (core/layout.h).
-void put_header_crc(ByteWriter& w);
 
 }  // namespace dpz::detail

@@ -241,42 +241,28 @@ void admit_container(const ChunkedLayout& h, std::size_t elem_bytes) {
              "chunked container");
 }
 
-// Chunk boundaries over `total` values: every chunk has `chunk_values`
-// values except the last, which absorbs the tail (and is merged into the
-// previous chunk when the tail would fall below the pipeline minimum).
-std::vector<std::size_t> chunk_starts(std::size_t total,
-                                      std::size_t chunk_values) {
-  std::vector<std::size_t> starts;
-  for (std::size_t s = 0; s < total; s += chunk_values) starts.push_back(s);
-  if (starts.size() > 1 && total - starts.back() < 8) starts.pop_back();
-  return starts;
-}
-
 // Strict decodes' cheap header-only pre-pass: every frame claims its
 // decoded size, and the claims must exactly tile the container's shape
 // *before* any frame is decoded. This bounds transient memory by
 // h.total — a forged container cannot make us decode an arbitrary sum
 // of frames and only find out afterwards that they exceed the shape.
-// The shape check outranks frame damage; a damaged frame the plan could
-// not restore then fails as the damage it is.
+// The shape check outranks frame damage, except where the damage hides
+// a frame's claim; an unrestored frame then fails as the damage it is.
 void check_frames_tile_shape(Bytes container, const ChunkedLayout& h,
                              const RepairPlan& plan) {
-  std::size_t claimed = 0;
+  std::vector<std::uint64_t> claims(h.frame_count);
   for (std::size_t f = 0; f < h.frame_count; ++f) {
-    std::uint64_t count = 0;
     try {
-      count = detail::element_count(
+      claims[f] = detail::element_count(
           dpz_inspect(frame_view(container, h, plan, f)).shape);
     } catch (const FormatError&) {
       if (plan.unrecovered[f] != 0) throw_frame_damage(h, f);
       throw;
     }
-    if (count > h.total - claimed)
-      throw FormatError("chunked container: frames exceed the shape");
-    claimed += count;
   }
-  if (claimed != h.total)
-    throw FormatError("chunked container: frames do not cover the shape");
+  if (const std::string problem = detail::frames_tile_problem(h, claims);
+      !problem.empty())
+    throw FormatError(problem);
   for (std::size_t f = 0; f < h.frame_count; ++f)
     if (plan.unrecovered[f] != 0) throw_frame_damage(h, f);
 }
@@ -396,8 +382,14 @@ std::vector<std::uint8_t> chunked_compress(const FloatArray& data,
   st = ChunkedStats{};
   st.original_bytes = data.size() * sizeof(float);
 
-  const std::vector<std::size_t> starts =
-      chunk_starts(data.size(), config.chunk_values);
+  // The container header doubles as the tiling: frame f holds slot(f)
+  // of the expected_frame_count the parser will demand.
+  ChunkedLayout h;
+  h.shape = data.shape();
+  h.total = data.size();
+  h.chunk_values = config.chunk_values;
+  h.frame_count = detail::expected_frame_count(h.total, h.chunk_values);
+  h.frames.resize(h.frame_count);
 
   // Frames are independent (no cross-chunk state), so they compress in
   // parallel into pre-sized slots; each frame's bytes depend only on its
@@ -410,19 +402,19 @@ std::vector<std::uint8_t> chunked_compress(const FloatArray& data,
   // Cleared like `threads`: each frame runs under the container governor
   // installed above rather than nesting a fresh per-frame one.
   frame_config.limits = ResourceLimits{};
-  std::vector<std::vector<std::uint8_t>> frames(starts.size());
-  std::vector<std::uint8_t> frame_stored_raw(starts.size(), 0);
-  parallel_for(0, starts.size(), [&](std::size_t f) {
+  std::vector<std::vector<std::uint8_t>> frames(h.frame_count);
+  std::vector<std::uint8_t> frame_stored_raw(h.frame_count, 0);
+  parallel_for(0, h.frame_count, [&](std::size_t f) {
     const obs::ScopedSpan frame_span(obs::Span::kFrameEncode);
-    const std::size_t begin = starts[f];
-    const std::size_t end =
-        (f + 1 < starts.size()) ? starts[f + 1] : data.size();
+    const auto [begin, end] = h.slot(f);
     const std::span<const float> slice =
         data.flat().subspan(begin, end - begin);
     FloatArray chunk({slice.size()},
                      std::vector<float>(slice.begin(), slice.end()));
     DpzStats frame_stats;
     frames[f] = dpz_compress(chunk, frame_config, &frame_stats);
+    h.frames[f].size = frames[f].size();
+    h.frames[f].stored_crc = crc32c(frames[f]);
     frame_stored_raw[f] = frame_stats.stored_raw ? 1 : 0;
     obs::count(obs::Counter::kFramesEncoded);
     obs::observe(obs::Hist::kFrameBytes, frames[f].size());
@@ -434,59 +426,38 @@ std::vector<std::uint8_t> chunked_compress(const FloatArray& data,
   // frames, each zero-padded to the group's largest frame; the shards
   // are deterministic functions of the frame bytes, so parity never
   // perturbs thread-count invariance.
-  const std::size_t k = config.parity_k;
-  const std::size_t m = config.parity_m;
-  std::vector<std::uint64_t> shard_sizes;
   std::vector<Shards> parity_shards;
   if (parity) {
-    const ecc::RsCodec codec(k, m);
+    h.parity_k = config.parity_k;
+    h.parity_m = config.parity_m;
+    const std::size_t k = h.parity_k;
+    const ecc::RsCodec codec(k, h.parity_m);
     const std::vector<Bytes> payloads(frames.begin(), frames.end());
-    const std::size_t groups = (frames.size() + k - 1) / k;
-    shard_sizes.resize(groups, 0);
-    parity_shards.resize(groups);
-    for (std::size_t g = 0; g < groups; ++g) {
+    h.shard_sizes.resize(h.groups(), 0);
+    parity_shards.resize(h.groups());
+    for (std::size_t g = 0; g < h.groups(); ++g) {
       governed_poll();
       const obs::ScopedSpan repair_span(obs::Span::kFrameRepair);
       const std::span<const Bytes> members = std::span(payloads).subspan(
           g * k, std::min(k, frames.size() - g * k));
       for (const Bytes frame : members)
-        shard_sizes[g] = std::max<std::uint64_t>(shard_sizes[g], frame.size());
+        h.shard_sizes[g] =
+            std::max<std::uint64_t>(h.shard_sizes[g], frame.size());
       parity_shards[g] = group_parity(
-          codec, members, static_cast<std::size_t>(shard_sizes[g]));
+          codec, members, static_cast<std::size_t>(h.shard_sizes[g]));
+      for (const auto& shard : parity_shards[g])
+        h.parity_crcs.push_back(crc32c(shard));
     }
   }
 
   ByteWriter w;
-  w.put_u32(parity ? detail::kChunkedMagicV3 : detail::kChunkedMagicV2);
-  w.put_u8(parity ? detail::kChunkedFormatVersion3
-                  : detail::kFormatVersion);
-  w.put_u8(static_cast<std::uint8_t>(data.shape().size()));
-  for (const std::size_t d : data.shape()) w.put_u64(d);
-  w.put_u64(config.chunk_values);
-  w.put_u64(frames.size());
-  std::uint64_t offset = 0;
-  for (const auto& frame : frames) {
-    w.put_u64(offset);
-    w.put_u64(frame.size());
-    w.put_u32(crc32c(frame));
-    offset += frame.size();
-  }
-  if (parity) {
-    w.put_u8(static_cast<std::uint8_t>(k));
-    w.put_u8(static_cast<std::uint8_t>(m));
-    for (std::size_t g = 0; g < parity_shards.size(); ++g) {
-      w.put_u64(shard_sizes[g]);
-      for (const auto& shard : parity_shards[g])
-        w.put_u32(crc32c(shard));
-    }
-  }
-  detail::put_header_crc(w);
+  detail::put_header(w, h);
   for (const auto& frame : frames) w.put_bytes(frame);
   for (const auto& group : parity_shards)
     for (const auto& shard : group) w.put_bytes(shard);
 
   std::vector<std::uint8_t> out = w.take();
-  st.frame_count = frames.size();
+  st.frame_count = h.frame_count;
   st.archive_bytes = out.size();
   return out;
 }

@@ -15,15 +15,9 @@
 //     per-chunk basis overhead — use SharedBasisCodec when the statistics
 //     are stationary).
 //
-// Format v2 ("DZC2"): magic, version, shape, chunk size, frame count, a
-// frame table of (offset, size, CRC32C) entries, a header checksum over
-// everything before the frames, then the frames themselves. v1 ("DZCK")
-// containers — same layout minus version byte and checksums — still
-// decode. Format v3 ("DZC3") adds an optional Reed-Solomon parity
-// section after the frames: groups of k frame payloads get m parity
-// shards, so up to m lost frames per group reconstruct byte-exactly
-// instead of falling back to fill_value. Parity-less archives always
-// write v2 bytes. See docs/FORMAT.md.
+// The container's bytes ("DZC2", or "DZC3" with Reed-Solomon parity
+// shards that rebuild up to m lost frames per group of k) are written
+// and read by core/layout; see docs/FORMAT.md.
 #pragma once
 
 #include <cstdint>

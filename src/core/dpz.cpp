@@ -1,26 +1,22 @@
 #include "core/dpz.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <optional>
 
 #include "codec/bytes.h"
 #include "codec/quantizer.h"
 #include "codec/shuffle.h"
-#include "codec/zlib_codec.h"
 #include "core/archive_detail.h"
 #include "core/layout.h"
 #include "core/sampling.h"
 #include "dsp/dct.h"
 #include "linalg/pca.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
 #include "stats/descriptive.h"
 #include "stats/vif.h"
-#include "util/crc32c.h"
 #include "util/thread_pool.h"
 
 namespace dpz {
@@ -91,45 +87,6 @@ Matrix get_basis(std::span<const std::uint8_t> bytes, std::size_t m,
       basis(i, j) = static_cast<double>(raw_reader.get_f32());
   return basis;
 }
-
-std::uint32_t section_crc(std::uint64_t raw_size,
-                          std::span<const std::uint8_t> blob) {
-  std::array<std::uint8_t, 8> size_bytes{};
-  for (std::size_t i = 0; i < 8; ++i)
-    size_bytes[i] = static_cast<std::uint8_t>(raw_size >> (8 * i));
-  return crc32c(blob, crc32c(size_bytes));
-}
-
-void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
-                 int level) {
-  w.put_u64(raw.size());
-  const std::vector<std::uint8_t> z = zlib_compress(raw, level);
-  w.put_u32(section_crc(raw.size(), z));
-  w.put_blob(z);
-}
-
-std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,
-                                      const Section& section) {
-  // Verify-before-inflate: a damaged blob must never reach zlib (whose
-  // failure modes on corrupt streams are a generic error at best) or
-  // drive the quantizer. dpz_analyze's unguarded-inflate check keeps
-  // every core section read on this path.
-  if (!crc_ok(archive, section)) {
-    obs::LogContext ctx;
-    ctx.offset = section.offset;
-    ctx.section = section.name;
-    obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
-                   ctx, "corrupted section blob");
-    throw ChecksumError("section checksum mismatch (corrupted blob)");
-  }
-  if (const std::string problem = raw_size_problem(section);
-      !problem.empty())
-    throw FormatError(problem);
-  return zlib_decompress(blob_of(archive, section),
-                         static_cast<std::size_t>(section.raw_size));
-}
-
-void put_header_crc(ByteWriter& w) { w.put_u32(crc32c(w.bytes())); }
 
 // ---- Stage 2's k rule and Algorithm 2's front end ----------------------
 
@@ -277,16 +234,11 @@ double get_element(ByteReader& r) {
 template <typename T>
 std::vector<std::uint8_t> make_stored_archive(const NdArray<T>& data,
                                               int zlib_level) {
-  ByteWriter w;
-  w.put_u32(kDpzMagic);
-  w.put_u8(kFormatVersion);
-  w.put_u8(static_cast<std::uint8_t>(
-      kDpzFlagStoredRaw | (sizeof(T) == 8 ? kDpzFlagDouble : 0)));
-  w.put_f64(1.0);  // error bound slot (unused for stored archives)
-  w.put_u8(static_cast<std::uint8_t>(data.shape().size()));
-  for (const std::size_t d : data.shape()) w.put_u64(d);
-  put_header_crc(w);
-
+  ByteWriter w;  // the error bound slot is unused for stored archives
+  put_header(w, DpzArchiveInfo{.stored_raw = true,
+                               .double_precision = sizeof(T) == 8,
+                               .error_bound = 1.0, .shape = data.shape(),
+                               .layout = {}});
   ByteWriter raw;
   for (const T v : data.flat())
     put_element<T>(raw, static_cast<double>(v));
@@ -358,23 +310,12 @@ std::vector<std::uint8_t> encode(const NdArray<T>& data,
   {
     const obs::ScopedSpan stage(obs::Span::kZlibEncode, &st.timers);
     governed_poll();
-    w.put_u32(kDpzMagic);
-    w.put_u8(kFormatVersion);
-    std::uint8_t flags = 0;
-    if (qcfg.wide_codes) flags |= kDpzFlagWideCodes;
-    if (standardized) flags |= kDpzFlagStandardized;
-    if (sizeof(T) == 8) flags |= kDpzFlagDouble;
-    w.put_u8(flags);
-    w.put_f64(qcfg.error_bound);
-
-    w.put_u8(static_cast<std::uint8_t>(data.shape().size()));
-    for (const std::size_t d : data.shape()) w.put_u64(d);
-    w.put_u64(layout.m);
-    w.put_u64(layout.n);
-    w.put_u64(layout.original_total);
-    w.put_u32(static_cast<std::uint32_t>(k));
-    w.put_u64(qs.outliers.size());
-    put_header_crc(w);
+    put_header(w, DpzArchiveInfo{.wide_codes = qcfg.wide_codes,
+                                 .standardized = standardized,
+                                 .double_precision = sizeof(T) == 8,
+                                 .error_bound = qcfg.error_bound,
+                                 .shape = data.shape(), .layout = layout,
+                                 .k = k, .outlier_count = qs.outliers.size()});
 
     const std::size_t before_side = w.size();
     put_section(w, serialize_side(side, standardized), zlib_level);
@@ -490,8 +431,11 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
 
     // Algorithm 2 probes collinearity on the raw block-data, so sample
     // the VIFs before the DCT rearranges the correlation structure.
-    if (config.use_sampling && layout.m >= 2 * config.subset_count)
+    // Compress uses only k_e and the standardize decision: no CR band.
+    if (config.use_sampling && layout.m >= 2 * config.subset_count) {
       sampling = detail::sampling_config(blocks, config);
+      sampling->calibrate_factors = false;
+    }
 
     dct_rows(blocks);
 

@@ -1,10 +1,11 @@
 #include "core/layout.h"
 
+#include <array>
 #include <cmath>
 #include <string>
 
 #include "codec/bytes.h"
-#include "core/archive_detail.h"
+#include "codec/zlib_codec.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,10 +16,47 @@ namespace dpz::detail {
 
 namespace {
 
+// Format versions: writers emit v2 (v3 for a chunked container with
+// parity, "DZC3"); readers also accept v1, which has no checksums.
+constexpr std::uint8_t kFormatVersionLegacy = 1;
+constexpr std::uint8_t kFormatVersion = 2;
+constexpr std::uint8_t kChunkedFormatVersion3 = 3;
+
+// Container magics (little-endian u32 of the 4-byte tag); the v1 tags
+// carry no version byte.
+constexpr std::uint32_t kDpzMagic = 0x315A5044;         // "DPZ1"
+constexpr std::uint32_t kChunkedMagicV1 = 0x4B435A44;   // "DZCK"
+constexpr std::uint32_t kChunkedMagicV2 = 0x32435A44;   // "DZC2"
+constexpr std::uint32_t kChunkedMagicV3 = 0x33435A44;   // "DZC3"
+constexpr std::uint32_t kBasisMagicV1 = 0x42505A44;     // "DZPB"
+constexpr std::uint32_t kBasisMagicV2 = 0x32425A44;     // "DZB2"
+constexpr std::uint32_t kSnapshotMagicV1 = 0x53505A44;  // "DZPS"
+constexpr std::uint32_t kSnapshotMagicV2 = 0x32535A44;  // "DZS2"
+
+// DPZ archive header flag bits; bits 4-7 are reserved and must be zero.
+constexpr std::uint8_t kDpzFlagWideCodes = 0x01;
+constexpr std::uint8_t kDpzFlagStandardized = 0x02;
+constexpr std::uint8_t kDpzFlagStoredRaw = 0x04;
+constexpr std::uint8_t kDpzFlagDouble = 0x08;
+constexpr std::uint8_t kDpzFlagsKnown = 0x0F;
+
 // Upper bound on the element count an archive may claim, so a forged
 // header cannot trigger a runaway allocation before any payload
 // validation runs (2^40 elements = 4 TiB of f32).
 constexpr std::uint64_t kMaxElements = 1ULL << 40;
+
+// A compressed section's zlib stream, after raw_size u64, crc u32 (v2)
+// and blob_size u64.
+std::span<const std::uint8_t> blob_of(std::span<const std::uint8_t> input,
+                                      const Section& section) {
+  const std::uint64_t framing =
+      section.crc == Section::Crc::kFramed ? 20 : 16;
+  return input.subspan(static_cast<std::size_t>(section.offset + framing),
+                       static_cast<std::size_t>(section.size - framing));
+}
+
+// The header seal: a CRC32C over the whole header `w` holds.
+void put_header_crc(ByteWriter& w) { w.put_u32(crc32c(w.bytes())); }
 
 // Records the header row and, for v2+ headers, checks the seal: the
 // stored CRC32C of every byte before it. The seal is checked before any
@@ -89,10 +127,10 @@ void require_consumed(const ByteReader& r) {
                       " trailing bytes after the last section");
 }
 
-// Frames the compressor emits for (total, chunk_values): one per full
-// chunk, the tail merged into the previous frame when it would fall
-// below the pipeline minimum of 8 values. Computed arithmetically, so a
-// forged header cannot drive an allocation before this check runs.
+}  // namespace
+
+// Computed arithmetically, so a forged header cannot drive an
+// allocation before the parser's check runs.
 std::size_t expected_frame_count(std::size_t total,
                                  std::size_t chunk_values) {
   std::size_t n = (total + chunk_values - 1) / chunk_values;
@@ -100,7 +138,18 @@ std::size_t expected_frame_count(std::size_t total,
   return n;
 }
 
-}  // namespace
+std::string frames_tile_problem(
+    const ChunkedLayout& h, std::span<const std::uint64_t> frame_values) {
+  std::uint64_t claimed = 0;  // never wraps: each claim fits what is left
+  for (const std::uint64_t values : frame_values) {
+    if (values > h.total - claimed)
+      return "chunked container: frames exceed the shape";
+    claimed += values;
+  }
+  if (claimed != h.total)
+    return "chunked container: frames do not cover the shape";
+  return {};
+}
 
 std::vector<std::size_t> read_shape(ByteReader& r, const char* what,
                                     std::size_t max_rank) {
@@ -121,10 +170,21 @@ std::vector<std::size_t> read_shape(ByteReader& r, const char* what,
   return shape;
 }
 
+void put_shape(ByteWriter& w, std::span<const std::size_t> shape) {
+  w.put_u8(static_cast<std::uint8_t>(shape.size()));
+  for (const std::size_t d : shape) w.put_u64(d);
+}
+
 void read_blocks(ByteReader& r, BlockLayout& layout) {
   layout.m = static_cast<std::size_t>(r.get_u64());
   layout.n = static_cast<std::size_t>(r.get_u64());
   layout.original_total = static_cast<std::size_t>(r.get_u64());
+}
+
+void put_blocks(ByteWriter& w, const BlockLayout& layout) {
+  w.put_u64(layout.m);
+  w.put_u64(layout.n);
+  w.put_u64(layout.original_total);
 }
 
 bool valid_blocks(BlockLayout& layout, std::uint64_t total, std::size_t k) {
@@ -178,19 +238,23 @@ void parse_layout(std::span<const std::uint8_t> bytes, DpzLayout& out) {
   info.shape = read_shape(r, "DPZ archive");
   const std::uint64_t total = element_count(info.shape);
   const std::uint64_t elem = info.double_precision ? 8 : 4;
+  if (!info.stored_raw) {
+    read_blocks(r, info.layout);
+    info.k = r.get_u32();
+    info.outlier_count = r.get_u64();
+  }
+  check_header_crc(r, bytes, out,
+                   info.stored_raw ? "stored DPZ archive" : "DPZ archive");
+  // Resealed forgeries still reach these checks: the seal authenticates
+  // bytes, not semantics.
+  if ((flags & ~kDpzFlagsKnown) != 0)
+    throw FormatError("DPZ archive: reserved header flag bits set");
   if (info.stored_raw) {
-    check_header_crc(r, bytes, out, "stored DPZ archive");
     read_section(r, out, "payload", total * elem);
     require_consumed(r);
     return;
   }
 
-  read_blocks(r, info.layout);
-  info.k = r.get_u32();
-  info.outlier_count = r.get_u64();
-  check_header_crc(r, bytes, out, "DPZ archive");
-  // Resealed forgeries still reach these checks: the seal authenticates
-  // bytes, not semantics.
   if (!(info.error_bound > 0.0) || !std::isfinite(info.error_bound))
     throw FormatError("DPZ archive has an invalid error bound");
   const std::uint64_t m = info.layout.m;
@@ -313,12 +377,15 @@ void parse_layout(std::span<const std::uint8_t> bytes, BasisLayout& out) {
   out.kind = "shared-basis";
   out.version = read_version(r, magic == kBasisMagicV2, kFormatVersion,
                              "shared-basis blob");
-  out.wide_codes = r.get_u8() != 0;
+  const std::uint8_t wide_codes = r.get_u8();
+  out.wide_codes = wide_codes != 0;
   out.error_bound = r.get_f64();
   out.shape = read_shape(r, "shared-basis blob");
   read_blocks(r, out.layout);
   out.k = r.get_u32();
   check_header_crc(r, bytes, out, "shared-basis blob");
+  if (wide_codes > 1)
+    throw FormatError("shared-basis blob: bad wide-codes byte");
   if (!(out.error_bound > 0.0))
     throw FormatError("shared-basis blob: bad error bound");
   if (!valid_blocks(out.layout, element_count(out.shape), out.k))
@@ -349,6 +416,104 @@ void parse_layout(std::span<const std::uint8_t> bytes, SnapshotLayout& out) {
   require_consumed(r);
 }
 
+void put_header(ByteWriter& w, const DpzArchiveInfo& info) {
+  w.put_u32(kDpzMagic);
+  w.put_u8(kFormatVersion);
+  w.put_u8(static_cast<std::uint8_t>(
+      (info.wide_codes ? kDpzFlagWideCodes : 0) |
+      (info.standardized ? kDpzFlagStandardized : 0) |
+      (info.stored_raw ? kDpzFlagStoredRaw : 0) |
+      (info.double_precision ? kDpzFlagDouble : 0)));
+  w.put_f64(info.error_bound);
+  put_shape(w, info.shape);
+  if (!info.stored_raw) {
+    put_blocks(w, info.layout);
+    w.put_u32(static_cast<std::uint32_t>(info.k));
+    w.put_u64(info.outlier_count);
+  }
+  put_header_crc(w);
+}
+
+void put_header(ByteWriter& w, const ChunkedLayout& h) {
+  const bool parity = h.parity_m != 0;
+  w.put_u32(parity ? kChunkedMagicV3 : kChunkedMagicV2);
+  w.put_u8(parity ? kChunkedFormatVersion3 : kFormatVersion);
+  put_shape(w, h.shape);
+  w.put_u64(h.chunk_values);
+  w.put_u64(h.frame_count);
+  std::uint64_t offset = 0;
+  for (const Section& frame : h.frames) {
+    w.put_u64(offset);
+    w.put_u64(frame.size);
+    w.put_u32(frame.stored_crc);
+    offset += frame.size;
+  }
+  if (parity) {
+    w.put_u8(static_cast<std::uint8_t>(h.parity_k));
+    w.put_u8(static_cast<std::uint8_t>(h.parity_m));
+    for (std::size_t g = 0; g < h.groups(); ++g) {
+      w.put_u64(h.shard_sizes[g]);
+      for (std::size_t j = 0; j < h.parity_m; ++j)
+        w.put_u32(h.parity_crcs[g * h.parity_m + j]);
+    }
+  }
+  put_header_crc(w);
+}
+
+void put_header(ByteWriter& w, const BasisLayout& h) {
+  w.put_u32(kBasisMagicV2);
+  w.put_u8(kFormatVersion);
+  w.put_u8(h.wide_codes ? 1 : 0);
+  w.put_f64(h.error_bound);
+  put_shape(w, h.shape);
+  put_blocks(w, h.layout);
+  w.put_u32(static_cast<std::uint32_t>(h.k));
+  put_header_crc(w);
+}
+
+void put_header(ByteWriter& w, const SnapshotLayout& h) {
+  w.put_u32(kSnapshotMagicV2);
+  w.put_u8(kFormatVersion);
+  w.put_f64(h.score_scale);
+  w.put_u64(h.outlier_count);
+  put_header_crc(w);
+}
+
+std::uint32_t section_crc(std::uint64_t raw_size,
+                          std::span<const std::uint8_t> blob) {
+  std::array<std::uint8_t, 8> size_bytes{};
+  for (std::size_t i = 0; i < 8; ++i)
+    size_bytes[i] = static_cast<std::uint8_t>(raw_size >> (8 * i));
+  return crc32c(blob, crc32c(size_bytes));
+}
+
+void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
+                 int level) {
+  w.put_u64(raw.size());
+  const std::vector<std::uint8_t> z = zlib_compress(raw, level);
+  w.put_u32(section_crc(raw.size(), z));
+  w.put_blob(z);
+}
+
+std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,
+                                      const Section& section) {
+  // Verify-before-inflate: a damaged blob never reaches zlib or the
+  // quantizer (dpz_analyze's unguarded-inflate check).
+  if (!crc_ok(archive, section)) {
+    obs::LogContext ctx;
+    ctx.offset = section.offset;
+    ctx.section = section.name;
+    obs::log_error(obs::Event::kChecksumMismatch, StatusCode::kChecksum,
+                   ctx, "corrupted section blob");
+    throw ChecksumError("section checksum mismatch (corrupted blob)");
+  }
+  if (const std::string problem = raw_size_problem(section);
+      !problem.empty())
+    throw FormatError(problem);
+  return zlib_decompress(blob_of(archive, section),
+                         static_cast<std::size_t>(section.raw_size));
+}
+
 Section ChunkedLayout::shard(std::size_t g, std::size_t j) const {
   Section s;
   s.name = "parity";
@@ -369,15 +534,6 @@ std::span<const std::uint8_t> bytes_of(std::span<const std::uint8_t> input,
                                        const Section& section) {
   return input.subspan(static_cast<std::size_t>(section.offset),
                        static_cast<std::size_t>(section.size));
-}
-
-std::span<const std::uint8_t> blob_of(std::span<const std::uint8_t> input,
-                                      const Section& section) {
-  // raw_size u64, crc u32 (v2), blob_size u64.
-  const std::uint64_t framing =
-      section.crc == Section::Crc::kFramed ? 20 : 16;
-  return input.subspan(static_cast<std::size_t>(section.offset + framing),
-                       static_cast<std::size_t>(section.size - framing));
 }
 
 std::uint32_t checked_crc(std::span<const std::uint8_t> input,

@@ -1,4 +1,4 @@
-// Archive layouts: one validated parser per container format.
+// Archive layouts: every container format's bytes, in both directions.
 //
 // Every reader of an archive — the DPZ decoders and dpz_inspect, the
 // chunked entry points, SharedBasisCodec, and verify_archive — locates
@@ -7,6 +7,8 @@
 // fixed fields and framing only: it returns sections as byte ranges of
 // the input and computes no CRC besides the header seal. A section's
 // CRC verdict is computed when a caller asks for it (crc_ok).
+// Beside each parser sits the writer of the same header (put_header),
+// and beside the section reads the framing writer (put_section).
 #pragma once
 
 #include <cstdint>
@@ -81,6 +83,14 @@ struct ChunkedLayout : Layout {
       std::size_t f) const;
 };
 
+/// The chunk tiling rule: one frame per chunk, a tail below the pipeline
+/// minimum of 8 values merged into the last frame.
+std::size_t expected_frame_count(std::size_t total, std::size_t chunk_values);
+/// The problem when frames claiming `frame_values` values each do not
+/// exactly tile `h.total`, else empty.
+std::string frames_tile_problem(const ChunkedLayout& h,
+                                std::span<const std::uint64_t> frame_values);
+
 /// Sections: header, basis.
 struct BasisLayout : Layout {
   bool wide_codes = false;
@@ -115,11 +125,31 @@ L parse_layout(std::span<const std::uint8_t> bytes) {
   return layout;
 }
 
-/// The unit's bytes, framing included, and a kFramed unit's zlib stream.
+/// The writers: each appends to an empty `w` the sealed current-version
+/// header its parser reads back. Chunked frame offsets follow from the
+/// sizes; a nonzero parity_m writes DZC3.
+void put_header(ByteWriter& w, const DpzArchiveInfo& info);
+void put_header(ByteWriter& w, const ChunkedLayout& h);
+void put_header(ByteWriter& w, const BasisLayout& h);
+void put_header(ByteWriter& w, const SnapshotLayout& h);
+
+/// Section framing (docs/FORMAT.md): put_section writes v2. get_section
+/// inflates a section a parse located only after its v2 checksum
+/// matched (else ChecksumError) and its raw size is the one the header
+/// implies (else FormatError).
+void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
+                 int level);
+std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,
+                                      const Section& section);
+
+/// CRC32C over the section's wire image (raw-size field + blob), i.e.
+/// exactly what a v2 section checksum covers.
+std::uint32_t section_crc(std::uint64_t raw_size,
+                          std::span<const std::uint8_t> blob);
+
+/// The unit's bytes, framing included.
 std::span<const std::uint8_t> bytes_of(std::span<const std::uint8_t> input,
                                        const Section& section);
-std::span<const std::uint8_t> blob_of(std::span<const std::uint8_t> input,
-                                      const Section& section);
 
 /// CRC32C over what the section's checksum covers, counted as one
 /// crc_checks (plus a crc_failures on mismatch) under a crc_check span.
@@ -134,14 +164,17 @@ std::string raw_size_problem(const Section& section);
 
 std::uint64_t element_count(std::span<const std::size_t> shape);
 
-/// Layer 2, the one shape reader (baseline formats too): a rank byte in
-/// [1, max_rank], then u64 extents, nonzero, with product <= 2^40.
+/// Layer 2, the one shape reader and writer (baseline formats too): a
+/// rank byte in [1, max_rank], then u64 extents, nonzero, with product
+/// <= 2^40.
 std::vector<std::size_t> read_shape(ByteReader& r, const char* what,
                                     std::size_t max_rank = 4);
-/// Layer 4: the block geometry; valid_blocks holds it to what the
-/// compressor produces for `total` values and k components (m < n keeps
-/// m*k and k*n far from overflow) and sets `padded`.
+void put_shape(ByteWriter& w, std::span<const std::size_t> shape);
+/// Layer 4: the block geometry (m, n, original_total); valid_blocks holds
+/// it to what the compressor produces for `total` values and k components
+/// (m < n keeps m*k and k*n far from overflow) and sets `padded`.
 void read_blocks(ByteReader& r, BlockLayout& layout);
+void put_blocks(ByteWriter& w, const BlockLayout& layout);
 bool valid_blocks(BlockLayout& layout, std::uint64_t total, std::size_t k);
 
 }  // namespace dpz::detail

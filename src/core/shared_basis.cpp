@@ -78,18 +78,14 @@ SharedBasisCodec SharedBasisCodec::train(const FloatArray& reference,
 }
 
 std::vector<std::uint8_t> SharedBasisCodec::serialize() const {
+  detail::BasisLayout header;
+  header.wide_codes = qcfg_.wide_codes;
+  header.error_bound = qcfg_.error_bound;
+  header.shape = shape_;
+  header.layout = layout_;
+  header.k = basis_.cols();
   ByteWriter w;
-  w.put_u32(detail::kBasisMagicV2);
-  w.put_u8(detail::kFormatVersion);
-  w.put_u8(qcfg_.wide_codes ? 1 : 0);
-  w.put_f64(qcfg_.error_bound);
-  w.put_u8(static_cast<std::uint8_t>(shape_.size()));
-  for (const std::size_t d : shape_) w.put_u64(d);
-  w.put_u64(layout_.m);
-  w.put_u64(layout_.n);
-  w.put_u64(layout_.original_total);
-  w.put_u32(static_cast<std::uint32_t>(basis_.cols()));
-  detail::put_header_crc(w);
+  detail::put_header(w, header);
 
   ByteWriter basis;
   detail::put_basis(basis, basis_);
@@ -150,12 +146,11 @@ std::vector<std::uint8_t> SharedBasisCodec::compress(
   // The encode span runs to the return, which frees the stage buffers.
   stage.emplace(obs::Span::kZlibEncode, &st.timers);
   governed_poll();
+  detail::SnapshotLayout header;
+  header.score_scale = score_scale;
+  header.outlier_count = qs.outliers.size();
   ByteWriter w;
-  w.put_u32(detail::kSnapshotMagicV2);
-  w.put_u8(detail::kFormatVersion);
-  w.put_f64(score_scale);
-  w.put_u64(qs.outliers.size());
-  detail::put_header_crc(w);
+  detail::put_header(w, header);
 
   ByteWriter mean_bytes;
   for (const double v : mean) mean_bytes.put_f64(v);

@@ -1,6 +1,5 @@
 #include "core/verify.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/layout.h"
@@ -71,16 +70,14 @@ void walk_chunked(std::span<const std::uint8_t> bytes, VerifyReport& rep) {
   // Each frame is a DPZ archive: verify its own structure (so a v1
   // container without CRCs still gets a meaningful check), and that the
   // frames tile the container's shape exactly, as the decoder demands.
-  std::uint64_t values = 0;
+  std::vector<std::uint64_t> claims(h.frame_count);
   bool parsed = true;
   for (std::size_t f = 0; f < h.frame_count; ++f) {
     VerifyReport inner;
     try {
       const auto frame =
           walk<detail::DpzLayout>(detail::bytes_of(bytes, h.frames[f]), inner);
-      // Saturates just past the total, so the sum cannot wrap.
-      values = std::min<std::uint64_t>(
-          values + detail::element_count(frame.info.shape), h.total + 1);
+      claims[f] = detail::element_count(frame.info.shape);
     } catch (const Error& e) {
       inner.problems.push_back(e.what());
       parsed = false;
@@ -89,8 +86,10 @@ void walk_chunked(std::span<const std::uint8_t> bytes, VerifyReport& rep) {
       rep.problems.push_back("frame[" + std::to_string(f) +
                              "]: " + inner.problems.front());
   }
-  if (parsed && values != h.total)
-    rep.problems.push_back("chunked container: frames do not cover the shape");
+  if (!parsed) return;
+  if (std::string problem = detail::frames_tile_problem(h, claims);
+      !problem.empty())
+    rep.problems.push_back(std::move(problem));
 }
 
 }  // namespace

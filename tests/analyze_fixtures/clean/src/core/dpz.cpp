@@ -1,8 +1,6 @@
-// Boundary: src/core/dpz.cpp is the one caller of zlib_decompress in
-// src/core (rule 5); the checksum gate lives here. It also defines the
-// stage functions, so its DCT row loop, score normalization, k rule,
-// VIF probe, back-projection and de-blocking are the single-stage
-// check's one allowed copy.
+// Boundary: src/core/dpz.cpp defines the stage functions, so its DCT
+// row loop, score normalization, k rule, VIF probe, back-projection and
+// de-blocking are the single-stage check's one allowed copy.
 #include <cstddef>
 #include <vector>
 
@@ -39,14 +37,6 @@ FloatArray reconstruct(const Matrix& basis, const Matrix& scores,
   Matrix blocks = pca_back_project(basis, mean, scale, scores);
   from_blocks(blocks, layout, out.flat());
   return out;
-}
-
-std::vector<unsigned char> zlib_decompress(const unsigned char*,
-                                           std::size_t);
-
-std::vector<unsigned char> get_section(const unsigned char* bytes,
-                                       std::size_t size) {
-  return zlib_decompress(bytes, size);
 }
 
 }  // namespace dpz

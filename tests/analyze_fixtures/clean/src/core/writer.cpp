@@ -1,12 +1,14 @@
-// Boundary: writers seal headers with put_header_crc, which the
-// single-parser check ignores.
+// Boundary: writers outside the layout module hand it the struct its
+// parser fills and never name a magic, a flag bit or the seal.
 #include <cstdint>
 #include <vector>
 
-namespace dpz::detail {
+namespace dpz {
 
-void put_header_crc(std::vector<std::uint8_t>& out);
+std::vector<std::uint8_t> write_archive(const DpzArchiveInfo& info) {
+  ByteWriter w;
+  detail::put_header(w, info);
+  return w.take();
+}
 
-void write_header(std::vector<std::uint8_t>& out) { put_header_crc(out); }
-
-}  // namespace dpz::detail
+}  // namespace dpz

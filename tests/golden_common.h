@@ -19,7 +19,20 @@
 
 namespace dpz::golden {
 
-enum class Kind { kDpzF32, kDpzF64, kChunked, kSharedBasis };
+enum class Kind {
+  kDpzF32,
+  kDpzF64,
+  kStoredRaw,     ///< an f32 DPZ archive that falls back to stored-raw
+  kChunked,
+  kChunkedParity, ///< a DZC3 container: frames plus Reed-Solomon parity
+  kSharedBasis,
+};
+
+/// The plain <name>.dpz v1 fixtures predate checksums; cases added since
+/// (stored-raw, DZC3) exist only in the current format.
+inline bool has_v1_fixture(Kind kind) {
+  return kind != Kind::kStoredRaw && kind != Kind::kChunkedParity;
+}
 
 struct GoldenCase {
   std::string name;          ///< file stem under tests/golden/
@@ -42,7 +55,11 @@ inline std::vector<GoldenCase> golden_cases() {
        DpzScheme::kStrict},
       {"dpz_2d_f64_strict", Kind::kDpzF64, {64, 72}, 104,
        DpzScheme::kStrict},
+      {"stored_1d_f32_strict", Kind::kStoredRaw, {3000}, 107,
+       DpzScheme::kStrict},
       {"chunked_2d_f32_strict", Kind::kChunked, {128, 96}, 105,
+       DpzScheme::kStrict},
+      {"chunked_parity_2d_f32_strict", Kind::kChunkedParity, {128, 96}, 108,
        DpzScheme::kStrict},
       {"shared_basis_2d_f32_strict", Kind::kSharedBasis, {96, 96}, 106,
        DpzScheme::kStrict},
@@ -53,6 +70,12 @@ inline DpzConfig golden_config(const GoldenCase& c) {
   DpzConfig config = c.scheme == DpzScheme::kLoose ? DpzConfig::loose()
                                                    : DpzConfig::strict();
   config.threads = 1;  // the knob must not matter; pin it anyway
+  if (c.kind == Kind::kStoredRaw) {
+    // k ~ M and every score escapes: the pipeline's archive must lose to
+    // plain zlib, so the encoder writes the stored-raw fallback.
+    config.tve = 0.9999999;
+    config.error_bound = 1e-12;
+  }
   return config;
 }
 
@@ -92,6 +115,11 @@ inline ChunkedConfig golden_chunked_config(const GoldenCase& c) {
   config.dpz = golden_config(c);
   config.chunk_values = 2048;
   config.threads = 1;
+  if (c.kind == Kind::kChunkedParity) {
+    // Six frames in groups of four: a full group and a short final one.
+    config.parity_k = 4;
+    config.parity_m = 1;
+  }
   return config;
 }
 

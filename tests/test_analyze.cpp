@@ -68,6 +68,9 @@ TEST(Analyze, BadTreeEveryPlantedViolationFlagged) {
       {"single-stage", "src/core/redecode.cpp", 8, "pca_back_project"},
       {"single-stage", "src/core/redecode.cpp", 10, "from_blocks"},
       {"single-parser", "src/core/reparse.cpp", 7, "check_header_crc"},
+      {"single-parser", "src/core/rewrite.cpp", 7, "kChunkedMagicV3"},
+      {"single-parser", "src/core/rewrite.cpp", 8, "kDpzFlagStoredRaw"},
+      {"single-parser", "src/core/rewrite.cpp", 9, "put_header_crc"},
       {"simd-isolated", "src/core/vector.cpp", 1, "immintrin"},
       {"simd-isolated", "src/core/vector.cpp", 6, "__m256d"},
       {"simd-isolated", "src/core/vector.cpp", 6, "_mm256_loadu_pd"},

@@ -18,6 +18,8 @@
 #include "capi/dpz_c.h"
 #include "core/chunked.h"
 #include "core/dpz.h"
+#include "core/layout.h"
+#include "core/shared_basis.h"
 #include "core/verify.h"
 #include "util/crc32c.h"
 #include "util/error.h"
@@ -174,6 +176,20 @@ TEST_F(CorruptDpzArchive, TableDriven) {
          reseal_dpz_header(b);
        },
        "geometry"},
+      // Flag bits 4-7 are reserved: a header setting one must not
+      // decode as if the bit were clear.
+      {"reserved-flag-bit-4",
+       [](auto& b) {
+         b[kOffFlags] |= 0x10;
+         reseal_dpz_header(b);
+       },
+       "reserved header flag bits"},
+      {"reserved-flag-bit-7",
+       [](auto& b) {
+         b[kOffFlags] |= 0x80;
+         reseal_dpz_header(b);
+       },
+       "reserved header flag bits"},
       // Unsealed forgery: the same field flip without the reseal must be
       // reported as header corruption by the CRC.
       {"forged-m-unsealed", [](auto& b) { write_u64_at(b, kOffM, 0); },
@@ -218,6 +234,12 @@ TEST_F(CorruptDpzArchive, InspectRejectsHeaderCorruption) {
       // field is corruption even to a header-only reader.
       {"forged-m-unsealed", [](auto& b) { write_u64_at(b, kOffM, 0); },
        "header checksum mismatch"},
+      {"reserved-flag-bit-6",
+       [](auto& b) {
+         b[kOffFlags] |= 0x40;
+         reseal_dpz_header(b);
+       },
+       "reserved header flag bits"},
   };
   run_cases(archive_, cases, [](std::span<const std::uint8_t> bytes) {
     (void)dpz_inspect(bytes);
@@ -247,6 +269,62 @@ TEST_F(CorruptDpzArchive, TruncatedSideSectionIsRejected) {
               std::string::npos)
         << "message: " << e.what();
   }
+}
+
+// Where the header seal of a pristine `L` sits, so a forgery of any
+// container can be resealed without a per-format offset table.
+template <typename L>
+std::size_t seal_offset(const std::vector<std::uint8_t>& valid) {
+  return static_cast<std::size_t>(
+      detail::parse_layout<L>(valid).sections.front().size - 4);
+}
+
+void reseal_at(std::vector<std::uint8_t>& bytes, std::size_t seal) {
+  write_u32_at(bytes, seal, crc32c(std::span(bytes.data(), seal)));
+}
+
+TEST(CorruptStoredArchive, ReservedFlagBitsAreRejected) {
+  Rng rng(67);
+  FloatArray noise({5000});
+  for (float& v : noise.flat()) v = static_cast<float>(rng.normal());
+  DpzConfig config = DpzConfig::strict();
+  config.tve = 0.9999999;
+  config.error_bound = 1e-12;  // every score escapes: stored-raw
+  const std::vector<std::uint8_t> valid = dpz_compress(noise, config);
+  ASSERT_TRUE(dpz_inspect(valid).stored_raw);
+  const std::size_t seal = seal_offset<detail::DpzLayout>(valid);
+  const std::vector<CorruptionCase> cases = {
+      {"reserved-flag-bit-5",
+       [seal](auto& b) {
+         b[kOffFlags] |= 0x20;
+         reseal_at(b, seal);
+       },
+       "reserved header flag bits"},
+  };
+  run_cases(valid, cases, [](std::span<const std::uint8_t> bytes) {
+    (void)dpz_decompress(bytes);
+  });
+}
+
+TEST(CorruptSharedBasisBlob, WideCodesByteIsZeroOrOne) {
+  // Blob layout: magic u32 @0, version u8 @4, wide-codes u8 @5.
+  constexpr std::size_t kOffWideCodes = 5;
+  const std::vector<std::uint8_t> valid =
+      SharedBasisCodec::train(wave({64, 96}, 11), DpzConfig::strict())
+          .serialize();
+  ASSERT_EQ(valid[kOffWideCodes], 1);
+  const std::size_t seal = seal_offset<detail::BasisLayout>(valid);
+  const std::vector<CorruptionCase> cases = {
+      {"wide-codes-byte-2",
+       [seal](auto& b) {
+         b[kOffWideCodes] = 2;
+         reseal_at(b, seal);
+       },
+       "wide-codes byte"},
+  };
+  run_cases(valid, cases, [](std::span<const std::uint8_t> bytes) {
+    (void)SharedBasisCodec::deserialize(bytes);
+  });
 }
 
 // Chunked v2 container layout ("DZC2", rank-1): magic u32 @0,
@@ -340,6 +418,37 @@ TEST(CorruptChunkedContainer, TableDriven) {
   run_cases(valid, cases, [](std::span<const std::uint8_t> bytes) {
     (void)chunked_decompress(bytes);
   });
+}
+
+// verify_archive and the strict decoder share one tiling check, so a
+// container whose frames over- or under-cover its shape reads the same
+// from both.
+TEST(CorruptChunkedContainer, TilingProblemIsWordedOnce) {
+  ChunkedConfig config;
+  config.chunk_values = 4096;
+  const std::vector<std::uint8_t> valid =
+      chunked_compress(wave({2 * 4096}, 8), config);
+  const struct {
+    std::uint64_t dim0;
+    const char* problem;
+  } forgeries[] = {
+      {4096 + 8, "chunked container: frames exceed the shape"},
+      {2 * 4096 + 3, "chunked container: frames do not cover the shape"},
+  };
+  for (const auto& forgery : forgeries) {
+    SCOPED_TRACE(forgery.problem);
+    std::vector<std::uint8_t> bytes = valid;
+    write_u64_at(bytes, kChkOffDim0, forgery.dim0);
+    reseal_chunked_header(bytes);
+    const VerifyReport rep = verify_archive(bytes);
+    EXPECT_EQ(rep.problems, std::vector<std::string>{forgery.problem});
+    try {
+      (void)chunked_decompress(bytes);
+      FAIL() << "a container whose frames do not tile its shape decoded";
+    } catch (const FormatError& e) {
+      EXPECT_EQ(std::string(e.what()), forgery.problem);
+    }
+  }
 }
 
 // Chunked v3 layout for the 4-frame, rank-1, parity-4+2 fixture below:

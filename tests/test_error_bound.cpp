@@ -59,7 +59,7 @@ Payload parse_payload(std::span<const std::uint8_t> archive) {
   const auto layout = detail::parse_layout<detail::DpzLayout>(archive);
   const DpzArchiveInfo& info = layout.info;
   EXPECT_EQ(read_u32_at(archive, 0), 0x315A5044U);  // "DPZ1"
-  EXPECT_EQ(info.version, detail::kFormatVersion);
+  EXPECT_EQ(info.version, 2);  // the current format
   EXPECT_FALSE(info.stored_raw) << "stored-raw fallback fired unexpectedly";
   p.qcfg.wide_codes = info.wide_codes;
   p.qcfg.error_bound = info.error_bound;

@@ -15,6 +15,9 @@
 // additionally required to agree to within the configured error bound:
 // encoder numerics may evolve (a kernel rewrite moves eigenvector bits
 // at the 1e-11 level), but both generations must describe the same data.
+// Cases added after checksums existed (stored-raw, DZC3 parity) have only
+// the .v2 file. Every .v2 file also pins the writers against the parsers:
+// writing back the header a parse returns must give the file's bytes.
 //
 // After a DELIBERATE format change, regenerate the .v2 files with
 // tests/make_golden and commit the new bytes alongside a docs/FORMAT.md
@@ -23,11 +26,16 @@
 // make_golden prints the fresh values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "codec/bytes.h"
+#include "core/layout.h"
 #include "golden_common.h"
 #include "io/file_io.h"
 #include "metrics/metrics.h"
@@ -219,6 +227,98 @@ TEST(GoldenArchive, SharedBasis2DF32Strict) {
   const FloatArray cross = legacy.decompress(v2_archive);
   expect_within_bound(c.name, cross.flat(), decoded.flat(),
                       golden_config(c).effective_error_bound());
+}
+
+TEST(GoldenArchive, StoredRaw1DF32) {
+  const GoldenCase c = find_case("stored_1d_f32_strict");
+  const FloatArray input = golden_f32(c);
+  const std::vector<std::uint8_t> v2 =
+      read_bytes(golden_path(c.name, ".v2.dpz"));
+
+  DpzStats stats;
+  EXPECT_EQ(dpz_compress(input, golden_config(c), &stats), v2)
+      << "re-encoding no longer reproduces " << c.name;
+  EXPECT_TRUE(stats.stored_raw);
+  EXPECT_TRUE(dpz_inspect(v2).stored_raw);
+  EXPECT_EQ(float_bytes(dpz_decompress(v2)), float_bytes(input))
+      << "a stored-raw archive decodes bit-exactly";
+}
+
+TEST(GoldenArchive, ChunkedParity2DF32Strict) {
+  const GoldenCase c = find_case("chunked_parity_2d_f32_strict");
+  const FloatArray input = golden_f32(c);
+  const std::vector<std::uint8_t> v2 =
+      read_bytes(golden_path(c.name, ".v2.dpz"));
+
+  EXPECT_EQ(chunked_compress(input, golden_chunked_config(c)), v2)
+      << "re-encoding no longer reproduces " << c.name;
+  const ParityInfo parity = chunked_parity_info(v2);
+  EXPECT_EQ(parity.parity_k, 4U);
+  EXPECT_EQ(parity.parity_m, 1U);
+  EXPECT_EQ(parity.groups, 2U) << "a full group and a short final one";
+
+  const FloatArray decoded = chunked_decompress(v2);
+  EXPECT_EQ(decoded.shape(), input.shape());
+  EXPECT_GT(compute_error_stats(input.flat(), decoded.flat()).psnr_db, 30.0)
+      << c.name << " decodes to garbage";
+}
+
+// put_header(parse_layout(bytes)) must give back the file's header: the
+// writers and the parsers state one format.
+template <typename L>
+void expect_header_written_back(std::span<const std::uint8_t> bytes,
+                                const std::string& name) {
+  const L parsed = detail::parse_layout<L>(bytes);
+  ASSERT_FALSE(parsed.sections.empty());
+  ByteWriter w;
+  if constexpr (std::is_same_v<L, detail::DpzLayout>) {
+    detail::put_header(w, parsed.info);
+  } else {
+    detail::put_header(w, parsed);
+  }
+  const std::span<const std::uint8_t> header =
+      bytes.first(static_cast<std::size_t>(parsed.sections[0].size));
+  EXPECT_TRUE(std::equal(w.bytes().begin(), w.bytes().end(), header.begin(),
+                         header.end()))
+      << name << ": the written-back header differs from the file's";
+}
+
+void expect_header_written_back(std::span<const std::uint8_t> bytes,
+                                const std::string& name) {
+  switch (detail::format_of(bytes)) {
+    case detail::Format::kDpz:
+      expect_header_written_back<detail::DpzLayout>(bytes, name);
+      break;
+    case detail::Format::kChunked: {
+      expect_header_written_back<detail::ChunkedLayout>(bytes, name);
+      // Every frame is a DPZ archive of its own.
+      const auto h = detail::parse_layout<detail::ChunkedLayout>(bytes);
+      for (std::size_t f = 0; f < h.frame_count; ++f)
+        expect_header_written_back<detail::DpzLayout>(
+            detail::bytes_of(bytes, h.frames[f]),
+            name + " frame " + std::to_string(f));
+      break;
+    }
+    case detail::Format::kBasis:
+      expect_header_written_back<detail::BasisLayout>(bytes, name);
+      break;
+    case detail::Format::kSnapshot:
+      expect_header_written_back<detail::SnapshotLayout>(bytes, name);
+      break;
+    case detail::Format::kUnknown:
+      ADD_FAILURE() << name << " is not a recognized container";
+      break;
+  }
+}
+
+TEST(GoldenArchive, WritersAgreeWithParsers) {
+  for (const GoldenCase& c : golden_cases()) {
+    expect_header_written_back(read_bytes(golden_path(c.name, ".v2.dpz")),
+                               c.name + ".v2.dpz");
+    if (c.kind == Kind::kSharedBasis)
+      expect_header_written_back(read_bytes(golden_path(c.name, ".v2.blob")),
+                                 c.name + ".v2.blob");
+  }
 }
 
 TEST(GoldenArchive, HeadersParseAsRecorded) {

@@ -284,6 +284,25 @@ TEST(ObsMetrics, CompressionCountersMatchStats) {
   EXPECT_EQ(snap2.counter(Counter::kCrcFailures), 0U);
 }
 
+TEST(ObsMetrics, SamplingCompressQuantizesOnlyTheShippedScores) {
+  // Algorithm 2 only chooses k on the compress route, so the quantizer
+  // sees exactly the k x N scores the archive ships: no calibration pass
+  // quantizes the picked subsets on the side.
+  const obs::ScopedTelemetry telemetry(true);
+  obs::MetricsRegistry::instance().reset();
+
+  const Dataset ds = make_dataset("CLDHGH", 0.05, 2021);
+  DpzConfig config = DpzConfig::strict();
+  config.use_sampling = true;
+  DpzStats st;
+  (void)dpz_compress(ds.data, config, &st);
+  ASSERT_GT(st.vif_median, 0.0) << "the sampling route did not run";
+
+  const obs::MetricsSnapshot snap =
+      obs::MetricsRegistry::instance().snapshot();
+  EXPECT_EQ(snap.counter(Counter::kQuantValues), st.k * st.layout.n);
+}
+
 TEST(ObsMetrics, SharedBasisCountersMatchStats) {
   const obs::ScopedTelemetry telemetry(true);
   const Dataset ds = make_dataset("CLDHGH", 0.05, 2021);

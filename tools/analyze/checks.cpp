@@ -29,12 +29,13 @@ const std::vector<CheckInfo> kChecks = {
      "every file under tests/golden/ must be tracked by git; the "
      "format-stability tests read fixtures from a fresh clone"},
     {"unguarded-inflate",
-     "zlib_decompress is banned in src/core outside dpz.cpp; sections "
+     "zlib_decompress is banned in src/core outside layout.cpp; sections "
      "inflate only behind detail::get_section's CRC32C gate"},
     {"single-parser",
-     "check_header_crc appears in src/core only in the layout module "
-     "(core/layout.{h,cpp}); every reader locates sections through its "
-     "format's detail::parse_layout (writers' put_header_crc is fine)"},
+     "container magics, kDpzFlag* bits and the header seal "
+     "(check_header_crc, put_header_crc) appear in src/core only in the "
+     "layout module (core/layout.{h,cpp}); every reader parses through "
+     "detail::parse_layout and every writer through detail::put_header"},
     {"single-span",
      "TraceRecorder::...record( and detail::span_push/span_pop appear "
      "in src/ only under src/obs/ (plus util/thread_pool.cpp, whose "
@@ -218,33 +219,40 @@ void check_golden_tracked(const std::string& root,
 void check_unguarded_inflate(const FileMap& files,
                              std::vector<Finding>* out) {
   for (const auto& [path, file] : files) {
-    if (!starts_with(path, "src/core/") || path == "src/core/dpz.cpp")
+    if (!starts_with(path, "src/core/") || path == "src/core/layout.cpp")
       continue;
     for (const Token& t : file.tokens)
       if (t.kind == TokKind::kIdent && t.text == "zlib_decompress")
         add(out, "unguarded-inflate", path, t.line,
-            "zlib_decompress in src/core outside dpz.cpp; route "
+            "zlib_decompress in src/core outside layout.cpp; route "
             "section reads through detail::get_section so the CRC "
             "is verified before inflation");
   }
 }
 
-// ---- single-parser: one layout parser per container format -------------
+// ---- single-parser: each container format is stated once --------------
 
-// The header seal is checked inside the per-format layout parsers; a
-// check_header_crc call anywhere else in src/core is a second hand-rolled
-// parse of some header, free to drift from the one verify and decode use.
+// The layout module reads and writes every container header and section
+// frame. A magic, a DPZ flag bit or a header seal (checked or appended)
+// anywhere else in src/core is a second statement of some format, free
+// to drift from the one that verify and decode parse.
+bool is_format_ident(const std::string& t) {
+  return t == "check_header_crc" || t == "put_header_crc" ||
+         starts_with(t, "kDpzFlag") ||
+         (starts_with(t, "k") && t.find("Magic") != std::string::npos);
+}
+
 void check_single_parser(const FileMap& files, std::vector<Finding>* out) {
   for (const auto& [path, file] : files) {
     if (!starts_with(path, "src/core/") || path == "src/core/layout.h" ||
         path == "src/core/layout.cpp")
       continue;
     for (const Token& t : file.tokens)
-      if (t.kind == TokKind::kIdent && t.text == "check_header_crc")
+      if (t.kind == TokKind::kIdent && is_format_ident(t.text))
         add(out, "single-parser", path, t.line,
-            "check_header_crc outside the layout module; parse the "
-            "archive with detail::parse_layout (core/layout.h) instead "
-            "of re-reading its header");
+            t.text + " outside the layout module; read a container "
+            "with detail::parse_layout and write its header with "
+            "detail::put_header (core/layout.h)");
   }
 }
 

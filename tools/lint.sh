@@ -30,9 +30,9 @@
 #      regression. Any file present on disk but unknown to git —
 #      untracked OR ignored — is an error here; `git add -f` the
 #      fixture or extend the .gitignore negation.     [golden-tracked]
-#   5. zlib_decompress is banned in src/core outside dpz.cpp. The v2
+#   5. zlib_decompress is banned in src/core outside layout.cpp. The v2
 #      integrity contract is verify-before-inflate: every section blob
-#      flows through detail::get_section (dpz.cpp), which checks the
+#      flows through detail::get_section (layout.cpp), which checks the
 #      CRC32C seal before sizing the inflation buffer. A second inflate
 #      call site in core would be a path where corrupted bytes reach
 #      the allocator unchecked.                     [unguarded-inflate]
