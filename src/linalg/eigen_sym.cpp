@@ -515,14 +515,10 @@ SymmetricEigen eigen_topk_from(const TridiagonalReduction& r,
   // Back-transform through the Householder reflectors (x = Q y with
   // Q = P_{m-1} ... P_1, exactly the product accumulate_q_transposed
   // forms): i ascending, each reflector applied to a band's vectors
-  // while its v/h row is hot. The vectors split into contiguous bands,
-  // one per participant; each vector still receives reflectors
-  // 1..m-1 in order, so the bits do not depend on the band count.
-  const std::size_t bands =
-      std::min<std::size_t>(k, PoolScope::current().team_width());
-  parallel_for(0, bands, [&](std::size_t b) {
-    const std::size_t j0 = k * b / bands;
-    const std::size_t j1 = k * (b + 1) / bands;
+  // while its v/h row is hot. The vectors split into the pool's
+  // contiguous chunks; each vector still receives reflectors 1..m-1 in
+  // order, so the bits do not depend on the chunk count.
+  parallel_chunks(0, k, [&](std::size_t j0, std::size_t j1) {
     std::vector<double> w2(m);
     for (std::size_t i = 1; i < m; ++i) {
       if (r.norm2[i] == 0.0) continue;

@@ -29,9 +29,9 @@
 // single-participant path — today's lower-triangle code, which also
 // finishes every reduction once fewer than 256 rows remain — is the
 // oracle; the team form costs twice its flops, so one participant never
-// runs it. The top-k back-transform splits its vectors into bands, one
-// per participant, each receiving the reflectors in order. Results are
-// therefore identical at every thread count.
+// runs it. The top-k back-transform splits its vectors into the pool's
+// chunks, each receiving the reflectors in order. Results are therefore
+// identical at every thread count.
 #pragma once
 
 #include <span>

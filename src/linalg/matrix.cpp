@@ -72,12 +72,7 @@ Matrix Matrix::multiply(const Matrix& other) const {
   // of `other` cache-resident while a band of output rows reuses it.
   // Every output row still accumulates its k terms in ascending order,
   // so the result is bit-identical to the untiled scalar loop.
-  const unsigned workers = PoolScope::current().thread_count();
-  const std::size_t band =
-      (rows_ + workers - 1) / std::max<std::size_t>(workers, 1);
-  parallel_for(0, workers, [&](std::size_t w) {
-    const std::size_t lo = w * band;
-    const std::size_t hi = std::min(rows_, lo + band);
+  parallel_chunks(0, rows_, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; i += kTile) {
       const std::size_t iend = std::min(hi, i + kTile);
       for (std::size_t kk = 0; kk < cols_; kk += kTile) {
@@ -115,17 +110,12 @@ Matrix Matrix::transpose_multiply(const Matrix& other) const {
     return out;
   }
   // out(i,j) = sum_k this(k,i) * other(k,j): accumulate rank-1 updates row
-  // by row of the inputs so all accesses stay contiguous. Each worker owns
-  // a contiguous band of output rows i; every band accumulates its rows
+  // by row of the inputs so all accesses stay contiguous. Each pool chunk
+  // is a contiguous band of output rows i; every band accumulates its rows
   // in the same k order, so the result does not depend on the band count.
   // The i-tile bounds the set of output rows touched per k sweep, keeping
   // them cache-resident instead of streaming the whole output each k.
-  const unsigned workers = PoolScope::current().thread_count();
-  const std::size_t band =
-      (cols_ + workers - 1) / std::max<std::size_t>(workers, 1);
-  parallel_for(0, workers, [&](std::size_t w) {
-    const std::size_t lo = w * band;
-    const std::size_t hi = std::min(cols_, lo + band);
+  parallel_chunks(0, cols_, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t ii = lo; ii < hi; ii += kTile) {
       const std::size_t iend = std::min(hi, ii + kTile);
       for (std::size_t k = 0; k < rows_; ++k) {

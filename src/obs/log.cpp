@@ -23,16 +23,6 @@ const char* level_name(LogLevel level) {
   return "trace";
 }
 
-// Microseconds with three decimals, matching the trace emitter so log
-// and trace timestamps line up in one timeline.
-void put_us(std::ostream& out, std::uint64_t ns) {
-  out << ns / 1000 << '.';
-  const auto frac = static_cast<unsigned>(ns % 1000);
-  out << static_cast<char>('0' + frac / 100)
-      << static_cast<char>('0' + (frac / 10) % 10)
-      << static_cast<char>('0' + frac % 10);
-}
-
 // JSON string escape for the free-text fields (section names and details
 // are ASCII messages; control characters are \u-escaped defensively).
 void put_json_string(std::ostream& out, const char* text) {
@@ -135,8 +125,7 @@ FlightRecorder::ThreadRing& FlightRecorder::local_ring() {
   thread_local ThreadRing* ring = nullptr;
   if (ring == nullptr) {
     const MutexLock lock(registry_m_);
-    rings_.push_back(std::make_unique<ThreadRing>(
-        static_cast<std::uint32_t>(rings_.size())));
+    rings_.push_back(std::make_unique<ThreadRing>(thread_id()));
     ring = rings_.back().get();
   }
   return *ring;

@@ -15,8 +15,14 @@ Clock::time_point trace_epoch() {
   return epoch;
 }
 
-// Microseconds with three decimals (nanosecond resolution), written
-// without locale dependence.
+}  // namespace
+
+std::uint32_t thread_id() {
+  static std::atomic<std::uint32_t> next{0};
+  thread_local const std::uint32_t id = next.fetch_add(1);
+  return id;
+}
+
 void put_us(std::ostream& out, std::uint64_t ns) {
   out << ns / 1000 << '.';
   const auto frac = static_cast<unsigned>(ns % 1000);
@@ -24,8 +30,6 @@ void put_us(std::ostream& out, std::uint64_t ns) {
       << static_cast<char>('0' + (frac / 10) % 10)
       << static_cast<char>('0' + frac % 10);
 }
-
-}  // namespace
 
 TraceRecorder& TraceRecorder::instance() {
   static TraceRecorder* recorder = new TraceRecorder();  // never destroyed:
@@ -44,8 +48,7 @@ TraceRecorder::ThreadBuffer& TraceRecorder::local_buffer() {
   thread_local ThreadBuffer* buffer = nullptr;
   if (buffer == nullptr) {
     const MutexLock lock(registry_m_);
-    buffers_.push_back(std::make_unique<ThreadBuffer>(
-        static_cast<std::uint32_t>(buffers_.size())));
+    buffers_.push_back(std::make_unique<ThreadBuffer>(thread_id()));
     buffer = buffers_.back().get();
   }
   return *buffer;

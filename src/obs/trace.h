@@ -35,6 +35,16 @@
 
 namespace dpz::obs {
 
+/// The calling thread's process-wide telemetry id, assigned once on
+/// first use. The trace and the flight recorder both name threads by it,
+/// so a `--trace` tid and a breadcrumb tid mean the same thread.
+std::uint32_t thread_id();
+
+/// Writes `ns` as microseconds with three decimals (nanosecond
+/// resolution), without locale dependence; trace and log timestamps
+/// share it so they line up in one timeline.
+void put_us(std::ostream& out, std::uint64_t ns);
+
 /// Process-wide span sink. All members are safe to call from any thread.
 class TraceRecorder {
  public:
@@ -74,8 +84,8 @@ class TraceRecorder {
     std::uint64_t queue_wait_ns;
   };
   struct ThreadBuffer {
-    /// The trace tid is fixed at registration (construction under the
-    /// registry mutex), so readers need no lock for it.
+    /// The thread's thread_id(), fixed at registration, so readers need
+    /// no lock for it.
     explicit ThreadBuffer(std::uint32_t id) : tid(id) {}
     Mutex m;
     const std::uint32_t tid;

@@ -16,7 +16,7 @@ namespace dpz {
 
 namespace {
 
-// Depth of parallel_for bodies running on this thread (any pool). Nested
+// Depth of parallel bodies running on this thread (any pool). Nested
 // calls see a non-zero depth and execute inline, which both prevents
 // fork/join self-deadlock and keeps the worker set at its configured
 // size when an outer loop (e.g. chunked frames) fans out over code that
@@ -40,7 +40,26 @@ unsigned default_thread_count() {
 
 }  // namespace
 
-// Fork/join state shared between parallel_for and the workers. All
+// One published dispatch: chunk c covers [begin + c*chunk,
+// begin + (c+1)*chunk) clamped to end.
+struct ThreadPool::Job {
+  const ChunkBody* body = nullptr;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t chunk = 0;
+  // Trace-clock timestamp of job publication; 0 when telemetry was off at
+  // publish time. Lets each participant attribute queue-wait (publication
+  // to chunk start) separately from run time in its pool_task span.
+  std::uint64_t publish_ns = 0;
+  // The publishing thread's resource governor (null when ungoverned):
+  // participants adopt it for their chunks so governed charges and
+  // cooperative cancellation checkpoints cross the fork. The shared_ptr
+  // keeps the governor alive for the job even though the publisher also
+  // holds it.
+  std::shared_ptr<const ResourceGovernor> governor;
+};
+
+// Fork/join state shared between the publisher and the workers. All
 // fields are guarded by `m` (and annotated so a Clang -Wthread-safety
 // build proves it); a job is published by bumping `generation` and
 // consumed by every worker exactly once.
@@ -50,27 +69,10 @@ struct ThreadPool::Shared {
   CondVar done_cv;  // the caller waits for remaining == 0
   std::uint64_t generation DPZ_GUARDED_BY(m) = 0;
   bool stop DPZ_GUARDED_BY(m) = false;
-
-  // Current job: participant p owns [begin + p*chunk, begin + (p+1)*chunk)
-  // clamped to end. Participant 0 is the calling thread.
-  const std::function<void(std::size_t)>* body DPZ_GUARDED_BY(m) = nullptr;
-  std::size_t begin DPZ_GUARDED_BY(m) = 0;
-  std::size_t end DPZ_GUARDED_BY(m) = 0;
-  std::size_t chunk DPZ_GUARDED_BY(m) = 0;
+  Job job DPZ_GUARDED_BY(m);
   // Workers that have not finished this job.
   unsigned remaining DPZ_GUARDED_BY(m) = 0;
   std::exception_ptr error DPZ_GUARDED_BY(m);
-  // Trace-clock timestamp of job publication; 0 when telemetry was off at
-  // publish time. Lets each participant attribute queue-wait (publication
-  // to chunk start) separately from run time in its pool_task span.
-  std::uint64_t publish_ns DPZ_GUARDED_BY(m) = 0;
-  // The publishing thread's resource governor (null when ungoverned):
-  // workers adopt it for their chunk so governed charges and cooperative
-  // cancellation checkpoints cross the fork. The shared_ptr keeps the
-  // governor alive for the job even though the publisher also holds it.
-  std::shared_ptr<const ResourceGovernor> governor DPZ_GUARDED_BY(m);
-  // False for team jobs: every participant must enter its body.
-  bool poll DPZ_GUARDED_BY(m) = true;
 };
 
 // Barrier and failure state of one run_team call. `generation` counts
@@ -177,10 +179,11 @@ void TeamMember::barrier() {
 
 ThreadPool::ThreadPool(unsigned threads)
     : thread_count_(threads != 0 ? threads : default_thread_count()),
+      participants_(std::min(thread_count_, default_thread_count())),
       shared_(std::make_unique<Shared>()) {
-  workers_.reserve(thread_count_ - 1);
-  for (unsigned w = 1; w < thread_count_; ++w)
-    workers_.emplace_back([this, w] { worker_main(w); });
+  workers_.reserve(participants_ - 1);
+  for (unsigned p = 1; p < participants_; ++p)
+    workers_.emplace_back([this, p] { worker_main(p); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -192,16 +195,11 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::worker_main(unsigned index) const {
+void ThreadPool::worker_main(unsigned participant) const {
   Shared& s = *shared_;
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* body = nullptr;
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    std::uint64_t publish_ns = 0;
-    std::shared_ptr<const ResourceGovernor> governor;
-    bool poll = true;
+    Job job;
     {
       // Predicate spelled out in the wait loop (not a lambda) so the
       // thread-safety analysis sees the guarded reads under the lock.
@@ -209,37 +207,9 @@ void ThreadPool::worker_main(unsigned index) const {
       while (!s.stop && s.generation == seen) s.job_cv.wait(s.m);
       if (s.stop) return;
       seen = s.generation;
-      body = s.body;
-      lo = std::min(s.end, s.begin + index * s.chunk);
-      hi = std::min(s.end, lo + s.chunk);
-      publish_ns = s.publish_ns;
-      governor = s.governor;
-      poll = s.poll;
+      job = s.job;
     }
-    if (lo < hi) {
-      const bool traced = obs::telemetry_enabled();
-      const std::uint64_t start_ns =
-          traced ? obs::TraceRecorder::now_ns() : 0;
-      const DepthGuard guard;
-      // Adopt the publisher's governor so body-internal charges, nested
-      // polls, and the per-index checkpoint below all see it. A tripped
-      // limit aborts this chunk between strip indices (bounded latency)
-      // and surfaces through the normal first-exception-wins channel.
-      const detail::GovernorAdopt adopt(governor.get());
-      try {
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (poll && governor != nullptr) governor->checkpoint();
-          (*body)(i);
-        }
-      } catch (...) {
-        log_pool_task_error();
-        const MutexLock lock(s.m);
-        if (!s.error) s.error = std::current_exception();
-      }
-      if (traced)
-        record_pool_task(publish_ns, start_ns,
-                         obs::TraceRecorder::now_ns());
-    }
+    run_share(job, participant);
     {
       const MutexLock lock(s.m);
       if (--s.remaining == 0) s.done_cv.notify_all();
@@ -247,127 +217,102 @@ void ThreadPool::worker_main(unsigned index) const {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t)>& body) const {
+void ThreadPool::run_share(const Job& job, unsigned participant) const {
+  std::size_t lo = job.begin + participant * job.chunk;
+  if (lo >= job.end) return;
+  const bool traced = obs::telemetry_enabled();
+  const std::uint64_t start_ns = traced ? obs::TraceRecorder::now_ns() : 0;
+  const DepthGuard guard;
+  // Adopt the publisher's governor so body-internal charges and polls
+  // see it; a tripped limit surfaces through the first-error channel.
+  const detail::GovernorAdopt adopt(job.governor.get());
+  try {
+    for (; lo < job.end; lo += participants_ * job.chunk)
+      (*job.body)(lo, std::min(job.end, lo + job.chunk));
+  } catch (...) {
+    log_pool_task_error();
+    const MutexLock lock(shared_->m);
+    if (!shared_->error) shared_->error = std::current_exception();
+  }
+  if (traced)
+    record_pool_task(job.publish_ns, start_ns, obs::TraceRecorder::now_ns());
+}
+
+void ThreadPool::parallel_chunks(std::size_t begin, std::size_t end,
+                                 const ChunkBody& body) const {
   if (begin >= end) return;
   const std::size_t n = end - begin;
+  const std::size_t chunk = (n + thread_count_ - 1) / thread_count_;
 
-  // Serial paths: single-participant pools, tiny ranges, and nested
+  // Inline paths: one-participant pools, single-chunk ranges, and nested
   // calls (the calling thread is already one of a pool's participants).
-  // The thread-local governor is already in place here; poll it between
-  // indices so single-threaded loops honor the same abort-latency bound
-  // as pool chunks.
   if (workers_.empty() || n == 1 || t_parallel_depth > 0) {
     const DepthGuard guard;
-    const ResourceGovernor* governor = current_governor();
-    for (std::size_t i = begin; i < end; ++i) {
-      if (governor != nullptr) governor->checkpoint();
-      body(i);
-    }
+    for (std::size_t lo = begin; lo < end; lo += chunk)
+      body(lo, std::min(end, lo + chunk));
     return;
   }
 
-  run_job(begin, end, body, /*poll=*/true);
-}
-
-void ThreadPool::run_job(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body,
-                         bool poll) const {
   // One loop at a time: concurrent top-level callers queue here.
   const MutexLock run_lock(run_mutex_);
-
   Shared& s = *shared_;
-  const std::size_t n = end - begin;
-  const auto participants =
-      static_cast<unsigned>(std::min<std::size_t>(thread_count_, n));
-  // Snapshots of job fields for participant 0's lock-free use below:
-  // after publication the workers own the shared state, and even
-  // this-thread-wrote-it reads back from `s` would need the lock.
-  std::size_t chunk = 0;
-  std::uint64_t publish_ns = 0;
+  const Job job{&body, begin, end, chunk,
+                obs::telemetry_enabled() ? obs::TraceRecorder::now_ns() : 0,
+                current_governor_shared()};
   {
     const MutexLock lock(s.m);
-    s.body = &body;
-    s.begin = begin;
-    s.end = end;
-    s.chunk = (n + participants - 1) / participants;
+    s.job = job;
     s.remaining = static_cast<unsigned>(workers_.size());
     s.error = nullptr;
-    s.publish_ns =
-        obs::telemetry_enabled() ? obs::TraceRecorder::now_ns() : 0;
-    s.governor = current_governor_shared();
-    s.poll = poll;
     ++s.generation;
-    chunk = s.chunk;
-    publish_ns = s.publish_ns;
   }
   s.job_cv.notify_all();
-
-  // The calling thread is participant 0 (its thread-local governor is
-  // already installed; poll it between indices like the workers do).
-  {
-    const bool traced = obs::telemetry_enabled();
-    const std::uint64_t start_ns =
-        traced ? obs::TraceRecorder::now_ns() : 0;
-    const DepthGuard guard;
-    const ResourceGovernor* governor = current_governor();
-    const std::size_t hi = std::min(end, begin + chunk);
-    try {
-      for (std::size_t i = begin; i < hi; ++i) {
-        if (poll && governor != nullptr) governor->checkpoint();
-        body(i);
-      }
-    } catch (...) {
-      log_pool_task_error();
-      const MutexLock lock(s.m);
-      if (!s.error) s.error = std::current_exception();
-    }
-    if (traced)
-      record_pool_task(publish_ns, start_ns,
-                       obs::TraceRecorder::now_ns());
-  }
+  run_share(job, 0);  // the calling thread is participant 0
 
   std::exception_ptr error;
   {
     const MutexLock lock(s.m);
     while (s.remaining != 0) s.done_cv.wait(s.m);
     error = s.error;
-    s.body = nullptr;
-    s.governor = nullptr;
+    s.job = Job{};
   }
   if (error) std::rethrow_exception(error);
 }
 
+void ThreadPool::parallel_for(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t)>& body) const {
+  parallel_chunks(begin, end, [&body](std::size_t lo, std::size_t hi) {
+    const ResourceGovernor* governor = current_governor();
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (governor != nullptr) governor->checkpoint();
+      body(i);
+    }
+  });
+}
+
 unsigned ThreadPool::team_width() const {
-  if (t_parallel_depth > 0) return 1;
-  return std::min(thread_count_, default_thread_count());
+  return t_parallel_depth > 0 ? 1 : participants_;
 }
 
 void ThreadPool::run_team(
     const std::function<void(TeamMember&)>& body) const {
   const unsigned width = team_width();
   TeamMember::State state;
-  // Never throws: a failing body aborts the team, whose first error is
-  // rethrown below once every participant has left.
-  const std::function<void(std::size_t)> member_body =
-      [&](std::size_t rank) {
-        TeamMember member(state, static_cast<unsigned>(rank), width);
-        try {
-          body(member);
-        } catch (const TeamAborted&) {
-          // Released by a failed peer; its error is the one reported.
-        } catch (...) {
-          log_pool_task_error();
-          state.abort(std::current_exception());
-        }
-      };
-  if (width == 1) {
-    const DepthGuard guard;
-    member_body(0);
-  } else {
-    run_job(0, width, member_body, /*poll=*/false);
-  }
+  // One chunk per participant. Never throws: a failing body aborts the
+  // team, whose first error is rethrown below once every participant
+  // has left.
+  parallel_chunks(0, width, [&](std::size_t rank, std::size_t) {
+    TeamMember member(state, static_cast<unsigned>(rank), width);
+    try {
+      body(member);
+    } catch (const TeamAborted&) {
+      // Released by a failed peer; its error is the one reported.
+    } catch (...) {
+      log_pool_task_error();
+      state.abort(std::current_exception());
+    }
+  });
   std::exception_ptr error;
   {
     const MutexLock lock(state.m);

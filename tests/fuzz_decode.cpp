@@ -1,7 +1,7 @@
 // Structure-aware decode fuzzing (deterministic, in-process).
 //
 // Every case compresses known-good data, then feeds >= 1000 seeded
-// mutations of the archive (util/mutator.h: bit flips, truncations,
+// mutations of the archive (tests/mutator.h: bit flips, truncations,
 // length-field/section-header forgeries, table corruption) to the
 // decoder and requires one of exactly two outcomes:
 //
@@ -36,7 +36,7 @@
 #include "core/shared_basis.h"
 #include "core/verify.h"
 #include "io/file_io.h"
-#include "util/mutator.h"
+#include "mutator.h"
 #include "util/rng.h"
 
 namespace dpz {

@@ -75,6 +75,8 @@ TEST(Analyze, BadTreeEveryPlantedViolationFlagged) {
       {"simd-isolated", "src/core/vector.cpp", 6, "__m256d"},
       {"simd-isolated", "src/core/vector.cpp", 6, "_mm256_loadu_pd"},
       {"simd-isolated", "src/core/vector.cpp", 8, "_mm256_storeu_pd"},
+      {"raw-thread", "src/linalg/bands.cpp", 7, "thread_count()"},
+      {"raw-thread", "src/linalg/bands.cpp", 8, "team_width()"},
       {"telemetry-dup", "src/obs/names.h", 12, "\"encode_plan\""},
       {"single-span", "src/simd/dispatch.cpp", 7, "span_push"},
       {"single-span", "src/simd/dispatch.cpp", 9, "span_pop"},

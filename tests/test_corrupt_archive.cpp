@@ -21,9 +21,9 @@
 #include "core/layout.h"
 #include "core/shared_basis.h"
 #include "core/verify.h"
+#include "mutator.h"
 #include "util/crc32c.h"
 #include "util/error.h"
-#include "util/mutator.h"
 #include "util/rng.h"
 
 namespace dpz {

@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "capi/dpz_c.h"
@@ -94,6 +95,47 @@ TEST(Diagnostics, CorruptDecodeLeavesSectionOffsetFrameBreadcrumbs) {
   EXPECT_NE(report.find("frame="), std::string::npos);
   EXPECT_NE(report.find("offset="), std::string::npos);
   EXPECT_NE(report.find("flight recorder"), std::string::npos);
+}
+
+// The trace and the flight recorder name a thread by one id. Thread A
+// only traces and thread B traces and logs, so numbering threads per
+// recorder would give B a different id in each.
+TEST(Diagnostics, TraceAndFlightRecorderNameAThreadAlike) {
+  const obs::ScopedTelemetry telemetry(true);
+  obs::TraceRecorder& trace = obs::TraceRecorder::instance();
+  trace.clear();
+  FlightRecorder::instance().clear();
+  const std::uint64_t now = obs::TraceRecorder::now_ns();
+  std::thread([&] { trace.record(obs::Span::kStage1Dct, now, 1); }).join();
+  std::thread([&] {
+    obs::log_error(Event::kErrorRaised, StatusCode::kInternal, {},
+                   "tid probe");
+    trace.record(obs::Span::kZlibEncode, now, 1);
+  }).join();
+
+  std::map<std::string, double> trace_tid;
+  const json::Value doc = json::parse(trace.json());
+  for (const json::Value& e : doc.find("traceEvents")->items)
+    trace_tid[e.find("name")->text] = e.find("tid")->number;
+  ASSERT_EQ(trace_tid.count("stage1_dct"), 1U);
+  ASSERT_EQ(trace_tid.count("zlib_encode"), 1U);
+  EXPECT_NE(trace_tid["stage1_dct"], trace_tid["zlib_encode"]);
+
+  std::ostringstream log;
+  FlightRecorder::instance().write_jsonl(log);
+  std::istringstream lines(log.str());
+  std::string line;
+  int probes = 0;
+  while (std::getline(lines, line)) {
+    const json::Value rec = json::parse(line);
+    if (rec.find("detail") == nullptr ||
+        rec.find("detail")->text != "tid probe")
+      continue;
+    ++probes;
+    EXPECT_EQ(rec.find("tid")->number, trace_tid["zlib_encode"]);
+  }
+  EXPECT_EQ(probes, 1);
+  trace.clear();
 }
 
 TEST(Diagnostics, LastErrorReportCrossesTheCApi) {

@@ -24,7 +24,7 @@
 #include "dsp/dct.h"
 #include "linalg/pca.h"
 #include "metrics/metrics.h"
-#include "util/mutator.h"
+#include "mutator.h"
 #include "util/rng.h"
 
 namespace dpz {

@@ -9,9 +9,12 @@
 #include <functional>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "util/annotated_mutex.h"
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/format.h"
@@ -255,6 +258,54 @@ TEST(ThreadPool, ReusableAcrossManyLoops) {
   for (const int v : out) EXPECT_EQ(v, 200);
 }
 
+TEST(ThreadPool, NeverRunsBodiesOnMoreThreadsThanCores) {
+  const unsigned hw = std::max(1U, std::thread::hardware_concurrency());
+  const ThreadPool pool(hw + 4);
+  EXPECT_EQ(pool.thread_count(), hw + 4);
+  Mutex m;
+  std::set<std::thread::id> seen;
+  for (int loop = 0; loop < 200; ++loop)
+    pool.parallel_for(0, 1000, [&](std::size_t) {
+      const MutexLock lock(m);
+      seen.insert(std::this_thread::get_id());
+    });
+  EXPECT_LE(seen.size(), hw);
+}
+
+TEST(ThreadPool, ChunksAreTheCeilingPartitionOfTheRequestedWidth) {
+  // The width, not the host's cores, sets the chunk boundaries, so an
+  // 8-thread pool splits work 8 ways on any host; nested calls run the
+  // same chunks inline, in order.
+  const ThreadPool pool(8);
+  EXPECT_EQ(pool.thread_count(), 8U);
+  using Chunks = std::vector<std::pair<std::size_t, std::size_t>>;
+  auto chunks_of = [&](std::size_t begin, std::size_t end) {
+    Mutex m;
+    Chunks out;
+    pool.parallel_chunks(begin, end, [&](std::size_t lo, std::size_t hi) {
+      const MutexLock lock(m);
+      out.emplace_back(lo, hi);
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  Chunks eight;
+  for (std::size_t c = 0; c < 8; ++c)
+    eight.emplace_back(c * 125, (c + 1) * 125);
+  EXPECT_EQ(chunks_of(0, 1000), eight);
+  EXPECT_EQ(chunks_of(10, 19),
+            (Chunks{{10, 12}, {12, 14}, {14, 16}, {16, 18}, {18, 19}}));
+  EXPECT_EQ(chunks_of(3, 6), (Chunks{{3, 4}, {4, 5}, {5, 6}}));
+
+  Chunks nested;
+  pool.parallel_for(0, 1, [&](std::size_t) {
+    pool.parallel_chunks(0, 1000, [&](std::size_t lo, std::size_t hi) {
+      nested.emplace_back(lo, hi);
+    });
+  });
+  EXPECT_EQ(nested, eight);
+}
+
 TEST(PoolScope, FreeParallelForRoutesThroughActivePool) {
   // A 1-thread scoped pool keeps everything on the calling thread; the
   // free parallel_for must pick it up instead of the global pool.
@@ -339,6 +390,37 @@ TEST(ThreadTeam, WidthIsClampedToHardwareAndOneWhenNested) {
       team.barrier();
     });
   });
+}
+
+TEST(ThreadTeam, MembersEnterOnceOnThePoolsOwnThreads) {
+  // The team is the pool: min(threads, cores) members, each entering
+  // exactly once on its own thread, and no loop on the pool runs on a
+  // thread outside the team.
+  const unsigned hw = std::max(1U, std::thread::hardware_concurrency());
+  for (const unsigned threads : {2U, hw, hw + 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const ThreadPool pool(threads);
+    const unsigned width = std::min(threads, hw);
+    EXPECT_EQ(pool.team_width(), width);
+    Mutex m;
+    std::vector<int> entries(width, 0);
+    std::set<std::thread::id> team;
+    pool.run_team([&](TeamMember& member) {
+      EXPECT_EQ(member.size(), width);
+      const MutexLock lock(m);
+      ++entries[member.rank()];
+      team.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(entries, std::vector<int>(width, 1));
+    EXPECT_EQ(team.size(), width);
+    std::set<std::thread::id> loop;
+    for (int round = 0; round < 50; ++round)
+      pool.parallel_for(0, 64, [&](std::size_t) {
+        const MutexLock lock(m);
+        loop.insert(std::this_thread::get_id());
+      });
+    for (const std::thread::id& id : loop) EXPECT_EQ(team.count(id), 1U);
+  }
 }
 
 // Runs `body` on a 4-thread pool's team and returns how often run_team

@@ -67,8 +67,10 @@ const std::vector<CheckInfo> kChecks = {
      "util/annotated_mutex.h; everything else uses the capability-"
      "annotated wrappers"},
     {"raw-thread",
-     "std::thread/std::async/.detach() appear only inside "
-     "util/thread_pool.{h,cpp}; parallelism goes through the pool"},
+     "std::thread/std::async/.detach() and thread_count() appear only "
+     "inside util/thread_pool.{h,cpp}, team_width() also in "
+     "linalg/eigen_sym.cpp (the Householder team gate); parallelism "
+     "and its partition go through the pool"},
     {"simd-isolated",
      "vector intrinsics (_mm*/__m*, NEON v*q_* and float{32,64}x*) "
      "appear only under src/simd/; everything else reaches them "
@@ -641,6 +643,18 @@ void check_concurrency_primitives(const FileMap& files,
         add(out, "raw-thread", path, toks[i].line,
             ".detach() outside util/thread_pool; detached threads "
             "outlive their pool and break the join contract");
+      // The pool is the one partitioner: code that reads its width to
+      // cut its own bands splits work a second way.
+      if (!thread_ok && toks[i].kind == TokKind::kIdent &&
+          toks[i + 1].text == "(" &&
+          (toks[i].text == "thread_count" ||
+           (toks[i].text == "team_width" &&
+            path != "src/linalg/eigen_sym.cpp")))
+        add(out, "raw-thread", path, toks[i].line,
+            toks[i].text +
+                "() outside util/thread_pool; split work with "
+                "parallel_chunks instead of partitioning by the pool "
+                "width");
     }
   }
 }
