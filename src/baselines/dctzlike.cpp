@@ -29,26 +29,24 @@ std::vector<std::uint8_t> dctzlike_compress(const FloatArray& data,
   Matrix blocks = to_blocks(data.flat(), layout);
   dct_rows(blocks);
 
-  QuantizerConfig qcfg;
-  qcfg.error_bound = eb;
-  qcfg.wide_codes = config.wide_codes;
+  const QuantizerConfig qcfg{.error_bound = eb, .wide_codes = true};
   const QuantizedStream qs = quantize(blocks.flat(), qcfg);
 
   ByteWriter w;
   w.put_u32(kMagic);
-  w.put_u8(config.wide_codes ? 1 : 0);
+  w.put_u8(1);  // wide (2-byte) codes; the reader honours either width
   w.put_f64(eb);
   detail::put_shape(w, data.shape());
   detail::put_blocks(w, layout);
   w.put_u64(qs.outliers.size());
 
   w.put_u64(qs.codes.size());
-  w.put_blob(zlib_compress(qs.codes, config.zlib_level));
+  w.put_blob(zlib_compress(qs.codes));
   ByteWriter outlier_bytes;
   for (const double v : qs.outliers)
     outlier_bytes.put_f32(static_cast<float>(v));
   w.put_u64(outlier_bytes.size());
-  w.put_blob(zlib_compress(outlier_bytes.bytes(), config.zlib_level));
+  w.put_blob(zlib_compress(outlier_bytes.bytes()));
   return w.take();
 }
 

@@ -4,7 +4,7 @@
 //
 // Pipeline: block decomposition -> per-block orthonormal DCT-II ->
 // uniform quantization of the coefficients against one absolute bound
-// (bin width 2*eb, escape for out-of-range) -> zlib. Because the DCT is
+// (bin width 2*eb, 2-byte codes, escape for out-of-range) -> zlib. Because the DCT is
 // orthonormal, a per-coefficient error e yields a reconstruction RMS
 // error of e/sqrt(3) (Parseval), so the bound maps predictably to PSNR.
 //
@@ -16,7 +16,7 @@
 #include <span>
 #include <vector>
 
-#include "core/compressor.h"
+#include "io/ndarray.h"
 
 namespace dpz {
 
@@ -25,9 +25,6 @@ struct DctzLikeConfig {
   double error_bound = 1e-3;
   /// Value-range-relative bound: eb = relative_bound * (max - min).
   double relative_bound = 0.0;
-  /// 1-byte or 2-byte bin codes (like DPZ's two schemes).
-  bool wide_codes = true;
-  int zlib_level = 6;
 
   [[nodiscard]] double resolve_bound(double value_range) const {
     if (relative_bound > 0.0) {
@@ -42,25 +39,5 @@ std::vector<std::uint8_t> dctzlike_compress(const FloatArray& data,
                                             const DctzLikeConfig& config);
 
 FloatArray dctzlike_decompress(std::span<const std::uint8_t> archive);
-
-/// Compressor-interface adapter.
-class DctzLikeCompressor final : public Compressor {
- public:
-  explicit DctzLikeCompressor(DctzLikeConfig config = {})
-      : config_(config) {}
-
-  std::vector<std::uint8_t> compress(const FloatArray& data) override {
-    return dctzlike_compress(data, config_);
-  }
-  FloatArray decompress(std::span<const std::uint8_t> archive) override {
-    return dctzlike_decompress(archive);
-  }
-  [[nodiscard]] std::string name() const override { return "DCTZ-like"; }
-
-  [[nodiscard]] DctzLikeConfig& config() { return config_; }
-
- private:
-  DctzLikeConfig config_;
-};
 
 }  // namespace dpz

@@ -158,9 +158,9 @@ std::vector<std::uint8_t> mgard_like_compress(
   detail::put_shape(w, dims);
   w.put_u64(raw_values.size());
   w.put_u64(huffman.size());
-  w.put_blob(zlib_compress(huffman, config.zlib_level));
+  w.put_blob(zlib_compress(huffman));
   w.put_u64(raw_bytes.size());
-  w.put_blob(zlib_compress(raw_bytes.bytes(), config.zlib_level));
+  w.put_blob(zlib_compress(raw_bytes.bytes()));
   return w.take();
 }
 

@@ -22,7 +22,7 @@
 #include <span>
 #include <vector>
 
-#include "core/compressor.h"
+#include "io/ndarray.h"
 
 namespace dpz {
 
@@ -31,7 +31,6 @@ struct MgardLikeConfig {
   double error_bound = 1e-3;
   /// Value-range-relative bound: eb = relative_bound * (max - min).
   double relative_bound = 0.0;
-  int zlib_level = 6;
 
   [[nodiscard]] double resolve_bound(double value_range) const {
     if (relative_bound > 0.0) {
@@ -54,25 +53,5 @@ void hierarchical_forward_1d(std::span<double> data, std::size_t n,
                              std::size_t stride);
 void hierarchical_inverse_1d(std::span<double> data, std::size_t n,
                              std::size_t stride);
-
-/// Compressor-interface adapter.
-class MgardLikeCompressor final : public Compressor {
- public:
-  explicit MgardLikeCompressor(MgardLikeConfig config = {})
-      : config_(config) {}
-
-  std::vector<std::uint8_t> compress(const FloatArray& data) override {
-    return mgard_like_compress(data, config_);
-  }
-  FloatArray decompress(std::span<const std::uint8_t> archive) override {
-    return mgard_like_decompress(archive);
-  }
-  [[nodiscard]] std::string name() const override { return "MGARD-like"; }
-
-  [[nodiscard]] MgardLikeConfig& config() { return config_; }
-
- private:
-  MgardLikeConfig config_;
-};
 
 }  // namespace dpz

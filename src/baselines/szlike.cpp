@@ -124,12 +124,12 @@ std::vector<std::uint8_t> szlike_compress(const FloatArray& data,
   const std::vector<std::uint8_t> huffman =
       huffman_encode(codes, kAlphabet);
   const std::vector<std::uint8_t> huffman_z =
-      zlib_compress(huffman, config.zlib_level);
+      zlib_compress(huffman);
 
   ByteWriter raw_bytes;
   for (const float v : raw_values) raw_bytes.put_f32(v);
   const std::vector<std::uint8_t> raw_z =
-      zlib_compress(raw_bytes.bytes(), config.zlib_level);
+      zlib_compress(raw_bytes.bytes());
 
   ByteWriter w;
   w.put_u32(kMagic);

@@ -24,7 +24,6 @@ struct SzLikeConfig {
   double error_bound = 1e-3;
   /// Value-range-relative bound: eb = relative_bound * (max - min).
   double relative_bound = 0.0;
-  int zlib_level = 6;
 
   [[nodiscard]] double resolve_bound(double value_range) const {
     if (relative_bound > 0.0) {

@@ -95,13 +95,12 @@ std::vector<double> ttm(const std::vector<double>& tensor,
   return fold(projected, dims, mode);
 }
 
-void put_f32_section(ByteWriter& w, std::span<const double> values,
-                     int level) {
+void put_f32_section(ByteWriter& w, std::span<const double> values) {
   ByteWriter raw;
   for (const double v : values) raw.put_f32(static_cast<float>(v));
   const auto shuffled = shuffle_bytes(raw.bytes(), sizeof(float));
   w.put_u64(shuffled.size());
-  w.put_blob(zlib_compress(shuffled, level));
+  w.put_blob(zlib_compress(shuffled));
 }
 
 std::vector<double> get_f32_section(ByteReader& r, std::size_t count) {
@@ -230,11 +229,11 @@ std::vector<std::uint8_t> tthresh_like_compress(
     for (std::size_t i = 0; i < dims[mode]; ++i)
       for (std::size_t j = 0; j < ranks[mode]; ++j)
         flat.push_back(factors[mode](i, j));
-    put_f32_section(w, flat, config.zlib_level);
+    put_f32_section(w, flat);
   }
   w.put_u64(mask.size());
-  w.put_blob(zlib_compress(mask, config.zlib_level));
-  put_f32_section(w, kept_values, config.zlib_level);
+  w.put_blob(zlib_compress(mask));
+  put_f32_section(w, kept_values);
   return w.take();
 }
 

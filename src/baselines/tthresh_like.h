@@ -20,7 +20,7 @@
 #include <span>
 #include <vector>
 
-#include "core/compressor.h"
+#include "io/ndarray.h"
 
 namespace dpz {
 
@@ -28,7 +28,6 @@ struct TthreshLikeConfig {
   /// Fraction of total core energy to preserve, in (0, 1]. The achieved
   /// PSNR follows directly: MSE = (1 - energy) * field variance-ish.
   double energy = 0.999999;
-  int zlib_level = 6;
 };
 
 /// Compresses a rank-2 or rank-3 tensor. Rank-1 inputs are rejected
@@ -37,25 +36,5 @@ std::vector<std::uint8_t> tthresh_like_compress(
     const FloatArray& data, const TthreshLikeConfig& config);
 
 FloatArray tthresh_like_decompress(std::span<const std::uint8_t> archive);
-
-/// Compressor-interface adapter.
-class TthreshLikeCompressor final : public Compressor {
- public:
-  explicit TthreshLikeCompressor(TthreshLikeConfig config = {})
-      : config_(config) {}
-
-  std::vector<std::uint8_t> compress(const FloatArray& data) override {
-    return tthresh_like_compress(data, config_);
-  }
-  FloatArray decompress(std::span<const std::uint8_t> archive) override {
-    return tthresh_like_decompress(archive);
-  }
-  [[nodiscard]] std::string name() const override { return "TTHRESH-like"; }
-
-  [[nodiscard]] TthreshLikeConfig& config() { return config_; }
-
- private:
-  TthreshLikeConfig config_;
-};
 
 }  // namespace dpz

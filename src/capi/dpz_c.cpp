@@ -255,24 +255,34 @@ int chunked_decompress_impl(const unsigned char* container,
 
 extern "C" {
 
+// The defaults are the library's own (DpzConfig{}, ChunkedConfig{}), so
+// the C API cannot drift from them.
 void dpz_options_default(dpz_options* opt) {
   if (opt == nullptr) return;
-  opt->scheme = DPZ_SCHEME_STRICT;
-  opt->selection = DPZ_SELECT_TVE;
-  opt->tve = 0.99999;
-  opt->use_sampling = 0;
-  opt->error_bound = 0.0;
-  opt->dct_keep_fraction = 1.0;
-  opt->zlib_level = 6;
-  opt->threads = 0;
-  opt->best_effort = 0;
-  opt->fill_value = 0.0;
+  const dpz::ChunkedConfig defaults;
+  const dpz::DpzConfig& config = defaults.dpz;
+  opt->scheme = config.scheme == dpz::DpzScheme::kLoose ? DPZ_SCHEME_LOOSE
+                                                        : DPZ_SCHEME_STRICT;
+  opt->selection =
+      config.selection == dpz::KSelectionMethod::kTveThreshold
+          ? DPZ_SELECT_TVE
+          : (config.knee_fit == dpz::KneeFit::kFit1D ? DPZ_SELECT_KNEE_1D
+                                                     : DPZ_SELECT_KNEE_POLY);
+  opt->tve = config.tve;
+  opt->use_sampling = config.use_sampling ? 1 : 0;
+  opt->error_bound = config.error_bound;
+  opt->dct_keep_fraction = config.dct_keep_fraction;
+  opt->zlib_level = config.zlib_level;
+  opt->threads = static_cast<int>(defaults.threads);
+  opt->best_effort =
+      defaults.decode_policy == dpz::DecodePolicy::kBestEffort ? 1 : 0;
+  opt->fill_value = defaults.fill_value;
   opt->trace_path = nullptr;
-  opt->max_memory_bytes = 0;
-  opt->deadline_ms = 0.0;
+  opt->max_memory_bytes = config.limits.max_memory_bytes;
+  opt->deadline_ms = 0.0;  // ResourceLimits{} has no deadline
   opt->cancel = nullptr;
-  opt->parity_k = 16;
-  opt->parity_m = 0;
+  opt->parity_k = static_cast<int>(defaults.parity_k);
+  opt->parity_m = static_cast<int>(defaults.parity_m);
 }
 
 dpz_cancel_token* dpz_cancel_token_new(void) {

@@ -30,13 +30,6 @@ class BitWriter {
     bit_pos_ = (bit_pos_ + 1) & 7U;
   }
 
-  /// Total bits written so far.
-  [[nodiscard]] std::size_t bit_count() const {
-    return bytes_.empty() ? 0
-                          : (bytes_.size() - 1) * 8 +
-                                (bit_pos_ == 0 ? 8 : bit_pos_);
-  }
-
   /// Finishes the stream (zero-pads the final byte) and returns the bytes.
   [[nodiscard]] std::vector<std::uint8_t> take() {
     bit_pos_ = 0;
@@ -82,7 +75,6 @@ class BitReader {
     return v;
   }
 
-  [[nodiscard]] std::size_t bit_position() const { return pos_; }
   [[nodiscard]] std::size_t bits_remaining() const {
     return data_.size() * 8 - pos_;
   }

@@ -364,7 +364,9 @@ NdArray<T> decompress_with_policy(Bytes container,
 std::vector<std::uint8_t> chunked_compress(const FloatArray& data,
                                            const ChunkedConfig& config,
                                            ChunkedStats* stats) {
-  DPZ_REQUIRE(config.chunk_values >= 8, "chunk must hold at least 8 values");
+  DPZ_REQUIRE(config.chunk_values >= 8 &&
+                  config.chunk_values <= detail::kMaxElements,
+              "chunk must hold 8 to 2^40 values");
   DPZ_REQUIRE(data.size() >= 8, "chunked DPZ needs at least 8 values");
   const bool parity = config.parity_m > 0;
   DPZ_REQUIRE(!parity || (config.parity_k >= 1 &&

@@ -64,9 +64,9 @@ struct DecodeReport {
 
 struct ChunkedConfig {
   DpzConfig dpz;
-  /// Values per chunk (the last chunk may be smaller, but never below
-  /// the pipeline minimum of 8 values — the tail merges into the
-  /// previous chunk when needed).
+  /// Values per chunk, in [8, 2^40] (the last chunk may be smaller, but
+  /// never below the pipeline minimum of 8 values — the tail merges into
+  /// the previous chunk when needed).
   std::size_t chunk_values = 1 << 20;
   /// Worker threads for the per-frame fan-out (frames are independent by
   /// design, SS V-C5). 0 = ambient pool. The container bytes are

@@ -1,6 +1,7 @@
-// Common interface every compressor in this repository implements (DPZ and
-// the SZ-like / ZFP-like baselines), so the rate-distortion harnesses can
-// sweep them uniformly.
+// Common interface that DPZ and the SZ-like and ZFP-like baselines
+// implement, so examples/turbulence_checkpoint and the tests can drive
+// them through one type. The other baselines expose only their
+// compress/decompress functions.
 #pragma once
 
 #include <cstdint>

@@ -53,8 +53,10 @@ struct DpzConfig {
   /// Curve fit for Method 1 (1-D interpolation or polynomial).
   KneeFit knee_fit = KneeFit::kFit1D;
   /// When non-zero, bypasses k selection entirely and keeps exactly this
-  /// many components (clamped to [1, M]). Used by the rate-control
-  /// helpers (core/rate_control.h), which search k directly.
+  /// many components (clamped to [1, M]). Rate control (core/rate_control.h)
+  /// searches k through DpzAnalysis::evaluate, whose archive is the one
+  /// dpz_compress writes at fixed_k = k (the contract core/analysis.h
+  /// states).
   std::size_t fixed_k = 0;
 
   /// Enables the Algorithm 2 sampling strategy (subset k estimation +
@@ -83,7 +85,6 @@ struct DpzConfig {
 
   /// Overrides; leave at the sentinel to use the scheme defaults.
   double error_bound = 0.0;  ///< 0 = scheme default (1e-3 / 1e-4)
-  int wide_codes = -1;       ///< -1 = scheme default, else 0/1
   int standardize = -1;      ///< -1 = auto (VIF probe when sampling), else 0/1
 
   /// Resource governance for the whole call: a peak-memory budget, an
@@ -97,8 +98,8 @@ struct DpzConfig {
     if (error_bound > 0.0) return error_bound;
     return scheme == DpzScheme::kLoose ? 1e-3 : 1e-4;
   }
+  /// 2-byte codes for DPZ-s, 1-byte for DPZ-l.
   [[nodiscard]] bool effective_wide_codes() const {
-    if (wide_codes >= 0) return wide_codes != 0;
     return scheme == DpzScheme::kStrict;
   }
 
@@ -244,32 +245,23 @@ struct DecodePreflight {
 /// Prices a decode from its parsed header (see DecodePreflight).
 DecodePreflight dpz_decode_preflight(const DpzArchiveInfo& info);
 
-/// Compressor-interface adapter for the benchmark harnesses.
+/// Compressor-interface adapter.
 class DpzCompressor final : public Compressor {
  public:
-  explicit DpzCompressor(DpzConfig config, std::string label = "")
-      : config_(config),
-        label_(!label.empty()
-                   ? std::move(label)
-                   : (config.scheme == DpzScheme::kLoose ? "DPZ-l"
-                                                         : "DPZ-s")) {}
+  explicit DpzCompressor(DpzConfig config) : config_(config) {}
 
   std::vector<std::uint8_t> compress(const FloatArray& data) override {
-    return dpz_compress(data, config_, &last_stats_);
+    return dpz_compress(data, config_);
   }
   FloatArray decompress(std::span<const std::uint8_t> archive) override {
     return dpz_decompress(archive, 0, config_.threads, config_.limits);
   }
-  [[nodiscard]] std::string name() const override { return label_; }
-
-  /// Accounting from the most recent compress() call.
-  [[nodiscard]] const DpzStats& last_stats() const { return last_stats_; }
-  [[nodiscard]] DpzConfig& config() { return config_; }
+  [[nodiscard]] std::string name() const override {
+    return config_.scheme == DpzScheme::kLoose ? "DPZ-l" : "DPZ-s";
+  }
 
  private:
   DpzConfig config_;
-  std::string label_;
-  DpzStats last_stats_;
 };
 
 }  // namespace dpz

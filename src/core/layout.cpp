@@ -40,11 +40,6 @@ constexpr std::uint8_t kDpzFlagStoredRaw = 0x04;
 constexpr std::uint8_t kDpzFlagDouble = 0x08;
 constexpr std::uint8_t kDpzFlagsKnown = 0x0F;
 
-// Upper bound on the element count an archive may claim, so a forged
-// header cannot trigger a runaway allocation before any payload
-// validation runs (2^40 elements = 4 TiB of f32).
-constexpr std::uint64_t kMaxElements = 1ULL << 40;
-
 // A compressed section's zlib stream, after raw_size u64, crc u32 (v2)
 // and blob_size u64.
 std::span<const std::uint8_t> blob_of(std::span<const std::uint8_t> input,

@@ -22,6 +22,13 @@
 
 namespace dpz::detail {
 
+/// Upper bound on the element count an archive may claim, so a forged
+/// header cannot trigger a runaway allocation before any payload
+/// validation runs (2^40 elements = 4 TiB of f32). chunked_compress
+/// holds its chunk size to the same cap, so it never writes a container
+/// the parser rejects.
+inline constexpr std::uint64_t kMaxElements = 1ULL << 40;
+
 /// Section::expected_raw when the header does not determine the size.
 inline constexpr std::uint64_t kAnyRawSize = ~std::uint64_t{0};
 

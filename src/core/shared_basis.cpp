@@ -208,8 +208,4 @@ FloatArray SharedBasisCodec::decompress(
                                     mean, unit_scale, layout_, shape_);
 }
 
-std::uint64_t SharedBasisCodec::basis_bytes() const {
-  return serialize().size();
-}
-
 }  // namespace dpz

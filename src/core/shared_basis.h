@@ -59,7 +59,6 @@ class SharedBasisCodec {
 
   [[nodiscard]] const BlockLayout& layout() const { return layout_; }
   [[nodiscard]] std::size_t k() const { return basis_.cols(); }
-  [[nodiscard]] std::uint64_t basis_bytes() const;
 
   /// Worker threads for compress/decompress (0 = ambient pool). Train
   /// adopts DpzConfig::threads; restored codecs default to 0 — the knob

@@ -156,45 +156,4 @@ std::vector<double> dct_naive_inverse(std::span<const double> x) {
   return out;
 }
 
-void dct_2d_forward(std::span<const double> in, std::span<double> out,
-                    std::size_t rows, std::size_t cols) {
-  DPZ_REQUIRE(in.size() == rows * cols && out.size() == rows * cols,
-              "2-D DCT buffer size mismatch");
-  const DctPlan row_plan(cols);
-  const DctPlan col_plan(rows);
-
-  // Rows first.
-  std::vector<double> tmp(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r)
-    row_plan.forward(in.subspan(r * cols, cols),
-                     std::span<double>(tmp).subspan(r * cols, cols));
-
-  // Then columns (gather/scatter through a contiguous scratch column).
-  std::vector<double> col(rows), col_out(rows);
-  for (std::size_t c = 0; c < cols; ++c) {
-    for (std::size_t r = 0; r < rows; ++r) col[r] = tmp[r * cols + c];
-    col_plan.forward(col, col_out);
-    for (std::size_t r = 0; r < rows; ++r) out[r * cols + c] = col_out[r];
-  }
-}
-
-void dct_2d_inverse(std::span<const double> in, std::span<double> out,
-                    std::size_t rows, std::size_t cols) {
-  DPZ_REQUIRE(in.size() == rows * cols && out.size() == rows * cols,
-              "2-D DCT buffer size mismatch");
-  const DctPlan row_plan(cols);
-  const DctPlan col_plan(rows);
-
-  std::vector<double> tmp(rows * cols);
-  std::vector<double> col(rows), col_out(rows);
-  for (std::size_t c = 0; c < cols; ++c) {
-    for (std::size_t r = 0; r < rows; ++r) col[r] = in[r * cols + c];
-    col_plan.inverse(col, col_out);
-    for (std::size_t r = 0; r < rows; ++r) tmp[r * cols + c] = col_out[r];
-  }
-  for (std::size_t r = 0; r < rows; ++r)
-    row_plan.inverse(std::span<const double>(tmp).subspan(r * cols, cols),
-                     out.subspan(r * cols, cols));
-}
-
 }  // namespace dpz

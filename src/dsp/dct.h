@@ -6,11 +6,12 @@
 // x = A z, and Parseval's identity makes the energy-compaction ratio (ECR,
 // Eq. 1) well defined on coefficients.
 //
-// Two execution paths are provided:
+// Two execution paths are provided, both 1-D (Stage 1 transforms each
+// block row on its own):
 //  * DctPlan       — O(n log n) via Makhoul's single-length-n FFT method,
 //                    used by the compressor;
 //  * dct_naive_*   — O(n^2) direct evaluation, kept as the oracle the unit
-//                    tests cross-validate against.
+//                    tests and micro benches cross-validate against.
 #pragma once
 
 #include <cstddef>
@@ -58,14 +59,5 @@ std::vector<double> dct_naive_forward(std::span<const double> x);
 
 /// Reference O(n^2) orthonormal DCT-III (inverse of dct_naive_forward).
 std::vector<double> dct_naive_inverse(std::span<const double> x);
-
-/// Separable 2-D orthonormal DCT-II over a rows x cols row-major matrix
-/// (Z = A_M^T X A_N in the paper's notation). Used by analysis figures.
-void dct_2d_forward(std::span<const double> in, std::span<double> out,
-                    std::size_t rows, std::size_t cols);
-
-/// Inverse of dct_2d_forward.
-void dct_2d_inverse(std::span<const double> in, std::span<double> out,
-                    std::size_t rows, std::size_t cols);
 
 }  // namespace dpz

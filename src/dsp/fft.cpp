@@ -171,9 +171,4 @@ void FftPlan::execute_bluestein(std::vector<std::complex<double>>& data,
   }
 }
 
-void fft(std::vector<std::complex<double>>& data, bool inverse) {
-  const FftPlan plan(data.size());
-  plan.execute(data, inverse);
-}
-
 }  // namespace dpz

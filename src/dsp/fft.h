@@ -1,10 +1,11 @@
-// Complex FFT substrate.
+// Complex FFT substrate for Stage 1's DCT.
 //
-// FFTW is not available in this environment, so DPZ carries its own FFT:
-// an iterative radix-2 Cooley-Tukey kernel for power-of-two lengths and
-// Bluestein's chirp-z algorithm for arbitrary lengths (needed because block
-// sizes produced by the divisor-pair decomposition are not always powers of
-// two, e.g. CESM-ATM blocks of 3600 points).
+// DPZ carries its own FFT instead of depending on FFTW. Every transform
+// runs through an FftPlan built once per length: an iterative radix-2
+// Cooley-Tukey kernel for power-of-two lengths and Bluestein's chirp-z
+// algorithm for arbitrary lengths (needed because block sizes produced by
+// the divisor-pair decomposition are not always powers of two, e.g.
+// CESM-ATM blocks of 3600 points).
 #pragma once
 
 #include <complex>
@@ -46,9 +47,6 @@ class FftPlan {
   std::vector<std::complex<double>> chirp_;      // w_k = exp(-i*pi*k^2/n)
   std::vector<std::complex<double>> chirp_fft_;  // FFT of padded conj chirp
 };
-
-/// One-shot convenience wrapper (builds a plan internally).
-void fft(std::vector<std::complex<double>>& data, bool inverse = false);
 
 /// True when n is a power of two.
 constexpr bool is_power_of_two(std::size_t n) {

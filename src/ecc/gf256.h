@@ -55,14 +55,6 @@ inline constexpr Gf256Tables kGf256 = make_gf256_tables();
   return detail::kGf256.exp[255 - detail::kGf256.log[a]];
 }
 
-/// a / b; the caller guarantees b != 0.
-[[nodiscard]] constexpr std::uint8_t gf_div(std::uint8_t a,
-                                            std::uint8_t b) {
-  if (a == 0) return 0;
-  return detail::kGf256.exp[static_cast<std::size_t>(detail::kGf256.log[a]) +
-                            255 - detail::kGf256.log[b]];
-}
-
 /// a^n for n >= 0 (0^0 == 1 by convention).
 [[nodiscard]] constexpr std::uint8_t gf_pow(std::uint8_t a,
                                             std::size_t n) {

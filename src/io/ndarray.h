@@ -58,8 +58,6 @@ class NdArray {
   [[nodiscard]] std::span<const T> flat() const {
     return std::span<const T>(data_);
   }
-  [[nodiscard]] std::vector<T>& storage() { return data_; }
-  [[nodiscard]] const std::vector<T>& storage() const { return data_; }
 
   [[nodiscard]] T& operator[](std::size_t i) { return data_[i]; }
   [[nodiscard]] const T& operator[](std::size_t i) const { return data_[i]; }
@@ -89,13 +87,6 @@ class NdArray {
   [[nodiscard]] const T& operator()(std::size_t i, std::size_t j,
                                     std::size_t k) const {
     return data_[(i * shape_[1] + j) * shape_[2] + k];
-  }
-
-  /// Returns a copy reshaped to `shape` (element count must match).
-  [[nodiscard]] NdArray reshaped(std::vector<std::size_t> shape) const {
-    DPZ_REQUIRE(checked_size(shape) == data_.size(),
-                "reshape must preserve element count");
-    return NdArray(std::move(shape), data_);
   }
 
   /// Minimum and maximum over all elements (requires non-empty array).
@@ -136,14 +127,5 @@ class NdArray {
 
 using FloatArray = NdArray<float>;
 using DoubleArray = NdArray<double>;
-
-/// Converts between element types (e.g. float dataset -> double pipeline).
-template <typename Out, typename In>
-NdArray<Out> convert(const NdArray<In>& in) {
-  std::vector<Out> data(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i)
-    data[i] = static_cast<Out>(in[i]);
-  return NdArray<Out>(in.shape(), std::move(data));
-}
 
 }  // namespace dpz

@@ -181,17 +181,6 @@ void FlightRecorder::clear() {
   has_last_error_ = false;
 }
 
-std::size_t FlightRecorder::record_count() const {
-  const MutexLock lock(registry_m_);
-  std::size_t n = 0;
-  for (const auto& ring : rings_) {
-    const MutexLock ring_lock(ring->m);
-    n += static_cast<std::size_t>(
-        std::min<std::uint64_t>(ring->next, kRingCapacity));
-  }
-  return n;
-}
-
 std::vector<FlightRecorder::Record> FlightRecorder::snapshot() const {
   std::vector<Record> out;
   {

@@ -164,9 +164,6 @@ class FlightRecorder {
   /// Drops every record, including the saved last error.
   void clear();
 
-  /// Records currently held across all threads.
-  [[nodiscard]] std::size_t record_count() const;
-
   /// Every held record, oldest first (merged across threads by
   /// timestamp).
   [[nodiscard]] std::vector<Record> snapshot() const;

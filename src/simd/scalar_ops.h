@@ -10,8 +10,6 @@
 
 namespace dpz::simd::detail {
 
-inline double mul_add_term(double x, double y) { return x * y; }
-
 /// Serial tail of the sixteen-lane tree reduction: acc + sum of
 /// remaining x[i]*y[i] terms, folded left to right.
 inline double dot_tail(double acc, const double* x, const double* y,

@@ -34,13 +34,4 @@ inline std::vector<double> ecr_curve(std::span<const double> coefficients) {
   return curve;
 }
 
-/// Smallest k with cumulative ECR >= threshold.
-inline std::size_t k_for_ecr(std::span<const double> coefficients,
-                             double threshold) {
-  const std::vector<double> curve = ecr_curve(coefficients);
-  for (std::size_t k = 0; k < curve.size(); ++k)
-    if (curve[k] >= threshold) return k + 1;
-  return curve.size();
-}
-
 }  // namespace dpz

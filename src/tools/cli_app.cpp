@@ -1,6 +1,8 @@
 #include "tools/cli_app.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <iostream>
 
 #include <filesystem>
@@ -44,7 +46,8 @@ const char* kUsage = R"(usage:
   dpz verify     <archive> [--scrub]
   dpz repair     <archive>
   dpz inspect    <archive>
-  dpz probe      <in.f32> --shape=AxBxC [--tve=...]
+  dpz probe      <in.f32> --shape=AxBxC [--scheme=l|s] [--tve=...]
+                 [--knee[=1d|polyn]]
   dpz datasets   <outdir> [--scale=0.2] [--names=CLDHGH,PHIS] [--seed=N]
   dpz metrics    export
   dpz trace-report <trace.json>
@@ -157,9 +160,31 @@ int exit_code_for(StatusCode code) {
 }
 
 unsigned parse_threads(const CliArgs& args) {
-  const int threads = args.get_int("threads", 0);
-  DPZ_REQUIRE(threads >= 0, "--threads must be >= 0");
+  const std::int64_t threads = args.get_int("threads", 0);
+  DPZ_REQUIRE(threads >= 0 && threads <= UINT32_MAX,
+              "--threads must be in [0, 2^32)");
   return static_cast<unsigned>(threads);
+}
+
+// A size-like flag: absent or empty is 0, a negative value is an error
+// instead of wrapping to a huge size_t.
+std::size_t parse_count(const CliArgs& args, const std::string& name) {
+  const std::int64_t value = args.get_int(name, 0);
+  DPZ_REQUIRE(value >= 0, "--" + name + " must be >= 0");
+  return static_cast<std::size_t>(value);
+}
+
+// Reads `text` as an all-digit decimal that fits uint64; anything else,
+// overflow included, throws InvalidArgument(`message`). std::stoull
+// would throw std::out_of_range, which run_cli does not catch.
+std::uint64_t parse_digits(const std::string& text,
+                           const std::string& message) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end)
+    throw InvalidArgument(message);
+  return value;
 }
 
 // Parses a byte-size flag value: a decimal count with an optional
@@ -176,11 +201,9 @@ std::uint64_t parse_byte_size(const std::string& text) {
       default: break;
     }
   }
-  const std::string num = text.substr(0, digits);
-  DPZ_REQUIRE(!num.empty() && num.find_first_not_of("0123456789") ==
-                                  std::string::npos,
-              "malformed byte size '" + text + "' (use e.g. 64M or 2G)");
-  const std::uint64_t value = std::stoull(num);
+  const std::uint64_t value =
+      parse_digits(text.substr(0, digits), "malformed byte size '" + text +
+                                               "' (use e.g. 64M or 2G)");
   DPZ_REQUIRE(value <= UINT64_MAX / mult,
               "byte size '" + text + "' overflows");
   return value * mult;
@@ -211,7 +234,7 @@ DpzConfig config_from_flags(const CliArgs& args) {
     throw InvalidArgument("unknown scheme '" + scheme + "' (use l or s)");
   }
 
-  config.tve = args.get_double("tve", 0.99999);
+  config.tve = args.get_double("tve", config.tve);
   if (args.has("knee")) {
     config.selection = KSelectionMethod::kKneePoint;
     const std::string fit = args.get_string("knee", "1d");
@@ -225,8 +248,9 @@ DpzConfig config_from_flags(const CliArgs& args) {
     }
   }
   config.use_sampling = args.get_bool("sampling", false);
-  config.error_bound = args.get_double("error-bound", 0.0);
-  config.dct_keep_fraction = args.get_double("dct-keep", 1.0);
+  config.error_bound = args.get_double("error-bound", config.error_bound);
+  config.dct_keep_fraction =
+      args.get_double("dct-keep", config.dct_keep_fraction);
   config.threads = parse_threads(args);
   config.limits = limits_from_flags(args);
   return config;
@@ -240,17 +264,13 @@ std::pair<unsigned, unsigned> parse_parity(const CliArgs& args) {
   const std::string text = args.get_string("parity", "");
   if (text.empty()) return {0, 0};
   const std::size_t plus = text.find('+');
-  const auto digits = [](const std::string& s) {
-    return !s.empty() &&
-           s.find_first_not_of("0123456789") == std::string::npos;
-  };
-  DPZ_REQUIRE(plus != std::string::npos &&
-                  digits(text.substr(0, plus)) &&
-                  digits(text.substr(plus + 1)),
-              "malformed --parity '" + text + "' (use e.g. 16+2)");
-  const unsigned long k = std::stoul(text.substr(0, plus));
-  const unsigned long m = std::stoul(text.substr(plus + 1));
-  DPZ_REQUIRE(k >= 1 && m >= 1 && k + m <= 255,
+  const std::string malformed =
+      "malformed --parity '" + text + "' (use e.g. 16+2)";
+  DPZ_REQUIRE(plus != std::string::npos, malformed);
+  const std::uint64_t k = parse_digits(text.substr(0, plus), malformed);
+  const std::uint64_t m = parse_digits(text.substr(plus + 1), malformed);
+  // k and m are bounded before they are added, so k + m cannot wrap.
+  DPZ_REQUIRE(k >= 1 && m >= 1 && k <= 255 && m <= 255 && k + m <= 255,
               "--parity needs k >= 1, m >= 1, k+m <= 255");
   return {static_cast<unsigned>(k), static_cast<unsigned>(m)};
 }
@@ -282,8 +302,7 @@ int cmd_compress(const CliArgs& args, std::ostream& out) {
     data = read_f32(in_path, parse_shape(shape_text));
   }
 
-  const auto chunk =
-      static_cast<std::size_t>(args.get_int("chunk", 0));
+  const std::size_t chunk = parse_count(args, "chunk");
   DPZ_REQUIRE(!(f64 && chunk != 0),
               "the chunked container currently supports f32 input only");
   const auto [parity_k, parity_m] = parse_parity(args);
@@ -378,8 +397,7 @@ int cmd_decompress(const CliArgs& args, std::ostream& out) {
               "decompress needs <in.dpz> <out.f32>");
   const std::string in_path = args.positional()[1];
   const std::string out_path = args.positional()[2];
-  const auto components =
-      static_cast<std::size_t>(args.get_int("components", 0));
+  const std::size_t components = parse_count(args, "components");
   const unsigned threads = parse_threads(args);
   const ResourceLimits limits = limits_from_flags(args);
 
@@ -399,7 +417,7 @@ int cmd_decompress(const CliArgs& args, std::ostream& out) {
     config.dpz.limits = limits;
     if (args.get_bool("best-effort", false))
       config.decode_policy = DecodePolicy::kBestEffort;
-    config.fill_value = args.get_double("fill", 0.0);
+    config.fill_value = args.get_double("fill", config.fill_value);
 
     Timer chunk_timer;
     DecodeReport report;
@@ -640,8 +658,7 @@ int cmd_probe(const CliArgs& args, std::ostream& out) {
   const FloatArray data =
       read_f32(args.positional()[1], parse_shape(shape_text));
 
-  DpzConfig config = DpzConfig::strict();
-  config.tve = args.get_double("tve", config.tve);
+  const DpzConfig config = config_from_flags(args);
   const BlockLayout layout = choose_block_layout(data.size());
   Matrix blocks = to_blocks(data.flat(), layout);
   const SamplingConfig scfg = detail::sampling_config(blocks, config);
@@ -935,11 +952,8 @@ std::vector<std::size_t> parse_shape(const std::string& text) {
     const std::size_t next = text.find('x', pos);
     const std::string token =
         text.substr(pos, next == std::string::npos ? next : next - pos);
-    if (token.empty() || token.find_first_not_of("0123456789") !=
-                             std::string::npos)
-      throw InvalidArgument("malformed shape '" + text +
-                            "' (expected e.g. 1800x3600)");
-    shape.push_back(static_cast<std::size_t>(std::stoull(token)));
+    shape.push_back(static_cast<std::size_t>(parse_digits(
+        token, "malformed shape '" + text + "' (expected e.g. 1800x3600)")));
     if (next == std::string::npos) break;
     pos = next + 1;
   }

@@ -39,25 +39,17 @@
 #define DPZ_SCOPED_CAPABILITY DPZ_TSA_(scoped_lockable)
 /// Declares that a member may only be accessed while holding `x`.
 #define DPZ_GUARDED_BY(x) DPZ_TSA_(guarded_by(x))
-/// Declares that the pointee of a pointer member is guarded by `x`.
-#define DPZ_PT_GUARDED_BY(x) DPZ_TSA_(pt_guarded_by(x))
 /// Declares that callers must hold the listed capabilities.
 #define DPZ_REQUIRES(...) DPZ_TSA_(requires_capability(__VA_ARGS__))
 /// Declares that a function acquires the listed capabilities.
 #define DPZ_ACQUIRE(...) DPZ_TSA_(acquire_capability(__VA_ARGS__))
 /// Declares that a function releases the listed capabilities.
 #define DPZ_RELEASE(...) DPZ_TSA_(release_capability(__VA_ARGS__))
-/// Declares a try-lock: acquires when the function returns `result`.
-#define DPZ_TRY_ACQUIRE(...) DPZ_TSA_(try_acquire_capability(__VA_ARGS__))
-/// Declares that callers must NOT hold the listed capabilities.
-#define DPZ_EXCLUDES(...) DPZ_TSA_(locks_excluded(__VA_ARGS__))
-/// Opts one function out of the analysis (justify at the use site).
-#define DPZ_NO_THREAD_SAFETY_ANALYSIS DPZ_TSA_(no_thread_safety_analysis)
 
 namespace dpz {
 
-/// std::mutex with the capability attribute. Satisfies Lockable, so it
-/// composes with the standard library, but prefer MutexLock scopes —
+/// std::mutex with the capability attribute. Satisfies BasicLockable, so
+/// it composes with the standard library, but prefer MutexLock scopes —
 /// manual lock()/unlock() pairs are where the analysis earns its keep
 /// least.
 class DPZ_CAPABILITY("mutex") Mutex {
@@ -68,7 +60,6 @@ class DPZ_CAPABILITY("mutex") Mutex {
 
   void lock() DPZ_ACQUIRE() { m_.lock(); }
   void unlock() DPZ_RELEASE() { m_.unlock(); }
-  bool try_lock() DPZ_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -111,7 +102,6 @@ class CondVar {
     lock.release();
   }
 
-  void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
  private:

@@ -1,6 +1,8 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/error.h"
@@ -72,13 +74,26 @@ std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE)
+    throw InvalidArgument("--" + name + "=" + it->second +
+                          ": not an integer in range");
+  return v;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (*end != '\0' || !std::isfinite(v))
+    throw InvalidArgument("--" + name + "=" + it->second +
+                          ": not a finite number");
+  return v;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {

@@ -25,6 +25,9 @@ class CliArgs {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
+  /// Numeric values must parse in full and fit the type (finite, for
+  /// doubles); anything else throws InvalidArgument naming the flag. An
+  /// absent or empty value yields `fallback`.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
@@ -35,8 +38,6 @@ class CliArgs {
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
-
-  [[nodiscard]] const std::string& program_name() const { return program_; }
 
  private:
   std::string program_;

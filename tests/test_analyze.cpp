@@ -6,6 +6,7 @@
 // strings, line accounting).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -142,6 +143,36 @@ TEST(Analyze, CheckRegistryNamesAreUniqueAndExercised) {
     EXPECT_TRUE(fired.count(name) != 0)
         << "check " << name << " never fires in the bad fixture tree";
   }
+}
+
+// The check table in docs/STATIC_ANALYSIS.md ("| `name` | contract |"
+// rows under the "| check | contract |" header) names exactly the
+// registered checks, so neither side can gain or lose one silently.
+TEST(Analyze, EveryCheckIsDocumented) {
+  std::ifstream doc(std::string(DPZ_ANALYZE_SOURCE_DIR) +
+                    "/docs/STATIC_ANALYSIS.md");
+  ASSERT_TRUE(doc.good());
+  std::set<std::string> documented;
+  bool in_table = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("| check | contract |", 0) == 0) {
+      in_table = true;
+      continue;
+    }
+    if (!in_table || line.rfind("|---", 0) == 0) continue;
+    if (line.rfind("| `", 0) != 0) {
+      in_table = false;
+      continue;
+    }
+    const std::size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << line;
+    EXPECT_TRUE(documented.insert(line.substr(3, end - 3)).second)
+        << "check documented twice: " << line.substr(3, end - 3);
+  }
+  std::set<std::string> registered;
+  for (const dpz::analyze::CheckInfo& check : dpz::analyze::kChecks)
+    registered.insert(check.name);
+  EXPECT_EQ(documented, registered);
 }
 
 TEST(Analyze, MissingRootIsFatalNotEmpty) {

@@ -6,7 +6,13 @@
 #include <cmath>
 
 #include "baselines/dctzlike.h"
+#include "codec/bytes.h"
+#include "codec/quantizer.h"
+#include "codec/zlib_codec.h"
+#include "core/archive_detail.h"
+#include "core/blocking.h"
 #include "core/dpz.h"
+#include "core/layout.h"
 #include "baselines/szlike.h"
 #include "baselines/zfplike.h"
 #include "metrics/metrics.h"
@@ -129,14 +135,60 @@ TEST(DctzLike, TighterBoundCostsMoreBits) {
             dctzlike_compress(data, loose).size());
 }
 
+// The writer always stores 2-byte codes; this frames the same field the
+// way it does, but with the width flag cleared and 1-byte codes, the other
+// width the reader accepts.
+std::vector<std::uint8_t> narrow_code_archive(const FloatArray& data,
+                                              double eb) {
+  DctzLikeConfig config;
+  config.error_bound = eb;
+  const std::vector<std::uint8_t> wide = dctzlike_compress(data, config);
+
+  const BlockLayout layout = choose_block_layout(data.size());
+  Matrix blocks = to_blocks(data.flat(), layout);
+  dct_rows(blocks);
+  const QuantizedStream qs =
+      quantize(blocks.flat(), {.error_bound = eb, .wide_codes = false});
+
+  ByteWriter w;
+  w.put_bytes(std::span(wide).first(4));  // magic
+  w.put_u8(0);                            // 1-byte codes
+  w.put_f64(eb);
+  detail::put_shape(w, data.shape());
+  detail::put_blocks(w, layout);
+  w.put_u64(qs.outliers.size());
+  w.put_u64(qs.codes.size());
+  w.put_blob(zlib_compress(qs.codes));
+  ByteWriter outlier_bytes;
+  for (const double v : qs.outliers)
+    outlier_bytes.put_f32(static_cast<float>(v));
+  w.put_u64(outlier_bytes.size());
+  w.put_blob(zlib_compress(outlier_bytes.bytes()));
+  return w.take();
+}
+
 TEST(DctzLike, NarrowCodesSupported) {
   const FloatArray data = smooth_field({48, 48}, 23);
-  DctzLikeConfig config;
-  config.wide_codes = false;
-  config.error_bound = 1e-2;
-  const FloatArray back =
-      dctzlike_decompress(dctzlike_compress(data, config));
+  const FloatArray back = dctzlike_decompress(narrow_code_archive(data, 1e-2));
+  ASSERT_EQ(back.shape(), data.shape());
   EXPECT_GT(compute_error_stats(data.flat(), back.flat()).psnr_db, 40.0);
+}
+
+// The width flag sizes the code section: flipping it on either width is a
+// format error, not a misread of the codes.
+TEST(DctzLike, CodeWidthFlagMustMatchTheCodeSection) {
+  const FloatArray data = smooth_field({48, 48}, 26);
+  DctzLikeConfig config;
+  config.error_bound = 1e-2;
+  std::vector<std::uint8_t> wide = dctzlike_compress(data, config);
+  ASSERT_EQ(wide[4], 1);
+  wide[4] = 0;
+  EXPECT_THROW(dctzlike_decompress(wide), FormatError);
+
+  std::vector<std::uint8_t> narrow = narrow_code_archive(data, 1e-2);
+  ASSERT_NO_THROW((void)dctzlike_decompress(narrow));
+  narrow[4] = 1;
+  EXPECT_THROW(dctzlike_decompress(narrow), FormatError);
 }
 
 TEST(DctzLike, RelativeBoundSupported) {
@@ -190,10 +242,6 @@ TEST(DctzLike, DpzBeatsItsPredecessorAtMatchedQuality) {
 TEST(DctzLike, GarbageArchiveRejected) {
   const std::vector<std::uint8_t> garbage(32, 0x77);
   EXPECT_THROW(dctzlike_decompress(garbage), FormatError);
-}
-
-TEST(DctzLike, CompressorAdapterName) {
-  EXPECT_EQ(DctzLikeCompressor().name(), "DCTZ-like");
 }
 
 // ---- ZFP-like ---------------------------------------------------------------

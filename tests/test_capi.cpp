@@ -253,6 +253,53 @@ TEST(CApi, ChunkedCompressRejectsBadParityGeometry) {
             DPZ_ERR_INVALID_ARGUMENT);
 }
 
+// The writer holds its chunk size to the parser's 2^40-value cap, so it
+// never emits a container that decode rejects.
+TEST(CApi, ChunkedCompressRejectsChunkAboveTheCap) {
+  const std::vector<float> data = smooth_values(4096);
+  const size_t dims[1] = {4096};
+  dpz_options opt;
+  dpz_options_default(&opt);
+  unsigned char* archive = nullptr;
+  size_t archive_size = 0;
+  EXPECT_EQ(dpz_chunked_compress_float(data.data(), dims, 1,
+                                       (size_t{1} << 40) + 1, &opt,
+                                       &archive, &archive_size),
+            DPZ_ERR_INVALID_ARGUMENT);
+  EXPECT_EQ(archive, nullptr);
+}
+
+// dpz_options_default reads the library's defaults, so a default-option
+// C call writes the bytes of a default-config C++ call, on both routes.
+TEST(CApi, DefaultOptionsAreTheLibraryDefaults) {
+  const std::vector<float> values = smooth_values(64 * 96);
+  const size_t dims[2] = {64, 96};
+  const dpz::FloatArray data({64, 96}, std::vector<float>(values));
+  dpz_options opt;
+  dpz_options_default(&opt);
+
+  unsigned char* archive = nullptr;
+  size_t archive_size = 0;
+  ASSERT_EQ(dpz_compress_float(values.data(), dims, 2, &opt, &archive,
+                               &archive_size),
+            DPZ_OK)
+      << dpz_last_error();
+  EXPECT_EQ(std::vector<std::uint8_t>(archive, archive + archive_size),
+            dpz::dpz_compress(data, dpz::DpzConfig{}));
+  dpz_free(archive);
+
+  dpz::ChunkedConfig config;
+  config.chunk_values = 2048;
+  ASSERT_EQ(dpz_chunked_compress_float(values.data(), dims, 2,
+                                       config.chunk_values, &opt, &archive,
+                                       &archive_size),
+            DPZ_OK)
+      << dpz_last_error();
+  EXPECT_EQ(std::vector<std::uint8_t>(archive, archive + archive_size),
+            dpz::chunked_compress(data, config));
+  dpz_free(archive);
+}
+
 TEST(CApi, MetricsExposeRepairCounters) {
   dpz_telemetry_enable(1);
   dpz_metrics_reset();

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -206,6 +207,23 @@ TEST(Chunked, BestEffortStrictPolicyMatchesLegacyOverload) {
   damaged[damaged.size() - 10] ^= 0x04;
   EXPECT_THROW(chunked_decompress(damaged, config, nullptr),
                ChecksumError);
+}
+
+// The parser rejects chunk_values above 2^40 (layout's kMaxElements), so
+// the writer does too, before the frame-count arithmetic can wrap.
+TEST(Chunked, ChunkSizeAboveTheParserCapRejected) {
+  const FloatArray data = long_signal(4096, 12);
+  ChunkedConfig config;
+  for (const std::size_t chunk :
+       {(std::size_t{1} << 40) + 1, SIZE_MAX - 4}) {
+    config.chunk_values = chunk;
+    EXPECT_THROW((void)chunked_compress(data, config), InvalidArgument)
+        << chunk;
+  }
+  config.chunk_values = std::size_t{1} << 40;
+  const auto container = chunked_compress(data, config);
+  EXPECT_EQ(chunked_frame_count(container), 1U);
+  EXPECT_EQ(chunked_decompress(container).size(), data.size());
 }
 
 TEST(Chunked, GarbageContainerRejected) {

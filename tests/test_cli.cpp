@@ -9,10 +9,14 @@
 #include <filesystem>
 #include <sstream>
 
+#include "core/archive_detail.h"
+#include "core/blocking.h"
 #include "core/chunked.h"
+#include "core/sampling.h"
 #include "io/file_io.h"
 #include "tools/cli_app.h"
 #include "util/error.h"
+#include "util/format.h"
 #include "util/resource.h"
 
 namespace dpz::tools {
@@ -34,6 +38,8 @@ TEST(ParseShape, RejectsMalformedShapes) {
   EXPECT_THROW(parse_shape("12xabc"), InvalidArgument);
   EXPECT_THROW(parse_shape("0x4"), InvalidArgument);
   EXPECT_THROW(parse_shape("2x3x4x5x6"), InvalidArgument);
+  EXPECT_THROW(parse_shape("99999999999999999999999"), InvalidArgument);
+  EXPECT_THROW(parse_shape("-5"), InvalidArgument);
 }
 
 class CliFlowTest : public ::testing::Test {
@@ -154,6 +160,33 @@ TEST_F(CliFlowTest, ProbeReportsVifAndEstimate) {
       << err_.str();
   EXPECT_NE(out_.str().find("VIF median"), std::string::npos);
   EXPECT_NE(out_.str().find("CR estimate"), std::string::npos);
+}
+
+// probe reads the compress flags, so --scheme=l calibrates its CR band
+// with the loose quantizer: the band is run_sampling's for
+// DpzConfig::loose(), not the strict one.
+TEST_F(CliFlowTest, ProbeHonoursTheSchemeFlag) {
+  const FloatArray data = read_f32(path("in.f32"), {64, 96});
+  const auto band = [&](const DpzConfig& config) {
+    const BlockLayout layout = choose_block_layout(data.size());
+    Matrix blocks = to_blocks(data.flat(), layout);
+    const SamplingConfig scfg = detail::sampling_config(blocks, config);
+    dct_rows(blocks);
+    const SamplingReport report = run_sampling(blocks, scfg);
+    return "CR estimate: " + fixed(report.cr_estimate_low, 1) + "X - " +
+           fixed(report.cr_estimate_high, 1) + "X";
+  };
+  const std::string loose = band(DpzConfig::loose());
+  const std::string strict = band(DpzConfig::strict());
+  ASSERT_NE(loose, strict);
+
+  ASSERT_EQ(run({"probe", path("in.f32"), "--shape=64x96", "--scheme=l"}),
+            0)
+      << err_.str();
+  EXPECT_NE(out_.str().find(loose), std::string::npos) << out_.str();
+  ASSERT_EQ(run({"probe", path("in.f32"), "--shape=64x96"}), 0)
+      << err_.str();
+  EXPECT_NE(out_.str().find(strict), std::string::npos) << out_.str();
 }
 
 TEST_F(CliFlowTest, MissingShapeFails) {
@@ -394,8 +427,10 @@ TEST_F(CliFlowTest, ParityFlagValidation) {
             1);
   EXPECT_NE(err_.str().find("--chunk"), std::string::npos);
   // Malformed geometries.
-  for (const char* bad : {"--parity=4", "--parity=0+2", "--parity=4+0",
-                          "--parity=300+1", "--parity=a+b"}) {
+  for (const char* bad :
+       {"--parity=4", "--parity=0+2", "--parity=4+0", "--parity=300+1",
+        "--parity=a+b", "--parity=99999999999999999999999+1",
+        "--parity=18446744073709551615+1"}) {
     EXPECT_EQ(run({"compress", path("in.f32"), path("x.dpzc"),
                    "--shape=64x96", "--chunk=2048", bad}),
               1)
@@ -543,8 +578,61 @@ TEST_F(CliFlowTest, MalformedResourceFlagsFail) {
                  "--max-memory="}),
             1);
   EXPECT_EQ(run({"decompress", path("in.f32"), path("x.f32"),
+                 "--max-memory=99999999999999999999999"}),
+            1);
+  EXPECT_NE(err_.str().find("byte size"), std::string::npos);
+  EXPECT_EQ(run({"decompress", path("in.f32"), path("x.f32"),
                  "--deadline-ms=-5"}),
             1);
+}
+
+// Numeric flags parse in full: trailing junk, an out-of-range value or a
+// non-finite number is a usage error naming the flag (exit 1), never a
+// silent fallback to the default or a truncated prefix.
+TEST_F(CliFlowTest, MalformedNumericFlagsFail) {
+  for (const std::string flag :
+       {"--threads=abc", "--chunk=abc", "--deadline-ms=abc",
+        "--dct-keep=0.5x", "--tve=1e999",
+        "--threads=99999999999999999999"}) {
+    EXPECT_EQ(run({"compress", path("in.f32"), path("x.dpz"),
+                   "--shape=64x96", flag}),
+              1)
+        << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(err_.str().find(name), std::string::npos)
+        << flag << ": " << err_.str();
+  }
+  EXPECT_FALSE(std::filesystem::exists(path("x.dpz")));
+}
+
+// A negative size is rejected instead of wrapping to 2^64 - N: --chunk=-5
+// used to write a 0-frame container and report a huge ratio.
+TEST_F(CliFlowTest, NegativeCountFlagsFail) {
+  EXPECT_EQ(run({"compress", path("in.f32"), path("x.dpz"),
+                 "--shape=64x96", "--chunk=-5"}),
+            1);
+  EXPECT_NE(err_.str().find("--chunk"), std::string::npos) << err_.str();
+  EXPECT_FALSE(std::filesystem::exists(path("x.dpz")));
+
+  ASSERT_EQ(run({"compress", path("in.f32"), path("a.dpz"),
+                 "--shape=64x96"}),
+            0)
+      << err_.str();
+  EXPECT_EQ(run({"decompress", path("a.dpz"), path("a.f32"),
+                 "--components=-1"}),
+            1);
+  EXPECT_NE(err_.str().find("--components"), std::string::npos)
+      << err_.str();
+}
+
+// A chunk above the parser's 2^40-value cap used to write a one-frame
+// container that decompress then rejected; compress now refuses it.
+TEST_F(CliFlowTest, ChunkAboveTheCapFails) {
+  EXPECT_EQ(run({"compress", path("in.f32"), path("x.dpzc"),
+                 "--shape=64x96", "--chunk=2199023255552"}),
+            1);
+  EXPECT_NE(err_.str().find("chunk"), std::string::npos) << err_.str();
+  EXPECT_FALSE(std::filesystem::exists(path("x.dpzc")));
 }
 
 TEST_F(CliFlowTest, InspectPrintsDecodePreflight) {

@@ -55,7 +55,6 @@ TEST(Gf256, EveryNonzeroElementHasAnInverse) {
   for (unsigned a = 1; a < 256; ++a) {
     const auto x = static_cast<std::uint8_t>(a);
     EXPECT_EQ(gf_mul(x, gf_inv(x)), 1) << "element " << a;
-    EXPECT_EQ(gf_div(x, x), 1);
   }
 }
 

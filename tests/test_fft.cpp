@@ -52,7 +52,7 @@ double max_abs_diff(const std::vector<Complex>& a,
 
 TEST(Fft, LengthOneIsIdentity) {
   std::vector<Complex> x{{3.0, -2.0}};
-  fft(x);
+  FftPlan(x.size()).execute(x, false);
   EXPECT_DOUBLE_EQ(x[0].real(), 3.0);
   EXPECT_DOUBLE_EQ(x[0].imag(), -2.0);
 }
@@ -60,7 +60,7 @@ TEST(Fft, LengthOneIsIdentity) {
 TEST(Fft, ImpulseHasFlatSpectrum) {
   std::vector<Complex> x(8, {0.0, 0.0});
   x[0] = {1.0, 0.0};
-  fft(x);
+  FftPlan(x.size()).execute(x, false);
   for (const auto& v : x) {
     EXPECT_NEAR(v.real(), 1.0, 1e-12);
     EXPECT_NEAR(v.imag(), 0.0, 1e-12);
@@ -69,7 +69,7 @@ TEST(Fft, ImpulseHasFlatSpectrum) {
 
 TEST(Fft, ConstantSignalConcentratesInDc) {
   std::vector<Complex> x(16, {2.0, 0.0});
-  fft(x);
+  FftPlan(x.size()).execute(x, false);
   EXPECT_NEAR(x[0].real(), 32.0, 1e-12);
   for (std::size_t k = 1; k < x.size(); ++k)
     EXPECT_NEAR(std::abs(x[k]), 0.0, 1e-12);
@@ -84,7 +84,7 @@ TEST(Fft, SingleToneLandsInOneBin) {
         static_cast<double>(n);
     x[i] = {std::cos(angle), 0.0};
   }
-  fft(x);
+  FftPlan(x.size()).execute(x, false);
   // cos splits between bins 5 and n-5 with weight n/2.
   EXPECT_NEAR(std::abs(x[5]), 16.0, 1e-10);
   EXPECT_NEAR(std::abs(x[n - 5]), 16.0, 1e-10);
@@ -100,7 +100,7 @@ TEST_P(FftLengthTest, MatchesNaiveDft) {
   const std::size_t n = GetParam();
   const std::vector<Complex> x = random_signal(n, 100 + n);
   std::vector<Complex> fast = x;
-  fft(fast);
+  FftPlan(fast.size()).execute(fast, false);
   const std::vector<Complex> slow = naive_dft(x, false);
   EXPECT_LT(max_abs_diff(fast, slow), 1e-8 * static_cast<double>(n))
       << "length " << n;
@@ -110,8 +110,8 @@ TEST_P(FftLengthTest, RoundTripIsIdentity) {
   const std::size_t n = GetParam();
   const std::vector<Complex> x = random_signal(n, 200 + n);
   std::vector<Complex> y = x;
-  fft(y, false);
-  fft(y, true);
+  FftPlan(y.size()).execute(y, false);
+  FftPlan(y.size()).execute(y, true);
   EXPECT_LT(max_abs_diff(x, y), 1e-10) << "length " << n;
 }
 
@@ -120,7 +120,7 @@ TEST_P(FftLengthTest, ParsevalHolds) {
   std::vector<Complex> x = random_signal(n, 300 + n);
   double time_energy = 0.0;
   for (const auto& v : x) time_energy += std::norm(v);
-  fft(x);
+  FftPlan(x.size()).execute(x, false);
   double freq_energy = 0.0;
   for (const auto& v : x) freq_energy += std::norm(v);
   EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy,
@@ -153,9 +153,9 @@ TEST(Fft, LinearityProperty) {
   std::vector<Complex> sum(n);
   for (std::size_t i = 0; i < n; ++i) sum[i] = 2.0 * a[i] + 3.0 * b[i];
   std::vector<Complex> fa = a, fb = b, fsum = sum;
-  fft(fa);
-  fft(fb);
-  fft(fsum);
+  FftPlan(fa.size()).execute(fa, false);
+  FftPlan(fb.size()).execute(fb, false);
+  FftPlan(fsum.size()).execute(fsum, false);
   std::vector<Complex> expect(n);
   for (std::size_t i = 0; i < n; ++i) expect[i] = 2.0 * fa[i] + 3.0 * fb[i];
   EXPECT_LT(max_abs_diff(fsum, expect), 1e-9);

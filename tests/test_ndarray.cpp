@@ -59,37 +59,12 @@ TEST(NdArray, BoundsCheckedAt) {
   EXPECT_THROW((void)a.at(4), InvalidArgument);
 }
 
-TEST(NdArray, ReshapePreservesData) {
-  FloatArray a({2, 6});
-  for (std::size_t i = 0; i < a.size(); ++i)
-    a[i] = static_cast<float>(i);
-  const FloatArray b = a.reshaped({3, 4});
-  EXPECT_EQ(b.rank(), 2U);
-  EXPECT_EQ(b.extent(0), 3U);
-  for (std::size_t i = 0; i < b.size(); ++i)
-    EXPECT_EQ(b[i], static_cast<float>(i));
-}
-
-TEST(NdArray, ReshapeRejectsCountChange) {
-  FloatArray a({2, 6});
-  EXPECT_THROW(a.reshaped({5}), InvalidArgument);
-}
-
 TEST(NdArray, MinMaxAndRange) {
   FloatArray a({5}, {3.0F, -1.0F, 4.0F, 1.0F, 5.0F});
   const auto [lo, hi] = a.min_max();
   EXPECT_EQ(lo, -1.0F);
   EXPECT_EQ(hi, 5.0F);
   EXPECT_DOUBLE_EQ(a.value_range(), 6.0);
-}
-
-TEST(NdArray, ConvertChangesElementType) {
-  FloatArray a({3}, {1.5F, 2.5F, -3.0F});
-  const DoubleArray d = convert<double>(a);
-  EXPECT_DOUBLE_EQ(d[0], 1.5);
-  EXPECT_DOUBLE_EQ(d[2], -3.0);
-  const FloatArray back = convert<float>(d);
-  EXPECT_EQ(back[1], 2.5F);
 }
 
 }  // namespace

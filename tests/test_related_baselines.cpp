@@ -96,10 +96,6 @@ TEST(TthreshLike, GarbageRejected) {
   EXPECT_THROW(tthresh_like_decompress(garbage), FormatError);
 }
 
-TEST(TthreshLike, AdapterName) {
-  EXPECT_EQ(TthreshLikeCompressor().name(), "TTHRESH-like");
-}
-
 // ---- MGARD-like -------------------------------------------------------------
 
 TEST(MgardLike, HierarchicalTransformRoundTripsExactly) {
@@ -167,10 +163,6 @@ TEST(MgardLike, SmoothDataCompressesWell) {
 TEST(MgardLike, GarbageRejected) {
   const std::vector<std::uint8_t> garbage(48, 0x21);
   EXPECT_THROW(mgard_like_decompress(garbage), FormatError);
-}
-
-TEST(MgardLike, AdapterName) {
-  EXPECT_EQ(MgardLikeCompressor().name(), "MGARD-like");
 }
 
 }  // namespace

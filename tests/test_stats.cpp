@@ -224,13 +224,6 @@ TEST(Ecr, CurveIsSortedByMagnitude) {
   EXPECT_DOUBLE_EQ(curve[3], 1.0);
 }
 
-TEST(Ecr, KForEcrThreshold) {
-  const std::vector<double> coeffs{10.0, 1.0, 0.1, 0.01};
-  EXPECT_EQ(k_for_ecr(coeffs, 0.9), 1U);
-  EXPECT_EQ(k_for_ecr(coeffs, 0.999), 2U);
-  EXPECT_EQ(k_for_ecr(coeffs, 1.0), 4U);
-}
-
 TEST(Ecr, ZeroInputGivesAllOnes) {
   const std::vector<double> coeffs(5, 0.0);
   const std::vector<double> curve = ecr_curve(coeffs);

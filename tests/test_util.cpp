@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -89,6 +90,42 @@ TEST(CliArgs, DoubleParsing) {
   const char* argv[] = {"prog", "--tve=0.99999"};
   const CliArgs args(2, argv);
   EXPECT_DOUBLE_EQ(args.get_double("tve", 0.0), 0.99999);
+}
+
+TEST(CliArgs, NumbersParseInFullOrThrowNamingTheFlag) {
+  const char* argv[] = {"prog",        "--n=12x",   "--big=9223372036854775808",
+                        "--d=0.5x",    "--inf=1e999", "--nan=nan",
+                        "--empty=",    "--neg=-3",  "--sci=2.5e-3"};
+  const CliArgs args(9, argv);
+  for (const char* name : {"n", "big"}) {
+    try {
+      (void)args.get_int(name, 0);
+      ADD_FAILURE() << name << " parsed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* name : {"d", "inf", "nan"})
+    EXPECT_THROW((void)args.get_double(name, 0.0), InvalidArgument) << name;
+  EXPECT_EQ(args.get_int("empty", 7), 7);  // empty keeps the fallback
+  EXPECT_DOUBLE_EQ(args.get_double("empty", 1.5), 1.5);
+  EXPECT_EQ(args.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("sci", 0.0), 2.5e-3);
+}
+
+// Strict parsing still accepts every value in range, the extremes included.
+TEST(CliArgs, NumbersAtTheEndsOfTheirRangeParse) {
+  const char* argv[] = {"prog", "--max=9223372036854775807",
+                        "--min=-9223372036854775808", "--plus=+42",
+                        "--huge=1.7e308", "--tiny=-2.5e-300"};
+  const CliArgs args(6, argv);
+  EXPECT_EQ(args.get_int("max", 0), INT64_MAX);
+  EXPECT_EQ(args.get_int("min", 0), INT64_MIN);
+  EXPECT_EQ(args.get_int("plus", 0), 42);
+  EXPECT_DOUBLE_EQ(args.get_double("huge", 0.0), 1.7e308);
+  EXPECT_DOUBLE_EQ(args.get_double("tiny", 0.0), -2.5e-300);
 }
 
 // ---- Rng ----------------------------------------------------------------

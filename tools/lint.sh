@@ -43,9 +43,10 @@
 #      display names inside the registry would merge silently in every
 #      JSON artifact.              [telemetry-name] [telemetry-dup]
 #
-# dpz_analyze adds checks with no lint.sh ancestry (status-exhaustive,
-# naked-mutex, raw-thread, single-parser, single-span, single-stage); this
-# wrapper runs all of them.
+# dpz_analyze adds checks with no lint.sh ancestry; this wrapper runs all
+# of them. `dpz_analyze --list-checks` prints the registry, and the check
+# table in docs/STATIC_ANALYSIS.md names exactly the same set (test
+# Analyze.EveryCheckIsDocumented).
 #
 # Usage: tools/lint.sh [--json] [extra dpz_analyze args]
 #   --json is forwarded, so CI can consume structured findings.
