@@ -10,24 +10,16 @@
 
 #include "bench_common.h"
 #include "core/analysis.h"
-#include "core/archive_detail.h"
-#include "core/blocking.h"
+#include "core/dpz.h"
 #include "core/sampling.h"
-#include "dsp/dct.h"
 #include "metrics/metrics.h"
 #include "stats/descriptive.h"
 #include "stats/vif.h"
-#include "util/thread_pool.h"
 
 namespace {
 
 using namespace dpz;
 using namespace dpz::bench;
-
-Matrix spatial_block_matrix(const FloatArray& data) {
-  const BlockLayout layout = choose_block_layout(data.size());
-  return to_blocks(data.flat(), layout);
-}
 
 }  // namespace
 
@@ -41,14 +33,11 @@ int main(int argc, char** argv) {
                           "max", "below cutoff (5)?"});
   for (const char* name : {"HACC-vx", "Isotropic", "PHIS"}) {
     const Dataset ds = make_dataset(name, opt.scale, opt.seed);
-    const Matrix blocks = spatial_block_matrix(ds.data);
     for (const double sr : {0.025, 0.01}) {
       DpzConfig probe;
       probe.vif_sampling_rate = sr;
       probe.sampling_seed = opt.seed + 7;
-      const std::vector<double> vifs =
-          detail::sampling_config(blocks, probe).precomputed_vifs;
-      const BoxStats box = box_stats(vifs);
+      const BoxStats box = box_stats(dpz_probe(ds.data, probe).vifs);
       vif_table.add_row({name, fixed(100.0 * sr, 1) + "%",
                          fixed(box.min, 2), fixed(box.q1, 2),
                          fixed(box.median, 2), fixed(box.q3, 2),
@@ -70,16 +59,13 @@ int main(int argc, char** argv) {
   for (const std::string& name : table_datasets()) {
     const Dataset ds = make_dataset(name, opt.scale, opt.seed);
     DpzAnalysis analysis(ds.data);
-    const Matrix& blocks = analysis.dct_blocks();
 
     for (const std::size_t s : {std::size_t{5}, std::size_t{10}}) {
       DpzConfig config = DpzConfig::strict();
       config.subset_count = s;
       config.tve = 0.99999;
       config.sampling_seed = opt.seed;
-      const SamplingReport report = run_sampling(
-          blocks,
-          detail::sampling_config(spatial_block_matrix(ds.data), config));
+      const SamplingReport report = dpz_probe(ds.data, config);
 
       // Achieved CR in the paper's accounting (stage factors, no basis),
       // using the sampled k.

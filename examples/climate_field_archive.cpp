@@ -10,8 +10,6 @@
 #include <filesystem>
 #include <iostream>
 
-#include "core/archive_detail.h"
-#include "core/blocking.h"
 #include "core/dpz.h"
 #include "core/sampling.h"
 #include "data/datasets.h"
@@ -43,11 +41,7 @@ int main(int argc, char** argv) {
     DpzConfig probe = DpzConfig::strict();
     probe.tve = 0.99999;
     probe.sampling_seed = seed;
-    const BlockLayout layout = choose_block_layout(ds.data.size());
-    Matrix blocks = to_blocks(ds.data.flat(), layout);
-    const SamplingConfig scfg = detail::sampling_config(blocks, probe);
-    dct_rows(blocks);
-    const SamplingReport report = run_sampling(blocks, scfg);
+    const SamplingReport report = dpz_probe(ds.data, probe);
 
     DpzConfig config =
         report.low_linearity ? DpzConfig::strict() : DpzConfig::loose();

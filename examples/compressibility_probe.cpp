@@ -7,8 +7,8 @@
 // Run:  ./compressibility_probe [--scale=0.2] [--tve=0.99999]
 #include <iostream>
 
-#include "core/archive_detail.h"
 #include "core/blocking.h"
+#include "core/dpz.h"
 #include "core/sampling.h"
 #include "data/datasets.h"
 #include "stats/descriptive.h"
@@ -51,13 +51,10 @@ int main(int argc, char** argv) {
     DpzConfig config = DpzConfig::strict();
     config.tve = tve;
     config.sampling_seed = seed;
-    const BlockLayout layout = choose_block_layout(ds.data.size());
-    Matrix blocks = to_blocks(ds.data.flat(), layout);
-    // VIF is probed on the raw block-data (Algorithm 2, step 1-2).
-    const SamplingConfig scfg = detail::sampling_config(blocks, config);
-    dct_rows(blocks);
-    const SamplingReport report = run_sampling(blocks, scfg);
+    // compress's own Stage 1, then Algorithm 2 (VIF on the raw blocks).
+    const SamplingReport report = dpz_probe(ds.data, config);
     const double probe_s = timer.elapsed();
+    const BlockLayout layout = choose_block_layout(ds.data.size());
 
     std::string recommendation;
     if (report.low_linearity) {

@@ -1,10 +1,6 @@
 #include "core/analysis.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/archive_detail.h"
-#include "stats/knee.h"
 
 namespace dpz {
 
@@ -53,36 +49,6 @@ PcaModel DpzAnalysis::model(std::size_t k) {
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < k; ++j) fit.components(i, j) = solved(i, j);
   return fit;
-}
-
-std::size_t DpzAnalysis::k_for_psnr_knee(const QuantizerConfig& qcfg,
-                                         KneeFit fit,
-                                         std::size_t grid_points) {
-  DPZ_REQUIRE(grid_points >= 4, "PSNR knee needs at least 4 grid points");
-  const std::size_t m = layout_.m;
-
-  // Geometric k grid over [1, M], deduplicated.
-  std::vector<std::size_t> ks;
-  const double ratio = std::pow(static_cast<double>(m),
-                                1.0 / static_cast<double>(grid_points - 1));
-  double value = 1.0;
-  for (std::size_t i = 0; i < grid_points; ++i) {
-    const auto k = std::clamp<std::size_t>(
-        static_cast<std::size_t>(std::llround(value)), 1, m);
-    if (ks.empty() || k != ks.back()) ks.push_back(k);
-    value *= ratio;
-  }
-  if (ks.back() != m) ks.push_back(m);
-
-  // The expensive part the paper warns about: one reconstruction per
-  // grid point.
-  std::vector<double> psnr(ks.size());
-  for (std::size_t i = 0; i < ks.size(); ++i)
-    psnr[i] = evaluate(ks[i], qcfg).stage3_error.psnr_db;
-
-  const std::size_t idx =
-      std::clamp<std::size_t>(detect_knee(psnr, fit).k, 1, ks.size());
-  return ks[idx - 1];
 }
 
 FloatArray DpzAnalysis::reconstruct_exact(std::size_t k) {

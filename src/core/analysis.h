@@ -47,17 +47,6 @@ class DpzAnalysis {
   /// DpzAnalysis.CachedBasisMatchesFreshSolve).
   [[nodiscard]] PcaModel model(std::size_t k);
 
-  /// Knee detection on the compression-performance (PSNR) curve rather
-  /// than the TVE curve — the variant SS IV-B notes "can be applied to
-  /// the compression performance curve ... but it requires a
-  /// time-consuming reconstruction step". PSNR is evaluated at
-  /// `grid_points` k values spread geometrically over [1, M] (each point
-  /// costs a full reconstruction), the curve is knee-detected, and the
-  /// nearest evaluated k is returned.
-  [[nodiscard]] std::size_t k_for_psnr_knee(const QuantizerConfig& qcfg,
-                                            KneeFit fit = KneeFit::kFit1D,
-                                            std::size_t grid_points = 12);
-
   /// Reconstruction with exact (unquantized) k scores — the "Stage 1&2"
   /// output whose PSNR Table IV compares against the quantized pipeline.
   [[nodiscard]] FloatArray reconstruct_exact(std::size_t k);

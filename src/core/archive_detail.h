@@ -2,13 +2,15 @@
 // stage functions, all defined in dpz.cpp. Not part of the public API.
 // The container formats themselves (headers, section framing) live in
 // core/layout.h, included here for the section codec. dpz_compress is
-// Stage 1 (to_blocks + dct_rows) + Stage 2 (fit_pca_spectrum, select_k,
-// attach_top_components; Algorithm 2 through sampling_config and
-// run_sampling only estimates k) + encode; decode is read_payload +
-// reconstruct (stage3_inverse, pca_back_project, stage1_inverse). Every
-// other pipeline, the shared-basis codec included, calls the same
-// functions, and dpz_analyze's single-stage check keeps the DCT row
-// loops, the score normalization, the k rule, the VIF probe, the
+// Stage 1 (to_blocks, the spatial VIF probe when sampling runs, dct_rows
+// and the dct_keep_fraction truncation, in dpz.cpp's stage1_forward) +
+// Stage 2 (fit_pca_spectrum, select_k, attach_top_components; Algorithm
+// 2's run_sampling only estimates k) + encode; dpz_probe is that same
+// Stage 1 followed by run_sampling. Decode is read_payload + reconstruct
+// (stage3_inverse, pca_back_project, stage1_inverse). Every other
+// pipeline, the shared-basis codec included, calls the same functions,
+// and dpz_analyze's single-stage check keeps the DCT row loops, the score
+// normalization, the k rule, the VIF probe, Algorithm 2's entry, the
 // back-projection and the de-blocking here.
 #pragma once
 
@@ -37,18 +39,6 @@ namespace dpz::detail {
 /// spectrum's TVE curve (Method 1, `knee_fit`), else the smallest k whose
 /// TVE reaches `tve` (Method 2). Reads only those four settings.
 std::size_t select_k(const PcaModel& spectrum, const DpzConfig& config);
-
-/// Datapoints per feature the VIF probe regresses over.
-inline constexpr std::size_t kVifSampleCols = 256;
-
-/// Algorithm 2's front end: maps `config` (S, T, the k rule, seed,
-/// quantizer) to a SamplingConfig and fills its precomputed_vifs with
-/// the VIF probe on the raw, pre-DCT block matrix — sampled_vif at
-/// `vif_sampling_rate` over kVifSampleCols columns, seeded with
-/// Rng(sampling_seed). Pass the result to run_sampling with the same
-/// blocks after the DCT.
-SamplingConfig sampling_config(const Matrix& spatial_blocks,
-                               const DpzConfig& config);
 
 /// Score-normalization calibration: every k-PCA score is divided by ONE
 /// global scale — kScoreSigmaScale times the standard deviation of the

@@ -88,7 +88,7 @@ Matrix get_basis(std::span<const std::uint8_t> bytes, std::size_t m,
   return basis;
 }
 
-// ---- Stage 2's k rule and Algorithm 2's front end ----------------------
+// ---- Stage 2's k rule ---------------------------------------------------
 
 std::size_t select_k(const PcaModel& spectrum, const DpzConfig& config) {
   if (config.fixed_k != 0)
@@ -97,24 +97,6 @@ std::size_t select_k(const PcaModel& spectrum, const DpzConfig& config) {
   if (config.selection == KSelectionMethod::kKneePoint)
     return detect_knee(spectrum.tve_curve(), config.knee_fit).k;
   return spectrum.k_for_tve(config.tve);
-}
-
-SamplingConfig sampling_config(const Matrix& spatial_blocks,
-                               const DpzConfig& config) {
-  SamplingConfig scfg;
-  scfg.subset_count = config.subset_count;
-  scfg.sample_subset_count = config.sample_subset_count;
-  scfg.tve = config.tve;
-  scfg.use_knee = config.selection == KSelectionMethod::kKneePoint;
-  scfg.knee_fit = config.knee_fit;
-  scfg.vif_sampling_rate = config.vif_sampling_rate;
-  scfg.seed = config.sampling_seed;
-  scfg.quant_error_bound = config.effective_error_bound();
-  scfg.wide_codes = config.effective_wide_codes();
-  Rng vif_rng(config.sampling_seed);
-  scfg.precomputed_vifs = sampled_vif(
-      spatial_blocks, config.vif_sampling_rate, kVifSampleCols, vif_rng);
-  return scfg;
 }
 
 // ---- Stage 3, the decoder's tail and the encoder ----------------------
@@ -399,6 +381,75 @@ namespace {
 using detail::get_element;
 using detail::get_section;
 
+// Algorithm 2's input: maps `config` (S, T, the k rule, seed, quantizer)
+// to a SamplingConfig whose precomputed_vifs hold the VIF probe on the
+// raw, pre-DCT block matrix — sampled_vif at `vif_sampling_rate` over
+// kVifSampleCols columns, seeded with Rng(sampling_seed).
+SamplingConfig sampling_config(const Matrix& spatial_blocks,
+                               const DpzConfig& config) {
+  SamplingConfig scfg;
+  scfg.subset_count = config.subset_count;
+  scfg.sample_subset_count = config.sample_subset_count;
+  scfg.tve = config.tve;
+  scfg.use_knee = config.selection == KSelectionMethod::kKneePoint;
+  scfg.knee_fit = config.knee_fit;
+  scfg.vif_sampling_rate = config.vif_sampling_rate;
+  scfg.seed = config.sampling_seed;
+  scfg.quant_error_bound = config.effective_error_bound();
+  scfg.wide_codes = config.effective_wide_codes();
+  Rng vif_rng(config.sampling_seed);
+  scfg.precomputed_vifs = sampled_vif(
+      spatial_blocks, config.vif_sampling_rate, kVifSampleCols, vif_rng);
+  return scfg;
+}
+
+// Stage 1's output: the layout, the M x N block matrix after the DCT and
+// the dct_keep_fraction truncation, and Algorithm 2's input when the
+// sampling route runs.
+struct Stage1 {
+  BlockLayout layout;
+  Matrix blocks;
+  std::optional<SamplingConfig> sampling;
+};
+
+// Stage 1, the one front end of compress and dpz_probe: block
+// decomposition, the spatial VIF probe when use_sampling is on and M >= 2S,
+// the per-block DCT, then the optional truncation.
+template <typename T>
+Stage1 stage1_forward(const NdArray<T>& data, const DpzConfig& config,
+                      obs::StageTimes* timers) {
+  DPZ_REQUIRE(config.dct_keep_fraction > 0.0 &&
+                  config.dct_keep_fraction <= 1.0,
+              "dct_keep_fraction must be in (0, 1]");
+  const obs::ScopedSpan stage(obs::Span::kStage1Dct, timers);
+  governed_poll();
+  Stage1 s1;
+  s1.layout = choose_block_layout(data.size());
+  s1.blocks = to_blocks(data.flat(), s1.layout);
+
+  // Algorithm 2 probes collinearity on the raw block-data, so sample the
+  // VIFs before the DCT rearranges the correlation structure.
+  if (config.use_sampling && s1.layout.m >= 2 * config.subset_count)
+    s1.sampling = sampling_config(s1.blocks, config);
+
+  dct_rows(s1.blocks);
+
+  // Optional future-work pre-filter: truncate each block's trailing
+  // (high-frequency) DCT coefficients before PCA sees them.
+  if (config.dct_keep_fraction < 1.0) {
+    const auto keep = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::llround(config.dct_keep_fraction *
+                            static_cast<double>(s1.layout.n))));
+    parallel_for(0, s1.layout.m, [&](std::size_t i) {
+      auto row = s1.blocks.row(i);
+      std::fill(row.begin() + static_cast<std::ptrdiff_t>(keep), row.end(),
+                0.0);
+    });
+  }
+  return s1;
+}
+
 template <typename T>
 std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
                                         const DpzConfig& config,
@@ -420,42 +471,9 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
   obs::count(obs::Counter::kBytesIn, data.size() * sizeof(T));
 
   // ---- Stage 1: block decomposition + per-block DCT -------------------
-  Matrix blocks;
-  BlockLayout layout;
-  std::optional<SamplingConfig> sampling;
-  {
-    const obs::ScopedSpan stage(obs::Span::kStage1Dct, &st.timers);
-    governed_poll();
-    layout = choose_block_layout(data.size());
-    blocks = to_blocks(data.flat(), layout);
-
-    // Algorithm 2 probes collinearity on the raw block-data, so sample
-    // the VIFs before the DCT rearranges the correlation structure.
-    // Compress uses only k_e and the standardize decision: no CR band.
-    if (config.use_sampling && layout.m >= 2 * config.subset_count) {
-      sampling = detail::sampling_config(blocks, config);
-      sampling->calibrate_factors = false;
-    }
-
-    dct_rows(blocks);
-
-    // Optional future-work pre-filter: truncate each block's trailing
-    // (high-frequency) DCT coefficients before PCA sees them.
-    DPZ_REQUIRE(config.dct_keep_fraction > 0.0 &&
-                    config.dct_keep_fraction <= 1.0,
-                "dct_keep_fraction must be in (0, 1]");
-    if (config.dct_keep_fraction < 1.0) {
-      const auto keep = std::max<std::size_t>(
-          1, static_cast<std::size_t>(
-                 std::llround(config.dct_keep_fraction *
-                              static_cast<double>(layout.n))));
-      parallel_for(0, layout.m, [&](std::size_t i) {
-        auto row = blocks.row(i);
-        std::fill(row.begin() + static_cast<std::ptrdiff_t>(keep),
-                  row.end(), 0.0);
-      });
-    }
-  }
+  Stage1 s1 = stage1_forward(data, config, &st.timers);
+  const BlockLayout& layout = s1.layout;
+  const Matrix& blocks = s1.blocks;
 
   // ---- Stage 2: PCA in the DCT domain + k selection -------------------
   // One path: Algorithm 2, when it runs, only supplies the standardize
@@ -468,8 +486,10 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
     const obs::ScopedSpan stage(obs::Span::kStage2Pca, &st.timers);
     governed_poll();
     std::size_t k_e = 0;
-    if (sampling.has_value()) {
-      const SamplingReport report = run_sampling(blocks, *sampling);
+    if (s1.sampling.has_value()) {
+      // Compress uses only k_e and the standardize decision: no CR band.
+      s1.sampling->calibrate_factors = false;
+      const SamplingReport report = run_sampling(blocks, *s1.sampling);
       st.vif_median = report.vif_median;
       if (config.standardize < 0) standardized = report.low_linearity;
       k_e = report.full_k;
@@ -588,6 +608,17 @@ DecodePreflight dpz_decode_preflight(const DpzArchiveInfo& info) {
   // A DPZ archive's side data: the basis (m x k doubles plus its
   // serialized f32 image) and the per-feature means and scales.
   return detail::decode_price(info, 12 * std::uint64_t{info.k} + 24);
+}
+
+SamplingReport dpz_probe(const FloatArray& data, const DpzConfig& config) {
+  const ScopedThreads pool_scope(config.threads);
+  const GovernorScope governor_scope(config.limits);
+  DpzConfig sampled = config;
+  sampled.use_sampling = true;
+  const Stage1 s1 = stage1_forward(data, sampled, nullptr);
+  DPZ_REQUIRE(s1.sampling.has_value(),
+              "need at least two features per subset");
+  return run_sampling(s1.blocks, *s1.sampling);
 }
 
 DpzArchiveInfo dpz_inspect(std::span<const std::uint8_t> archive) {

@@ -29,6 +29,7 @@
 
 #include "core/blocking.h"
 #include "core/compressor.h"
+#include "core/sampling.h"
 #include "obs/trace.h"
 #include "stats/knee.h"
 #include "util/resource.h"
@@ -180,6 +181,14 @@ std::vector<std::uint8_t> dpz_compress(const FloatArray& data,
 std::vector<std::uint8_t> dpz_compress(const DoubleArray& data,
                                        const DpzConfig& config,
                                        DpzStats* stats = nullptr);
+
+/// Algorithm 2's estimate before compressing (SS IV-D): dpz_compress's
+/// own Stage 1 with the sampling strategy on (the same layout, spatial
+/// VIF probe, DCT and dct_keep_fraction truncation), then run_sampling
+/// with the CR band calibrated on the config's quantizer. Its full_k is
+/// the k dpz_compress(data, config) selects with use_sampling on and
+/// fixed_k 0. Throws InvalidArgument when M < 2 * subset_count.
+SamplingReport dpz_probe(const FloatArray& data, const DpzConfig& config);
 
 /// Decompresses a DPZ archive; throws FormatError on malformed input.
 ///

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "codec/bytes.h"
 #include "codec/quantizer.h"
@@ -46,7 +45,6 @@ SamplingReport run_sampling(const Matrix& dct_blocks,
               "need at least two features per subset");
 
   SamplingReport report;
-  Rng rng(config.seed);
 
   // Step 1-2: VIF compressibility probe on a random feature sample (the
   // caller probes the spatial block matrix and passes the result in;
@@ -54,8 +52,9 @@ SamplingReport run_sampling(const Matrix& dct_blocks,
   if (!config.precomputed_vifs.empty()) {
     report.vifs = config.precomputed_vifs;
   } else {
+    Rng rng(config.seed);
     report.vifs = sampled_vif(dct_blocks, config.vif_sampling_rate,
-                              detail::kVifSampleCols, rng);
+                              kVifSampleCols, rng);
   }
   report.vif_median = quantile_of(report.vifs, 0.5);
   report.low_linearity = report.vif_median < kVifCutoff;
@@ -63,24 +62,10 @@ SamplingReport run_sampling(const Matrix& dct_blocks,
   // Step 3: choose the T subsets.
   const std::size_t s = config.subset_count;
   const std::size_t t = config.sample_subset_count;
-  if (config.deterministic_picks) {
-    // First, middle, last (then spread further picks evenly).
-    for (std::size_t i = 0; i < t; ++i) {
-      const std::size_t pick =
-          t == 1 ? 0 : i * (s - 1) / (t - 1);
-      report.picked_subsets.push_back(pick);
-    }
-  } else {
-    std::vector<std::size_t> all(s);
-    std::iota(all.begin(), all.end(), 0);
-    rng.shuffle(all.begin(), all.end());
-    report.picked_subsets.assign(all.begin(),
-                                 all.begin() + static_cast<std::ptrdiff_t>(t));
-    std::sort(report.picked_subsets.begin(), report.picked_subsets.end());
-  }
-  report.picked_subsets.erase(
-      std::unique(report.picked_subsets.begin(), report.picked_subsets.end()),
-      report.picked_subsets.end());
+  // First, middle, last (then spread further picks evenly); t <= s keeps
+  // the picks strictly increasing.
+  for (std::size_t i = 0; i < t; ++i)
+    report.picked_subsets.push_back(t == 1 ? 0 : i * (s - 1) / (t - 1));
 
   // Step 4: per-subset PCA and k selection, plus (optionally) a
   // calibration pass that measures the actual stage-3 and zlib factors on

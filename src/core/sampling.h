@@ -22,6 +22,9 @@ namespace dpz {
 
 enum class KSelectionMethod;  // defined in core/dpz.h
 
+/// Datapoints per feature the VIF probe regresses over.
+inline constexpr std::size_t kVifSampleCols = 256;
+
 struct SamplingConfig {
   std::size_t subset_count = 10;        ///< S
   std::size_t sample_subset_count = 3;  ///< T
@@ -30,9 +33,6 @@ struct SamplingConfig {
   KneeFit knee_fit = KneeFit::kFit1D;
   double vif_sampling_rate = 0.01;      ///< SR (fraction of features probed)
   std::uint64_t seed = 2021;
-  /// true: pick the first/middle/last subsets (the paper's recommendation
-  /// for high-linearity data); false: pick T subsets uniformly at random.
-  bool deterministic_picks = true;
   /// Calibrate the stage-3 and zlib factors of the CR_p estimate by
   /// actually quantizing + deflating the sampled subsets' scores, instead
   /// of using the paper's fixed empirical constants (CR'3 in [1.9, 2.5],
@@ -45,11 +45,11 @@ struct SamplingConfig {
   /// scheme you intend to run).
   double quant_error_bound = 1e-4;
   bool wide_codes = true;
-  /// Pre-computed VIF distribution (e.g. probed on the *spatial* block
-  /// matrix before the DCT, which is where Algorithm 2 measures
-  /// collinearity; detail::sampling_config fills it). When non-empty,
-  /// steps 1-2 reuse it instead of probing the matrix passed to
-  /// run_sampling.
+  /// Pre-computed VIF distribution, probed on the *spatial* block matrix
+  /// before the DCT, which is where Algorithm 2 measures collinearity.
+  /// dpz_compress and dpz_probe fill it from their shared Stage 1
+  /// (core/dpz.h). When non-empty, steps 1-2 reuse it instead of probing
+  /// the matrix passed to run_sampling.
   std::vector<double> precomputed_vifs;
 };
 
@@ -76,8 +76,11 @@ struct SamplingReport {
 };
 
 /// Runs the sampling strategy on the block-feature matrix (M x N, already
-/// in the DCT domain). Requires M >= 2 * subset_count so every subset has
-/// at least two features.
+/// in the DCT domain), picking the first, middle and last subsets (then
+/// further picks spread evenly), the paper's recommendation for
+/// high-linearity data. Requires M >= 2 * subset_count so every subset
+/// has at least two features. To estimate k for a field before
+/// compressing it, call dpz_probe, which runs compress's own Stage 1.
 SamplingReport run_sampling(const Matrix& dct_blocks,
                             const SamplingConfig& config);
 

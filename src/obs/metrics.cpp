@@ -4,22 +4,6 @@
 
 namespace dpz::obs {
 
-namespace {
-
-// [lo, hi) value range covered by histogram bucket `i` (hi as text,
-// "inf" for the open top bucket), for human-readable output.
-std::uint64_t bucket_lo(std::size_t i) {
-  return i == 0 ? 0 : (1ULL << (i - 1));
-}
-
-std::string bucket_hi(std::size_t i) {
-  if (i == 0) return "1";
-  if (i >= kHistBuckets - 1) return "inf";
-  return std::to_string(1ULL << i);
-}
-
-}  // namespace
-
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry* registry = new MetricsRegistry();  // never
   // destroyed: recording sites may fire during static destruction.
@@ -57,24 +41,6 @@ std::uint64_t MetricsSnapshot::hist_count(Hist id) const {
   for (const std::uint64_t b : hists[static_cast<std::size_t>(id)])
     total += b;
   return total;
-}
-
-std::string MetricsSnapshot::to_text() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < kCounterCount; ++i)
-    out << counter_name(static_cast<Counter>(i)) << ' ' << counters[i]
-        << '\n';
-  for (std::size_t h = 0; h < kHistCount; ++h) {
-    const char* name = hist_name(static_cast<Hist>(h));
-    out << name << "_count " << hist_count(static_cast<Hist>(h)) << '\n';
-    out << name << "_sum " << hist_sums[h] << '\n';
-    for (std::size_t b = 0; b < kHistBuckets; ++b) {
-      if (hists[h][b] == 0) continue;
-      out << name << "_bucket[" << bucket_lo(b) << ',' << bucket_hi(b)
-          << ") " << hists[h][b] << '\n';
-    }
-  }
-  return out.str();
 }
 
 std::string MetricsSnapshot::to_json() const {

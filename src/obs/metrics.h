@@ -6,8 +6,8 @@
 // Every recording site goes through the gated free helpers count() /
 // observe(), which check the telemetry switch first; with telemetry off a
 // site costs a single relaxed load. Snapshots copy the arrays out into a
-// plain struct that renders to text or JSON for the CLI, the C API, and
-// the bench harness.
+// plain struct that renders to Prometheus text or JSON for the CLI, the C
+// API, and the bench harness.
 //
 // Concurrency contract: the registry is deliberately lock-free (relaxed
 // atomics only), so it carries no capability annotations — there is no
@@ -42,8 +42,6 @@ struct MetricsSnapshot {
     return hist_sums[static_cast<std::size_t>(id)];
   }
 
-  /// `name value` lines, counters then histogram buckets, for --metrics.
-  [[nodiscard]] std::string to_text() const;
   /// One JSON object: {"counters": {...}, "histograms": {...}}.
   [[nodiscard]] std::string to_json() const;
   /// Prometheus text exposition format: counters as `dpz_<name>_total`,

@@ -11,7 +11,6 @@
 #include <new>
 #include <optional>
 
-#include "core/archive_detail.h"
 #include "core/blocking.h"
 #include "core/dpz.h"
 #include "core/chunked.h"
@@ -49,7 +48,6 @@ const char* kUsage = R"(usage:
   dpz probe      <in.f32> --shape=AxBxC [--scheme=l|s] [--tve=...]
                  [--knee[=1d|polyn]]
   dpz datasets   <outdir> [--scale=0.2] [--names=CLDHGH,PHIS] [--seed=N]
-  dpz metrics    export
   dpz trace-report <trace.json>
 
 decompress options:
@@ -107,9 +105,10 @@ telemetry options (any command; see docs/OBSERVABILITY.md):
   --trace=out.json    record spans and write a Chrome trace-event file
                       (open in ui.perfetto.dev or chrome://tracing)
   --metrics[=json]    print the pipeline metrics registry after the
-                      command (text by default, one JSON object with
-                      =json); enabling telemetry never changes output
-                      bytes
+                      command (Prometheus text exposition by default:
+                      counters as dpz_<name>_total, histograms with
+                      cumulative buckets; one JSON object with =json);
+                      enabling telemetry never changes output bytes
 
 diagnostics options (any command; see docs/OBSERVABILITY.md):
   --log=out.jsonl     stream structured log events to a JSON-lines file
@@ -119,11 +118,10 @@ diagnostics options (any command; see docs/OBSERVABILITY.md):
                       (failing offset/frame/section, active span stack,
                       and breadcrumb events) to stderr
 
-metrics export prints the metrics registry in the Prometheus text
-exposition format (counters as dpz_<name>_total, histograms with
-cumulative buckets); trace-report summarizes a --trace file: per-stage
-wall and self time, pool queue-wait attribution, a critical-path
-estimate, and per-frame outliers.
+probe runs compress's own Stage 1 and Algorithm 2 on the compress
+flags, so its k is the k compress --sampling selects. trace-report
+summarizes a --trace file: per-stage wall and self time, pool queue-wait
+attribution, a critical-path estimate, and per-frame outliers.
 )";
 
 /// Process exit code for a dpz failure class. Exhaustive over
@@ -658,12 +656,8 @@ int cmd_probe(const CliArgs& args, std::ostream& out) {
   const FloatArray data =
       read_f32(args.positional()[1], parse_shape(shape_text));
 
-  const DpzConfig config = config_from_flags(args);
+  const SamplingReport report = dpz_probe(data, config_from_flags(args));
   const BlockLayout layout = choose_block_layout(data.size());
-  Matrix blocks = to_blocks(data.flat(), layout);
-  const SamplingConfig scfg = detail::sampling_config(blocks, config);
-  dct_rows(blocks);
-  const SamplingReport report = run_sampling(blocks, scfg);
 
   out << "blocks:      " << layout.m << " x " << layout.n << "\n"
       << "VIF median:  " << fixed(report.vif_median, 1)
@@ -723,17 +717,6 @@ int cmd_datasets(const CliArgs& args, std::ostream& out) {
   return 0;
 }
 
-
-// `dpz metrics export`: the registry in the Prometheus text exposition
-// format, for node_exporter-style textfile collection (the bench harness
-// writes the same rendering next to its JSON artifacts).
-int cmd_metrics(const CliArgs& args, std::ostream& out) {
-  DPZ_REQUIRE(args.positional().size() == 2 &&
-                  args.positional()[1] == "export",
-              "metrics needs the 'export' subcommand");
-  out << obs::MetricsRegistry::instance().snapshot().to_prometheus();
-  return 0;
-}
 
 // One parsed Chrome trace event ("X" phase complete events only).
 struct TraceReportEvent {
@@ -1035,8 +1018,6 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
       rc = cmd_probe(args, out);
     } else if (command == "datasets") {
       rc = cmd_datasets(args, out);
-    } else if (command == "metrics") {
-      rc = cmd_metrics(args, out);
     } else if (command == "trace-report") {
       rc = cmd_trace_report(args, out);
     } else {
@@ -1057,7 +1038,7 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
       if (args.get_string("metrics", "") == "json")
         out << snap.to_json() << "\n";
       else
-        out << "metrics:\n" << snap.to_text();
+        out << snap.to_prometheus();
     }
     return rc;
   } catch (const Error& e) {

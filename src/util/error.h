@@ -157,26 +157,15 @@ class Cancelled : public Error {
       : Error(what, StatusCode::kCancelled) {}
 };
 
-namespace detail {
-[[noreturn]] inline void throw_invalid_argument(const char* cond,
-                                                const char* file, int line,
-                                                const std::string& msg) {
-  std::string what = std::string(file) + ":" + std::to_string(line) +
-                     ": requirement failed (" + cond + ")";
-  if (!msg.empty()) what += ": " + msg;
-  throw InvalidArgument(what);
-}
-}  // namespace detail
-
 }  // namespace dpz
 
-/// Precondition check: throws dpz::InvalidArgument when `cond` is false.
+/// Precondition check: throws dpz::InvalidArgument(msg) when `cond` is
+/// false. The message is the whole error text: the CLI prints it as the
+/// usage error, so it names the broken contract in the caller's terms.
 /// For programming contracts only — never for values read from an archive
 /// (those must throw dpz::FormatError so callers can treat them as a
 /// recoverable status).
-#define DPZ_REQUIRE(cond, msg)                                              \
-  do {                                                                      \
-    if (!(cond))                                                            \
-      ::dpz::detail::throw_invalid_argument(#cond, __FILE__, __LINE__,      \
-                                            (msg));                        \
+#define DPZ_REQUIRE(cond, msg)                          \
+  do {                                                  \
+    if (!(cond)) throw ::dpz::InvalidArgument((msg));   \
   } while (0)

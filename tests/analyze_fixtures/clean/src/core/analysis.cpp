@@ -1,12 +1,13 @@
-// Boundary: DpzAnalysis's knee on the PSNR curve is a different rule
-// from Stage 2's, so core/analysis.cpp may call detect_knee
-// (single-stage).
+// Compliant: DpzAnalysis chooses k through Stage 2's one k rule.
 #include "core/analysis.h"
 
 namespace dpz {
 
-std::size_t DpzAnalysis::k_for_psnr_knee(KneeFit fit) {
-  return detect_knee(psnr_curve(), fit).k;
+std::size_t DpzAnalysis::k_for_knee(KneeFit fit) const {
+  DpzConfig rule;
+  rule.selection = KSelectionMethod::kKneePoint;
+  rule.knee_fit = fit;
+  return detail::select_k(spectrum_.model, rule);
 }
 
 }  // namespace dpz

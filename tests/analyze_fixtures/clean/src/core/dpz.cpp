@@ -1,6 +1,7 @@
 // Boundary: src/core/dpz.cpp defines the stage functions, so its DCT
-// row loop, score normalization, k rule, VIF probe, back-projection and
-// de-blocking are the single-stage check's one allowed copy.
+// row loop, score normalization, k rule, VIF probe, run_sampling call,
+// back-projection and de-blocking are the single-stage check's one
+// allowed copy.
 #include <cstddef>
 #include <vector>
 
@@ -28,6 +29,11 @@ std::size_t select_k(const PcaModel& spectrum, const DpzConfig& config) {
 
 std::vector<double> spatial_probe(const Matrix& blocks, Rng& rng) {
   return sampled_vif(blocks, 0.01, 256, rng);
+}
+
+SamplingReport dpz_probe(const Matrix& dct_blocks,
+                         const SamplingConfig& config) {
+  return run_sampling(dct_blocks, config);
 }
 
 FloatArray reconstruct(const Matrix& basis, const Matrix& scores,

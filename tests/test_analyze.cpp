@@ -84,6 +84,7 @@ TEST(Analyze, BadTreeEveryPlantedViolationFlagged) {
       {"single-span", "src/simd/dispatch.cpp", 10, "TraceRecorder record"},
       {"status-exhaustive", "src/tools/cli_app.cpp", 6,
        "StatusCode::kBoom"},
+      {"single-stage", "src/tools/probe.cpp", 7, "run_sampling"},
       {"status-exhaustive", "src/util/error.h", 8, "StatusCode::kLost"},
       {"naked-mutex", "src/util/worker.cpp", 6, "std::mutex"},
       {"raw-thread", "src/util/worker.cpp", 9, "std::thread"},

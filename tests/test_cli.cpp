@@ -9,10 +9,10 @@
 #include <filesystem>
 #include <sstream>
 
-#include "core/archive_detail.h"
-#include "core/blocking.h"
 #include "core/chunked.h"
+#include "core/dpz.h"
 #include "core/sampling.h"
+#include "data/datasets.h"
 #include "io/file_io.h"
 #include "tools/cli_app.h"
 #include "util/error.h"
@@ -163,16 +163,12 @@ TEST_F(CliFlowTest, ProbeReportsVifAndEstimate) {
 }
 
 // probe reads the compress flags, so --scheme=l calibrates its CR band
-// with the loose quantizer: the band is run_sampling's for
+// with the loose quantizer: the band is dpz_probe's for
 // DpzConfig::loose(), not the strict one.
 TEST_F(CliFlowTest, ProbeHonoursTheSchemeFlag) {
   const FloatArray data = read_f32(path("in.f32"), {64, 96});
   const auto band = [&](const DpzConfig& config) {
-    const BlockLayout layout = choose_block_layout(data.size());
-    Matrix blocks = to_blocks(data.flat(), layout);
-    const SamplingConfig scfg = detail::sampling_config(blocks, config);
-    dct_rows(blocks);
-    const SamplingReport report = run_sampling(blocks, scfg);
+    const SamplingReport report = dpz_probe(data, config);
     return "CR estimate: " + fixed(report.cr_estimate_low, 1) + "X - " +
            fixed(report.cr_estimate_high, 1) + "X";
   };
@@ -187,6 +183,28 @@ TEST_F(CliFlowTest, ProbeHonoursTheSchemeFlag) {
   ASSERT_EQ(run({"probe", path("in.f32"), "--shape=64x96"}), 0)
       << err_.str();
   EXPECT_NE(out_.str().find(strict), std::string::npos) << out_.str();
+}
+
+// probe --dct-keep truncates like compress does, so the k it prints is
+// the k compress --sampling --dct-keep selects (on Channel at keep 0.1,
+// 87; a probe that skipped the truncation printed 104).
+TEST_F(CliFlowTest, ProbePrintsTheKCompressUses) {
+  const FloatArray data = make_dataset("Channel", 0.2, 2021).data;
+  write_f32(path("channel.f32"), data);
+  for (const std::string keep : {"1", "0.1"}) {
+    DpzConfig config;
+    config.use_sampling = true;
+    config.dct_keep_fraction = std::stod(keep);
+    DpzStats stats;
+    (void)dpz_compress(data, config, &stats);
+    ASSERT_EQ(run({"probe", path("channel.f32"), "--shape=26x26x26",
+                   "--dct-keep=" + keep}),
+              0)
+        << err_.str();
+    EXPECT_NE(out_.str().find("-> " + std::to_string(stats.k) + " total"),
+              std::string::npos)
+        << "keep " << keep << ": " << out_.str();
+  }
 }
 
 TEST_F(CliFlowTest, MissingShapeFails) {
@@ -632,6 +650,11 @@ TEST_F(CliFlowTest, ChunkAboveTheCapFails) {
                  "--shape=64x96", "--chunk=2199023255552"}),
             1);
   EXPECT_NE(err_.str().find("chunk"), std::string::npos) << err_.str();
+  // A usage error prints its message, not the source location or the
+  // C++ condition behind it.
+  EXPECT_EQ(err_.str().find("requirement failed"), std::string::npos)
+      << err_.str();
+  EXPECT_EQ(err_.str().find(".cpp:"), std::string::npos) << err_.str();
   EXPECT_FALSE(std::filesystem::exists(path("x.dpzc")));
 }
 

@@ -1,6 +1,7 @@
 // Diagnostics-layer tests: error breadcrumbs from the flight recorder
 // (core, C API, and CLI --diagnose), JSONL log-sink validity, the
-// Prometheus text exposition (checked with a strict in-test parser),
+// Prometheus text exposition (checked with a strict in-test parser, also
+// as CLI --metrics prints it),
 // the metrics JSON round trip including histogram sums, and the
 // trace-report command over a real --trace file.
 #include <gtest/gtest.h>
@@ -158,7 +159,7 @@ TEST(Diagnostics, LastErrorReportCrossesTheCApi) {
   EXPECT_NE(report.find("section=frame"), std::string::npos);
 }
 
-// ---- CLI: --diagnose, --log, metrics export, trace-report ---------------
+// ---- CLI: --diagnose, --log, trace-report -------------------------------
 
 class DiagnosticsCliTest : public ::testing::Test {
  protected:
@@ -405,6 +406,25 @@ TEST(Diagnostics, PrometheusExpositionPassesAStrictParser) {
       EXPECT_EQ(value, 1031.0);
     }
   }
+}
+
+// --metrics on a real command prints the registry the command filled, in
+// the same exposition a scraper reads.
+TEST_F(DiagnosticsCliTest, MetricsFlagPrintsPrometheusExposition) {
+  obs::MetricsRegistry::instance().reset();
+  ASSERT_EQ(run({"compress", path("in.f32"), path("a.dpz"), "--shape=4096",
+                 "--metrics"}),
+            0)
+      << err_.str();
+  const std::string out = out_.str();
+  const std::size_t start = out.find("# HELP dpz_");
+  ASSERT_NE(start, std::string::npos) << out;
+  EXPECT_NE(out.find("\ndpz_compress_calls_total 1\n"), std::string::npos)
+      << out;
+  const std::map<std::string, PromFamily> families =
+      parse_prometheus(out.substr(start));
+  EXPECT_EQ(families.size(), obs::kCounterCount + obs::kHistCount);
+  EXPECT_EQ(families.at("dpz_compress_calls_total").samples[0].second, 1.0);
 }
 
 // ---- metrics JSON round trip --------------------------------------------

@@ -679,33 +679,6 @@ TEST(DpzAnalysis, ExactScoresBeatQuantizedScores) {
   EXPECT_GE(exact.psnr_db, ev.stage3_error.psnr_db - 1e-9);
 }
 
-TEST(DpzAnalysis, PsnrKneeSelectsValidOperatingPoint) {
-  // SS IV-B: knee detection applied to the compression-performance curve
-  // instead of the TVE curve (paying a reconstruction per grid point).
-  const FloatArray data = smooth_2d(64, 128, 127);
-  DpzAnalysis analysis(data);
-  QuantizerConfig qcfg;
-  qcfg.error_bound = 1e-4;
-  qcfg.wide_codes = true;
-
-  const std::size_t k = analysis.k_for_psnr_knee(qcfg);
-  EXPECT_GE(k, 1U);
-  EXPECT_LE(k, analysis.layout().m);
-  // The knee of a saturating PSNR curve sits well below full rank.
-  EXPECT_LT(k, analysis.layout().m / 2);
-
-  const auto ev = analysis.evaluate(k, qcfg);
-  EXPECT_GT(ev.stage3_error.psnr_db, 25.0);
-}
-
-TEST(DpzAnalysis, PsnrKneeRejectsTinyGrid) {
-  const FloatArray data = smooth_2d(32, 64, 131);
-  DpzAnalysis analysis(data);
-  QuantizerConfig qcfg;
-  EXPECT_THROW((void)analysis.k_for_psnr_knee(qcfg, KneeFit::kFit1D, 2),
-               InvalidArgument);
-}
-
 TEST(DpzAnalysis, TveCurveDrivesK) {
   const FloatArray data = smooth_2d(48, 96, 59);
   const DpzAnalysis analysis(data);

@@ -1,10 +1,13 @@
 // Unit tests for the Algorithm 2 sampling strategy: subset picking,
-// k estimation on data with known rank, the VIF gate, and the CR_p band.
+// k estimation on data with known rank, the VIF gate, the CR_p band, and
+// dpz_probe's agreement with the k dpz_compress selects.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/dpz.h"
 #include "core/sampling.h"
+#include "data/datasets.h"
 #include "util/rng.h"
 
 namespace dpz {
@@ -112,21 +115,6 @@ TEST(Sampling, CalibratedBandPredictsAchievedRatio) {
   EXPECT_GT(report.cr_estimate_low, 1.0);
 }
 
-TEST(Sampling, RandomPicksAreValidAndUnique) {
-  const Matrix x = shared_rank_data(100, 300, 3, 6);
-  SamplingConfig cfg;
-  cfg.deterministic_picks = false;
-  cfg.sample_subset_count = 4;
-  const SamplingReport report = run_sampling(x, cfg);
-  EXPECT_EQ(report.picked_subsets.size(), 4U);
-  for (std::size_t i = 0; i < report.picked_subsets.size(); ++i) {
-    EXPECT_LT(report.picked_subsets[i], cfg.subset_count);
-    if (i > 0) {
-      EXPECT_GT(report.picked_subsets[i], report.picked_subsets[i - 1]);
-    }
-  }
-}
-
 TEST(Sampling, WhiteNoiseNeedsNearlyAllComponents) {
   const Matrix x = white_noise_data(60, 600, 7);
   SamplingConfig cfg;
@@ -154,13 +142,38 @@ TEST(Sampling, KneeModeProducesValidK) {
 
 TEST(Sampling, DeterministicForSameSeed) {
   const Matrix x = shared_rank_data(100, 300, 3, 10);
-  SamplingConfig cfg;
-  cfg.deterministic_picks = false;
+  const SamplingConfig cfg;
   const SamplingReport a = run_sampling(x, cfg);
   const SamplingReport b = run_sampling(x, cfg);
   EXPECT_EQ(a.picked_subsets, b.picked_subsets);
   EXPECT_EQ(a.full_k, b.full_k);
   EXPECT_EQ(a.vifs, b.vifs);
+}
+
+// dpz_probe is compress's own Stage 1 followed by Algorithm 2, so the k
+// it estimates is the k dpz_compress --sampling then uses, with and
+// without DCT truncation (a probe that skipped the truncation once
+// reported 104 and 87 here where compress used 87 and 77).
+TEST(Sampling, ProbeKIsTheKCompressUses) {
+  for (const char* name : {"Channel", "PHIS"}) {
+    const Dataset ds = make_dataset(name, 0.2, 2021);
+    for (const double keep : {1.0, 0.1}) {
+      SCOPED_TRACE(std::string(name) + " keep " + std::to_string(keep));
+      DpzConfig config;
+      config.use_sampling = true;
+      config.dct_keep_fraction = keep;
+      DpzStats stats;
+      (void)dpz_compress(ds.data, config, &stats);
+      EXPECT_EQ(dpz_probe(ds.data, config).full_k, stats.k);
+    }
+  }
+}
+
+TEST(Sampling, ProbeRejectsTooFewBlocks) {
+  const FloatArray data({8, 8}, std::vector<float>(64, 1.0f));
+  DpzConfig config;
+  config.subset_count = 10;  // needs M >= 20 blocks
+  EXPECT_THROW((void)dpz_probe(data, config), InvalidArgument);
 }
 
 }  // namespace

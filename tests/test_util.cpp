@@ -58,6 +58,20 @@ TEST(CliArgs, BooleanSpellings) {
   EXPECT_FALSE(args.get_bool("d", true));
 }
 
+// A failed precondition's text is its message alone: the CLI prints it
+// as the usage error, so no source path, line or C++ condition leaks in.
+TEST(Require, ThrowsInvalidArgumentCarryingOnlyTheMessage) {
+  const int chunk = 3;
+  try {
+    DPZ_REQUIRE(chunk >= 8, "chunk must hold 8 to 2^40 values");
+    ADD_FAILURE() << "DPZ_REQUIRE passed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "chunk must hold 8 to 2^40 values");
+    EXPECT_EQ(e.code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_NO_THROW(DPZ_REQUIRE(chunk == 3, std::string("unused")));
+}
+
 TEST(CliArgs, FallbacksWhenAbsent) {
   const char* argv[] = {"prog"};
   const CliArgs args(1, argv);

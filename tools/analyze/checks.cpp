@@ -45,13 +45,13 @@ const std::vector<CheckInfo> kChecks = {
      "DCT row calls (.forward(/.inverse( on a plan) and component_scale( "
      "appear in src/ only in the stage home (core/archive_detail.h, "
      "defined in core/dpz.cpp) and under src/dsp/; .k_for_tve( and "
-     "detect_knee( only there, under src/stats/ and src/linalg/, and in "
-     "core/analysis.cpp; sampled_vif( only there, under src/stats/ and "
-     "in core/sampling.cpp. Decode likewise: from_blocks( only there and "
-     "in core/blocking.*, pca_back_project( only there and under "
-     "src/linalg/. Every pipeline calls dct_rows, detail::stage1_inverse, "
-     "detail::stage3_forward, detail::select_k, "
-     "detail::sampling_config and detail::reconstruct instead of "
+     "detect_knee( only there and under src/stats/ and src/linalg/; "
+     "sampled_vif( only there, under src/stats/ and in core/sampling.cpp; "
+     "run_sampling( only there and in core/sampling.{h,cpp}. Decode "
+     "likewise: from_blocks( only there and in core/blocking.*, "
+     "pca_back_project( only there and under src/linalg/. Every pipeline "
+     "calls dct_rows, detail::stage1_inverse, detail::stage3_forward, "
+     "detail::select_k, dpz_probe and detail::reconstruct instead of "
      "re-writing a stage"},
     {"telemetry-dup",
      "span/counter/histogram display names in obs/names.h must be "
@@ -301,12 +301,13 @@ void check_single_span(const FileMap& files, std::vector<Finding>* out) {
 // Stage 1 or Stage 3, free to drift from the archive that ships
 // (DpzAnalysis once predicted sizes from such a copy). The transforms
 // themselves live in src/dsp/. Likewise Stage 2's k rule (a TVE
-// threshold or a knee on the TVE curve) lives in detail::select_k and
-// Algorithm 2's VIF probe in detail::sampling_config: a hand copy once
-// silently ignored fixed_k. The curve primitives live in src/stats/ and
-// src/linalg/; DpzAnalysis's PSNR knee (core/analysis.cpp) and
-// run_sampling's probe of an unprobed matrix (core/sampling.cpp) are the
-// two sanctioned callers outside the stage home. Decode is the same
+// threshold or a knee on the TVE curve) lives in detail::select_k, and
+// Algorithm 2's VIF probe and its run_sampling call in compress's Stage 1
+// and dpz_probe: a hand copy once silently ignored fixed_k, and another
+// skipped the DCT truncation, so the probe's k was not compress's. The
+// curve primitives live in src/stats/ and src/linalg/; run_sampling's
+// probe of an unprobed matrix (core/sampling.cpp) is the one sanctioned
+// sampled_vif caller outside the stage home. Decode is the same
 // chain inverted: a back-projection or a de-blocking outside
 // detail::reconstruct/stage1_inverse is a second decoder (the
 // shared-basis codec once carried one).
@@ -316,9 +317,9 @@ void check_single_stage(const FileMap& files, std::vector<Finding>* out) {
       continue;
     const bool dsp = starts_with(path, "src/dsp/");
     const bool stats = starts_with(path, "src/stats/");
-    const bool k_rule_ok = stats || starts_with(path, "src/linalg/") ||
-                           path == "src/core/analysis.cpp";
+    const bool k_rule_ok = stats || starts_with(path, "src/linalg/");
     const bool vif_ok = stats || path == "src/core/sampling.cpp";
+    const bool sampling_ok = starts_with(path, "src/core/sampling.");
     const bool deblock_ok = starts_with(path, "src/core/blocking.");
     const bool backproject_ok = starts_with(path, "src/linalg/");
     const std::vector<Token>& toks = file.tokens;
@@ -347,7 +348,11 @@ void check_single_stage(const FileMap& files, std::vector<Finding>* out) {
       if (!vif_ok && t == "sampled_vif")
         add(out, "single-stage", path, toks[i].line,
             "sampled_vif outside the stage home; probe through "
-            "detail::sampling_config");
+            "dpz_probe, which runs compress's own Stage 1");
+      if (!sampling_ok && t == "run_sampling")
+        add(out, "single-stage", path, toks[i].line,
+            "run_sampling outside the stage home; estimate k through "
+            "dpz_probe, which runs compress's own Stage 1");
       if (!deblock_ok && t == "from_blocks")
         add(out, "single-stage", path, toks[i].line,
             "from_blocks outside the stage home; invert Stage 1 "
