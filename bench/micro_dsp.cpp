@@ -60,7 +60,25 @@ void BM_DctForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_DctForward)->Arg(2048)->Arg(3600);
+BENCHMARK(BM_DctForward)->Arg(1440)->Arg(2048)->Arg(3600);
+
+void BM_DctInverse(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const DctPlan plan(n);
+  Rng rng(5);
+  std::vector<double> data(n);
+  for (auto& v : data) v = rng.normal();
+  for (auto _ : state) {
+    plan.inverse(data, data);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+// The Stage 1 row lengths of the benchmark workloads (686, 1440, 1800)
+// and a power of two.
+BENCHMARK(BM_DctInverse)->Arg(686)->Arg(1440)->Arg(1800)->Arg(2048);
 
 void BM_DctRoundTrip(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

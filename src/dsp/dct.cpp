@@ -10,7 +10,7 @@ namespace dpz {
 
 DctPlan::DctPlan(std::size_t n)
     : n_(n),
-      fft_(n),
+      fft_(n % 2 == 1 ? n : 1),
       half_fft_(n % 2 == 0 && n >= 2 ? n / 2 : 1),
       scale0_(std::sqrt(1.0 / static_cast<double>(n))),
       scale_(std::sqrt(2.0 / static_cast<double>(n))) {
@@ -99,22 +99,52 @@ void DctPlan::inverse(std::span<const double> in,
 
   // Undo the orthonormal scaling to recover the unnormalized C[k], then
   // invert the Makhoul construction: V[k] = exp(i*pi*k/2n)(C[k] - iC[n-k]).
-  std::vector<std::complex<double>> v(n_);
-  v[0] = std::complex<double>(in[0] / scale0_, 0.0);
-  for (std::size_t k = 1; k < n_; ++k) {
-    const double ck = in[k] / scale_;
-    const double cnk = in[n_ - k] / scale_;
-    v[k] = std::conj(shift_[k]) * std::complex<double>(ck, -cnk);
+  // Every read of `in` happens before the first write to `out`, so the
+  // two may alias.
+  auto spectrum = [&](std::size_t k) {
+    if (k == 0) return std::complex<double>(in[0] / scale0_, 0.0);
+    return std::conj(shift_[k]) *
+           std::complex<double>(in[k] / scale_, -in[n_ - k] / scale_);
+  };
+
+  thread_local std::vector<std::complex<double>> z;
+  if (n_ % 2 == 0) {
+    // The Makhoul-reordered samples are real, so fold their spectrum into n/2
+    // complexes Z[k] = E[k] + iO[k] — the forward's untangling run
+    // backwards, with E[k] = (V[k] + V[k+h])/2, O[k] = (V[k] - V[k+h])/2w^k
+    // and V[k+h] = conj(V[h-k]). One inverse transform at half length
+    // then yields the even-position reordered samples in the real parts
+    // and the odd-position ones in the imaginary parts.
+    const std::size_t h = n_ / 2;
+    auto fold = [&](std::size_t k, std::complex<double> vk,
+                    std::complex<double> vkh) {
+      const std::complex<double> odd = 0.5 * (vk - vkh) * std::conj(rt_[k]);
+      return 0.5 * (vk + vkh) + std::complex<double>(-odd.imag(), odd.real());
+    };
+    z.resize(h);
+    for (std::size_t k = 0; 2 * k <= h; ++k) {
+      const std::size_t j = h - k;
+      const std::complex<double> vk = spectrum(k);
+      const std::complex<double> vj = spectrum(j);
+      z[k] = fold(k, vk, std::conj(vj));
+      if (k != 0 && j != k) z[j] = fold(j, vj, std::conj(vk));
+    }
+    half_fft_.execute(z, /*inverse=*/true);
+  } else {
+    z.resize(n_);
+    for (std::size_t k = 0; k < n_; ++k) z[k] = spectrum(k);
+    fft_.execute(z, /*inverse=*/true);
   }
 
-  fft_.execute(v, /*inverse=*/true);
-
+  // Undo the Makhoul reordering. Even n: the interleaved (re, im) pairs
+  // of the half-length result are the reordered samples in order. Odd n:
+  // they are the real parts of the full-length result.
+  const double* vd = reinterpret_cast<const double*>(z.data());
+  const std::size_t stride = n_ % 2 == 0 ? 1 : 2;
   const std::size_t half = (n_ + 1) / 2;
-  std::vector<double> tmp(n_);
-  for (std::size_t i = 0; i < half; ++i) tmp[2 * i] = v[i].real();
+  for (std::size_t i = 0; i < half; ++i) out[2 * i] = vd[stride * i];
   for (std::size_t i = 0; i < n_ / 2; ++i)
-    tmp[2 * i + 1] = v[n_ - 1 - i].real();
-  for (std::size_t i = 0; i < n_; ++i) out[i] = tmp[i];
+    out[2 * i + 1] = vd[stride * (n_ - 1 - i)];
 }
 
 std::vector<double> dct_naive_forward(std::span<const double> x) {

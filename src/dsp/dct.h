@@ -8,8 +8,10 @@
 //
 // Two execution paths are provided, both 1-D (Stage 1 transforms each
 // block row on its own):
-//  * DctPlan       — O(n log n) via Makhoul's single-length-n FFT method,
-//                    used by the compressor;
+//  * DctPlan       — O(n log n) via Makhoul's single-length-n FFT method;
+//                    even lengths pack the real sequence into an n/2
+//                    complex FFT in both directions. Used by the
+//                    compressor and the decoder;
 //  * dct_naive_*   — O(n^2) direct evaluation, kept as the oracle the unit
 //                    tests and micro benches cross-validate against.
 #pragma once
@@ -41,12 +43,13 @@ class DctPlan {
 
  private:
   std::size_t n_;
+  /// Odd n only: the full-length transform (length 1, unused, for even n).
   FftPlan fft_;
   /// Even n only: the Makhoul-reordered sequence is REAL, so its length-n
   /// DFT falls out of the length-n/2 complex DFT of adjacent sample pairs
   /// plus an O(n) untangling pass — roughly half the butterfly work of
-  /// the full-length transform. Odd n (and the inverse, whose spectrum
-  /// input is complex) keep using `fft_`.
+  /// the full-length transform. The inverse folds the spectrum the same
+  /// way before one inverse transform at this length.
   FftPlan half_fft_;
   std::vector<std::complex<double>> shift_;  // exp(-i*pi*k/(2n))
   std::vector<std::complex<double>> rt_;     // exp(-2*pi*i*k/n), k in [0, n/2]

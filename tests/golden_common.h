@@ -156,7 +156,7 @@ inline std::uint64_t v1_reconstruction_fnv1a(const std::string& name) {
   if (name == "dpz_1d_f32_loose") return 12702031586422114287ULL;
   if (name == "dpz_2d_f32_strict") return 17925043515637843999ULL;
   if (name == "dpz_3d_f32_strict") return 10252479896664810560ULL;
-  if (name == "dpz_2d_f64_strict") return 2712614664726065383ULL;
+  if (name == "dpz_2d_f64_strict") return 14510195919447256950ULL;
   if (name == "chunked_2d_f32_strict") return 11548042134086490847ULL;
   if (name == "shared_basis_2d_f32_strict") return 18244997559596584113ULL;
   return 0ULL;

@@ -77,8 +77,9 @@ TEST_P(DctLengthTest, ParsevalHolds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(VariousLengths, DctLengthTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 8, 9, 16, 27, 32,
-                                           45, 64, 100, 128, 360, 500, 2048));
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 8, 9, 10, 16,
+                                           26, 27, 32, 45, 64, 100, 128, 360,
+                                           500, 686, 1440, 1800, 2048));
 
 TEST(Dct, ConstantSignalCompactsToDc) {
   const std::size_t n = 64;
@@ -117,6 +118,18 @@ TEST(Dct, InPlaceAliasingWorks) {
   const DctPlan plan(n);
   plan.forward(x, x);  // in place
   EXPECT_LT(max_abs_diff(x, reference), 1e-9);
+}
+
+TEST(Dct, InverseInPlaceAliasingWorks) {
+  // Even n folds into the half-length FFT, odd n runs the full-length one;
+  // both write `out` straight from the transform's scratch.
+  for (const std::size_t n : {std::size_t{100}, std::size_t{45}}) {
+    std::vector<double> x = random_vector(n, 78 + n);
+    const std::vector<double> reference = dct_naive_inverse(x);
+    const DctPlan plan(n);
+    plan.inverse(x, x);  // in place
+    EXPECT_LT(max_abs_diff(x, reference), 1e-9) << "length " << n;
+  }
 }
 
 TEST(Dct, PlanRejectsWrongLength) {
