@@ -29,15 +29,31 @@ Matrix random_spd(std::size_t m, std::uint64_t seed) {
   return covariance(x);
 }
 
+// The first layer of Stage 2, M x N on a pool of range(2) threads.
+// 720 x 1440 is climate2d-archive's block matrix and 500 x 686 the
+// 1-thread shape; the 4-thread rows show how evenly the triangle splits,
+// the 1-thread rows the serial code they must not slow down. Each call
+// copies the const input, as an lvalue caller's does.
 void BM_Covariance(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
-  const Matrix x = random_data(m, 2 * m, 1);
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto threads = static_cast<unsigned>(state.range(2));
+  const Matrix x = random_data(m, n, 1);
+  const ScopedThreads scope(threads);
   for (auto _ : state) {
     const Matrix cov = covariance(x);
     benchmark::DoNotOptimize(cov.flat().data());
   }
 }
-BENCHMARK(BM_Covariance)->Arg(128)->Arg(256);
+BENCHMARK(BM_Covariance)
+    ->Args({128, 256, 4})
+    ->Args({256, 512, 4})
+    ->Args({720, 1440, 1})
+    ->Args({720, 1440, 4})
+    ->Args({500, 686, 1})
+    ->Args({500, 686, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_EigenDense(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 
 #include "codec/bytes.h"
@@ -24,10 +25,10 @@ namespace dpz {
 // ---- Stage 1 (the stage functions are declared in archive_detail.h) ---
 
 void dct_rows(Matrix& blocks) {
-  const DctPlan plan(blocks.cols());
+  const std::shared_ptr<const DctPlan> plan = dct_plan(blocks.cols());
   parallel_for(0, blocks.rows(), [&](std::size_t i) {
     auto row = blocks.row(i);
-    plan.forward(row, row);
+    plan->forward(row, row);
   });
 }
 
@@ -145,10 +146,10 @@ NdArray<T> stage1_inverse(Matrix blocks, const BlockLayout& layout,
                           const std::vector<std::size_t>& shape) {
   const obs::ScopedSpan span(obs::Span::kDecodeIdct);
   governed_poll();
-  const DctPlan plan(blocks.cols());
+  const std::shared_ptr<const DctPlan> plan = dct_plan(blocks.cols());
   parallel_for(0, blocks.rows(), [&](std::size_t i) {
     auto row = blocks.row(i);
-    plan.inverse(row, row);
+    plan->inverse(row, row);
   });
   NdArray<T> out(shape);
   from_blocks(blocks, layout, out.flat());

@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "simd/simd.h"
+#include "util/annotated_mutex.h"
 #include "util/error.h"
 
 namespace dpz {
@@ -145,6 +146,33 @@ void DctPlan::inverse(std::span<const double> in,
   for (std::size_t i = 0; i < half; ++i) out[2 * i] = vd[stride * i];
   for (std::size_t i = 0; i < n_ / 2; ++i)
     out[2 * i + 1] = vd[stride * (n_ - 1 - i)];
+}
+
+namespace {
+
+// A chunked container needs at most two lengths (its full frames and the
+// last one) and a run of single archives usually one, so eight slots
+// hold every working set seen in practice; the cap bounds the table when
+// many lengths pass through, dropping the oldest plan first.
+constexpr std::size_t kMaxCachedPlans = 8;
+
+struct PlanTable {
+  Mutex mu;
+  std::vector<std::shared_ptr<const DctPlan>> plans DPZ_GUARDED_BY(mu);
+};
+
+}  // namespace
+
+std::shared_ptr<const DctPlan> dct_plan(std::size_t n) {
+  static PlanTable table;
+  const MutexLock lock(table.mu);
+  for (const auto& plan : table.plans)
+    if (plan->size() == n) return plan;
+  auto plan = std::make_shared<const DctPlan>(n);
+  if (table.plans.size() == kMaxCachedPlans)
+    table.plans.erase(table.plans.begin());
+  table.plans.push_back(plan);
+  return plan;
 }
 
 std::vector<double> dct_naive_forward(std::span<const double> x) {

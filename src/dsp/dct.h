@@ -11,12 +11,14 @@
 //  * DctPlan       — O(n log n) via Makhoul's single-length-n FFT method;
 //                    even lengths pack the real sequence into an n/2
 //                    complex FFT in both directions. Used by the
-//                    compressor and the decoder;
+//                    compressor and the decoder through dct_plan's
+//                    per-length cache;
 //  * dct_naive_*   — O(n^2) direct evaluation, kept as the oracle the unit
 //                    tests and micro benches cross-validate against.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,8 +28,8 @@ namespace dpz {
 
 /// Plan for repeated orthonormal DCTs of a fixed length.
 ///
-/// Immutable after construction; safe to share across worker threads when
-/// each thread uses its own scratch via the explicit-workspace overloads.
+/// Immutable after construction and safe to share across worker threads:
+/// forward and inverse keep their scratch in thread_local buffers.
 class DctPlan {
  public:
   explicit DctPlan(std::size_t n);
@@ -56,6 +58,13 @@ class DctPlan {
   double scale0_;                            // sqrt(1/n)
   double scale_;                             // sqrt(2/n)
 };
+
+/// The shared plan for length `n`, built on first use. A small
+/// mutex-guarded table keeps the plans of the most recently built
+/// lengths, so repeated compress and decode calls, and every frame of a
+/// chunked container, build each length once. Safe to call from any
+/// thread; a returned plan stays valid after the table drops it.
+std::shared_ptr<const DctPlan> dct_plan(std::size_t n);
 
 /// Reference O(n^2) orthonormal DCT-II.
 std::vector<double> dct_naive_forward(std::span<const double> x);

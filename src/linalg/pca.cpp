@@ -1,5 +1,6 @@
 #include "linalg/pca.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/eigen_sym.h"
@@ -84,46 +85,56 @@ Matrix pca_back_project(const Matrix& components,
   return x;
 }
 
-Matrix covariance(const Matrix& x) {
+namespace {
+
+// One feature's mean: a serial left-to-right sum, the one order every
+// caller shares, so the means are the same bits on every thread count.
+double row_mean(const double* row, std::size_t n) {
+  double sum = 0.0;
+  for (std::size_t c = 0; c < n; ++c) sum += row[c];
+  return sum / static_cast<double>(n);
+}
+
+}  // namespace
+
+Matrix covariance(Matrix x) {
   const std::size_t m = x.rows();
   const std::size_t n = x.cols();
   DPZ_REQUIRE(n >= 1, "covariance needs at least one sample");
   const simd::KernelTable& ops = simd::kernels();
 
-  std::vector<double> mean(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* row = x.row(i).data();
-    double sum = 0.0;
-    for (std::size_t c = 0; c < n; ++c) sum += row[c];
-    mean[i] = sum / static_cast<double>(n);
-  }
-
-  // Center once up front so the O(m^2 n) pair loop runs plain dots
+  // Center each row in place so the O(m^2 n) pair loop runs plain dots
   // instead of re-subtracting the means per element. (x - mu) * 1.0 is
   // exact for every double, and dot and dot_centered share the same
   // sixteen-lane reduction tree, so this is bit-identical to the fused
   // form.
-  Matrix centered(m, n);
   parallel_for(0, m, [&](std::size_t i) {
-    ops.center_scale(x.row(i).data(), mean[i], 1.0, centered.row(i).data(),
-                     n);
+    double* row = x.row(i).data();
+    ops.center_scale(row, row_mean(row, n), 1.0, row, n);
   });
 
   // Blocks of four i-rows share each streamed j-row: the first dot pulls
-  // it out of L2, the next three hit L1. Every (i, j) dot is the same
-  // call in either order, so the entries are bit-identical to the
-  // row-at-a-time loop.
+  // it out of L2, the next three hit L1. Block b fills columns
+  // [4b, m) of its rows, so the work shrinks down the triangle; one
+  // index runs block p with block nb - 1 - p, and every index then
+  // carries about m + 4 columns, so contiguous chunks balance at any
+  // pool width. Every (i, j) dot is the same call in any order, so the
+  // entries are bit-identical to the row-at-a-time loop.
   constexpr std::size_t kRowBlock = 4;
+  const std::size_t nb = (m + kRowBlock - 1) / kRowBlock;
   Matrix cov(m, m);
-  parallel_for(0, (m + kRowBlock - 1) / kRowBlock, [&](std::size_t bi) {
+  auto fill_block = [&](std::size_t bi) {
     const std::size_t i0 = bi * kRowBlock;
     const std::size_t i1 = std::min(m, i0 + kRowBlock);
     for (std::size_t j = i0; j < m; ++j) {
-      const double* cj = centered.row(j).data();
+      const double* cj = x.row(j).data();
       for (std::size_t i = i0; i < i1 && i <= j; ++i)
-        cov(i, j) = ops.dot(centered.row(i).data(), cj, n) /
-                    static_cast<double>(n);
+        cov(i, j) = ops.dot(x.row(i).data(), cj, n) / static_cast<double>(n);
     }
+  };
+  parallel_for(0, (nb + 1) / 2, [&](std::size_t p) {
+    fill_block(p);
+    if (nb - 1 - p != p) fill_block(nb - 1 - p);  // odd nb: middle once
   });
   // Mirror the upper triangle (disjoint writes above, so safe afterwards).
   for (std::size_t i = 0; i < m; ++i)
@@ -137,40 +148,33 @@ PcaSpectrum fit_pca_spectrum(const Matrix& x, bool standardize) {
   DPZ_REQUIRE(n >= 2, "PCA needs at least two samples per feature");
   const simd::KernelTable& ops = simd::kernels();
 
+  // Per feature, in one pass while its row is cache-hot: the mean, the
+  // variance when standardizing, and the centered (optionally scaled)
+  // row. Rows are independent, so this runs on the pool.
   PcaSpectrum spec;
   PcaModel& model = spec.model;
   model.mean.resize(m);
   model.scale.assign(m, 1.0);
-  for (std::size_t i = 0; i < m; ++i) {
+  Matrix centered(m, n);
+  parallel_for(0, m, [&](std::size_t i) {
     const double* row = x.row(i).data();
-    double sum = 0.0;
-    for (std::size_t c = 0; c < n; ++c) sum += row[c];
-    model.mean[i] = sum / static_cast<double>(n);
-  }
-  if (standardize) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const double mu = model.mean[i];
+    const double mu = row_mean(row, n);
+    model.mean[i] = mu;
+    if (standardize) {
       const double var =
-          ops.dot_centered(x.row(i).data(), mu, x.row(i).data(), mu, n) /
-          static_cast<double>(n);
+          ops.dot_centered(row, mu, row, mu, n) / static_cast<double>(n);
       if (var > 0.0) model.scale[i] = std::sqrt(var);
     }
-  }
+    ops.center_scale(row, mu, 1.0 / model.scale[i], centered.row(i).data(),
+                     n);
+  });
 
-  // Covariance of the centered (optionally standardized) copy; its means
-  // are now ~0, but covariance recomputes them to stay exact. The copy
-  // dies before the reduction and the covariance moves into it, so no
-  // second M x M copy is ever held.
-  Matrix cov;
-  {
-    Matrix centered(m, n);
-    parallel_for(0, m, [&](std::size_t i) {
-      ops.center_scale(x.row(i).data(), model.mean[i], 1.0 / model.scale[i],
-                       centered.row(i).data(), n);
-    });
-    cov = covariance(centered);
-  }
-  spec.tridiag = tridiagonalize(std::move(cov));
+  // The centered copy's means are ~0 but not exactly 0; covariance
+  // re-centers it in place (the same per-row operations a fresh copy
+  // would get), so the entries match covariance of the copy bit for
+  // bit. The copy moves in and dies there, and the covariance moves
+  // into the reduction, so no second M x N or M x M copy is ever held.
+  spec.tridiag = tridiagonalize(covariance(std::move(centered)));
   model.eigenvalues = eigen_values_from(spec.tridiag);
   for (double& v : model.eigenvalues)
     if (v < 0.0) v = 0.0;  // clamp tiny negative rounding residue

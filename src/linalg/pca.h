@@ -73,8 +73,9 @@ struct PcaModel {
 /// takes eigen_topk_from's dense branch, which is eigen_sym_from, so it
 /// equals eigen_sym on the same covariance bit for bit.
 ///
-/// Threading: the reduction and the back-transform run on the active
-/// pool's team (see eigen_sym.h); the single-participant path is the
+/// Threading: the per-row means, centering and covariance split their
+/// rows over the active pool, and the reduction and the back-transform
+/// run on its team (see eigen_sym.h); the single-participant path is the
 /// oracle, and every thread count produces the same bits.
 struct PcaSpectrum {
   PcaModel model;  ///< mean/scale/eigenvalues filled; components empty
@@ -101,8 +102,15 @@ PcaModel attach_top_components(PcaSpectrum&& spec, std::size_t k);
 
 /// Covariance matrix of X's rows: C = (Xc Xc^T)/N with Xc row-centered
 /// (population normalization, matching the eigenvalue/variance accounting
-/// in Eq. 2). Exposed separately for tests and for the DCT-domain identity
-/// check (Eq. 4: V_Z = A^T V_X A).
-Matrix covariance(const Matrix& x);
+/// in Eq. 2). Exposed separately for the VIF probe, tests, and the
+/// DCT-domain identity check (Eq. 4: V_Z = A^T V_X A).
+///
+/// Takes X by value and centers that copy in place, row by row, so a
+/// caller that moves its matrix in (fit_pca_spectrum does) pays for no
+/// second M x N buffer; an lvalue argument is copied and left as it was.
+/// Each entry is ops.dot(row i, row j, N) / N on the centered rows, and
+/// each mean a serial left-to-right row sum, so the result is the same
+/// bits at every pool width.
+Matrix covariance(Matrix x);
 
 }  // namespace dpz

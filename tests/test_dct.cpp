@@ -1,15 +1,19 @@
 // Unit and property tests for the orthonormal DCT-II/III: agreement with
 // the O(n^2) oracle, orthonormality (Parseval), round-trips, energy
-// compaction on smooth signals, and the 2-D separable transform.
+// compaction on smooth signals, and the shared per-length plan cache.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <memory>
 #include <numbers>
 #include <vector>
 
 #include "dsp/dct.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dpz {
 namespace {
@@ -136,6 +140,71 @@ TEST(Dct, PlanRejectsWrongLength) {
   const DctPlan plan(16);
   std::vector<double> x(8), y(8);
   EXPECT_THROW(plan.forward(x, y), InvalidArgument);
+}
+
+// ---- The per-length plan cache ----------------------------------------
+
+TEST(DctPlanCache, SameLengthReturnsTheSamePlan) {
+  const std::shared_ptr<const DctPlan> a = dct_plan(96);
+  const std::shared_ptr<const DctPlan> b = dct_plan(96);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(a->size(), 96U);
+  EXPECT_NE(dct_plan(97).get(), a.get());
+}
+
+// Even and odd lengths take different FFT paths; a cached plan must give
+// the bits a freshly built one does, both ways.
+TEST(DctPlanCache, MatchesAFreshPlanBitForBit) {
+  for (const std::size_t n : {std::size_t{1440}, std::size_t{45}}) {
+    const std::vector<double> x = random_vector(n, 90 + n);
+    const DctPlan fresh(n);
+    std::vector<double> want_fwd(n), got_fwd(n), want_inv(n), got_inv(n);
+    fresh.forward(x, want_fwd);
+    dct_plan(n)->forward(x, got_fwd);
+    fresh.inverse(x, want_inv);
+    dct_plan(n)->inverse(x, got_inv);
+    EXPECT_EQ(std::memcmp(got_fwd.data(), want_fwd.data(), n * sizeof(double)),
+              0)
+        << "length " << n;
+    EXPECT_EQ(std::memcmp(got_inv.data(), want_inv.data(), n * sizeof(double)),
+              0)
+        << "length " << n;
+  }
+}
+
+// Pool workers look up a handful of lengths at once, as the frames of a
+// chunked container do; every lookup must agree with a fresh plan (run
+// under TSan in CI).
+TEST(DctPlanCache, ConcurrentLookupsFromThePool) {
+  constexpr std::size_t kLengths[] = {64, 100, 45, 1440};
+  constexpr std::size_t kCalls = 64;
+  std::vector<std::vector<double>> want(std::size(kLengths));
+  for (std::size_t l = 0; l < std::size(kLengths); ++l) {
+    want[l] = random_vector(kLengths[l], 200 + l);
+    DctPlan(kLengths[l]).inverse(want[l], want[l]);
+  }
+  std::vector<int> ok(kCalls, 0);
+  const ScopedThreads scope(4);
+  parallel_for(0, kCalls, [&](std::size_t c) {
+    const std::size_t l = c % std::size(kLengths);
+    std::vector<double> x = random_vector(kLengths[l], 200 + l);
+    dct_plan(kLengths[l])->inverse(x, x);
+    ok[c] = std::memcmp(x.data(), want[l].data(),
+                        x.size() * sizeof(double)) == 0;
+  });
+  for (std::size_t c = 0; c < kCalls; ++c) EXPECT_EQ(ok[c], 1) << "call " << c;
+}
+
+// The table is capped; a plan it drops stays usable by its holder.
+TEST(DctPlanCache, PlanOutlivesEviction) {
+  const std::shared_ptr<const DctPlan> held = dct_plan(24);
+  for (std::size_t n = 300; n < 340; ++n) (void)dct_plan(n);
+  const std::vector<double> x = random_vector(24, 7);
+  std::vector<double> got(24), want(24);
+  held->forward(x, got);
+  DctPlan(24).forward(x, want);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), 24 * sizeof(double)), 0);
+  EXPECT_EQ(dct_plan(24)->size(), 24U);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Unit tests for the dense Matrix type: shape checks, multiplication
-// identities, transpose composition, and matrix-vector products.
+// identities, transpose composition, matrix-vector products, and
+// cache-line-aligned storage.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "linalg/matrix.h"
 #include "util/rng.h"
@@ -29,6 +32,28 @@ TEST(Matrix, RejectsEmptyDimensions) {
 
 TEST(Matrix, WrapRejectsSizeMismatch) {
   EXPECT_THROW(Matrix(2, 2, {1.0, 2.0, 3.0}), InvalidArgument);
+}
+
+// Storage starts on a cache line however it was made, so a row length
+// that is a multiple of 8 doubles puts every row on one; the contents
+// survive copies and the wrapping constructor.
+TEST(Matrix, StorageStartsOnACacheLine) {
+  auto line_offset = [](const Matrix& m) {
+    return reinterpret_cast<std::uintptr_t>(m.flat().data()) % 64;
+  };
+  for (const std::size_t cols : {1, 3, 8, 1440}) {
+    const Matrix a = random_matrix(5, cols, cols);
+    EXPECT_EQ(line_offset(a), 0U) << cols;
+    const Matrix copy = a;
+    EXPECT_EQ(line_offset(copy), 0U) << cols;
+    EXPECT_EQ(copy.max_abs_diff(a), 0.0);
+  }
+  const Matrix wrapped(2, 3, {1, 2, 3, 4, 5, 6});
+  EXPECT_EQ(line_offset(wrapped), 0U);
+  EXPECT_EQ(wrapped(1, 2), 6.0);
+  const Matrix big(720, 1440);
+  for (std::size_t r = 0; r < big.rows(); r += 97)
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.row(r).data()) % 64, 0U);
 }
 
 TEST(Matrix, RowAccessIsContiguous) {

@@ -1,4 +1,5 @@
-// Unit and property tests for PCA: covariance correctness, variance
+// Unit and property tests for PCA: covariance correctness and its
+// thread-count invariance, variance
 // capture on constructed low-rank data, exact reconstruction at full rank,
 // TVE-curve semantics, the DCT-domain identity from SS III-B2 (Eq. 4-6),
 // the full-basis fit against eigen_sym, and top-k fits against the full
@@ -6,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dsp/dct.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/pca.h"
+#include "simd/simd.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dpz {
 namespace {
@@ -50,6 +54,57 @@ TEST(Covariance, SymmetricByConstruction) {
   for (double& v : x.flat()) v = rng.normal();
   const Matrix cov = covariance(x);
   EXPECT_LT(cov.max_abs_diff(cov.transposed()), 1e-14);
+}
+
+// The covariance's original formula, kept as the oracle: serial row
+// means, a centered copy, then ops.dot on every pair of the upper
+// triangle, mirrored.
+Matrix covariance_oracle(const Matrix& x) {
+  const std::size_t m = x.rows();
+  const std::size_t n = x.cols();
+  const simd::KernelTable& ops = simd::kernels();
+  Matrix centered(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    double sum = 0.0;
+    for (const double v : x.row(i)) sum += v;
+    ops.center_scale(x.row(i).data(), sum / static_cast<double>(n), 1.0,
+                     centered.row(i).data(), n);
+  }
+  Matrix cov(m, m);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = i; j < m; ++j)
+      cov(i, j) = cov(j, i) =
+          ops.dot(centered.row(i).data(), centered.row(j).data(), n) /
+          static_cast<double>(n);
+  return cov;
+}
+
+// Row blocks are paired across the triangle for balance; an odd block
+// count runs its middle block once and M need not be a multiple of the
+// block height. Every width must reproduce the per-pair oracle bit for
+// bit, and an lvalue argument must come back untouched.
+TEST(Pca, CovarianceIsBitwiseThreadCountInvariant) {
+  for (const std::size_t m : {1, 3, 4, 5, 8, 9, 255, 257, 300}) {
+    Rng rng(40 + m);
+    Matrix x(m, 37);
+    for (double& v : x.flat()) v = 3.0 + rng.normal();
+    const Matrix before = x;
+    const Matrix oracle = covariance_oracle(x);
+    for (const unsigned threads : {1U, 2U, 3U, 4U, 8U}) {
+      const ScopedThreads scope(threads);
+      const Matrix cov = covariance(x);
+      ASSERT_EQ(cov.rows(), m);
+      ASSERT_EQ(cov.cols(), m);
+      EXPECT_EQ(std::memcmp(cov.flat().data(), oracle.flat().data(),
+                            m * m * sizeof(double)),
+                0)
+          << "M = " << m << ", " << threads << " threads";
+      EXPECT_EQ(std::memcmp(x.flat().data(), before.flat().data(),
+                            x.flat().size() * sizeof(double)),
+                0)
+          << "M = " << m << ": input modified";
+    }
+  }
 }
 
 TEST(Pca, EigenvalueSumEqualsTotalVariance) {
