@@ -58,9 +58,10 @@ std::uint64_t fnv1a_f32(std::span<const float> values) {
                 values.size() * sizeof(float)});
 }
 
+// In the alphabetical key order earlier artifacts used.
 constexpr obs::Span kCompressStages[] = {
-    obs::Span::kStage1Dct, obs::Span::kStage2Pca, obs::Span::kStage3Quantize,
-    obs::Span::kZlibEncode};
+    obs::Span::kStage1Dct, obs::Span::kStage2Pca, obs::Span::kProject,
+    obs::Span::kStage3Quantize, obs::Span::kZlibEncode};
 
 struct CellResult {
   std::string dataset;
@@ -178,8 +179,7 @@ void write_json(std::ostream& out, const std::vector<CellResult>& cells,
         << "      \"archive_fnv1a\": \"" << r.archive_hash << "\",\n"
         << "      \"decode_fnv1a\": \"" << r.decode_hash << "\",\n"
         << "      \"stages\": {";
-    // Non-zero compress stages in enum order, which is also the
-    // alphabetical key order earlier artifacts used.
+    // Non-zero compress stages.
     std::size_t j = 0;
     for (const obs::Span stage : kCompressStages) {
       const double seconds = r.stages.seconds(stage);

@@ -2,9 +2,10 @@
 // Shape to reproduce: Stage 2 (PCA) and Stage 3 (quantization) dominate,
 // since both scale with the coefficient dimensions (SS V-C5).
 //
-// Every column is a share of the wall time around dpz_compress; "other"
-// is the residual no stage span covers (the projection between Stage 2
-// and Stage 3, the stored-raw check, call overhead).
+// Every column is a share of the wall time around dpz_compress; the
+// projection (block matrix -> scores, between Stage 2 and Stage 3) has
+// its own column, and "other" is the residual no span covers (the
+// stored-raw check, call overhead).
 #include <iostream>
 
 #include "bench_common.h"
@@ -24,7 +25,8 @@ int main(int argc, char** argv) {
                "===\n\n";
 
   TablePrinter table({"dataset", "total s", "stage1 DCT %", "stage2 PCA %",
-                      "stage3 quant %", "zlib %", "other %"});
+                      "projection %", "stage3 quant %", "zlib %",
+                      "other %"});
 
   for (const std::string& name : table_datasets()) {
     const Dataset ds = make_dataset(name, opt.scale, opt.seed);
@@ -42,6 +44,7 @@ int main(int argc, char** argv) {
     table.add_row({name, fixed(wall, 3),
                    pct(stats.timers.total("stage1_dct")),
                    pct(stats.timers.total("stage2_pca")),
+                   pct(stats.timers.total("stage2_project")),
                    pct(stats.timers.total("stage3_quantize")),
                    pct(stats.timers.total("zlib_encode")),
                    pct(wall - stats.timers.grand_total())});

@@ -1,6 +1,6 @@
 // Substrate micro-benchmarks: covariance, dense vs truncated symmetric
 // eigendecomposition (the sampling strategy's O(M^3) -> O(M^2 k) claim),
-// and PCA transform throughput.
+// and PCA projection/back-projection throughput.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -96,17 +96,58 @@ void BM_EigenTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_EigenTopK)->Args({256, 8})->Args({512, 8})->Args({512, 32});
 
+// Stage 2's projection and back-projection, M x k x N on a pool of
+// range(3) threads, through a random (not orthonormal) basis: the
+// kernel's cost does not depend on the basis's values. 500 x 500 x 686
+// is turbulence3d-sampling's single-thread shape, 720 x 56 x 1440
+// climate2d-archive's, and 128 x 8 x 512 a chunked frame's, where k is
+// small and the panels are shallow.
+struct ProjectionCase {
+  Matrix basis;
+  std::vector<double> mean;
+  std::vector<double> scale;
+  Matrix x;
+  Matrix scores;
+  ProjectionCase(std::size_t m, std::size_t k, std::size_t n)
+      : basis(random_data(m, k, 4)),
+        mean(m, 0.25),
+        scale(m, 1.0),
+        x(random_data(m, n, 5)),
+        scores(random_data(k, n, 6)) {}
+};
+
 void BM_PcaTransform(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const Matrix x = random_data(m, 4 * m, 4);
-  const std::size_t k = m / 8;
-  const PcaModel model = attach_top_components(fit_pca_spectrum(x), k);
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const ProjectionCase pc(static_cast<std::size_t>(state.range(0)), k,
+                          static_cast<std::size_t>(state.range(2)));
+  const ScopedThreads scope(static_cast<unsigned>(state.range(3)));
   for (auto _ : state) {
-    const Matrix scores = model.transform(x, k);
+    const Matrix scores = pca_project(pc.basis, pc.mean, pc.scale, pc.x, k);
     benchmark::DoNotOptimize(scores.flat().data());
   }
 }
-BENCHMARK(BM_PcaTransform)->Arg(256);
+
+void BM_PcaBackProject(benchmark::State& state) {
+  const ProjectionCase pc(static_cast<std::size_t>(state.range(0)),
+                          static_cast<std::size_t>(state.range(1)),
+                          static_cast<std::size_t>(state.range(2)));
+  const ScopedThreads scope(static_cast<unsigned>(state.range(3)));
+  for (auto _ : state) {
+    const Matrix x = pca_back_project(pc.basis, pc.mean, pc.scale, pc.scores);
+    benchmark::DoNotOptimize(x.flat().data());
+  }
+}
+
+void projection_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({500, 500, 686, 1})
+      ->Args({720, 56, 1440, 1})
+      ->Args({720, 56, 1440, 4})
+      ->Args({128, 8, 512, 1})
+      ->Unit(benchmark::kMillisecond)
+      ->UseRealTime();
+}
+BENCHMARK(BM_PcaTransform)->Apply(projection_shapes);
+BENCHMARK(BM_PcaBackProject)->Apply(projection_shapes);
 
 // ---- per-kernel, per-ISA rows ------------------------------------------
 // One row per (kernel, ISA) so a dispatch regression shows up as a
@@ -165,23 +206,26 @@ BENCHMARK(BM_KernelAxpy)
     ->Arg(static_cast<int>(simd::Isa::kAvx2))
     ->Arg(static_cast<int>(simd::Isa::kNeon));
 
-void BM_KernelAccumCentered(benchmark::State& state) {
+// One 4 x 8 tile over a 256-deep panel, both L1-resident.
+void BM_KernelPanelAccumulate(benchmark::State& state) {
   const auto isa = static_cast<simd::Isa>(state.range(0));
   if (!isa_ready(state, isa)) return;
-  const std::size_t n = 4096;
-  std::vector<double> x(n), out(n, 0.0);
+  const std::size_t depth = 256;
+  std::vector<double> a(4 * depth), panel(8 * depth), out(32, 0.0);
   Rng rng(17);
-  for (double& v : x) v = rng.normal();
+  for (double& v : a) v = rng.normal();
+  for (double& v : panel) v = rng.normal();
   const simd::KernelTable& ops = simd::kernel_table(isa);
   for (auto _ : state) {
-    ops.accum_centered(0.75, x.data(), 0.125, out.data(), n);
+    ops.panel_accumulate(a.data(), panel.data(), depth, true, out.data(), 8);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetLabel(simd::isa_name(isa));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(3 * n * sizeof(double)));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(64 * depth));
 }
-BENCHMARK(BM_KernelAccumCentered)
+BENCHMARK(BM_KernelPanelAccumulate)
     ->Arg(static_cast<int>(simd::Isa::kScalar))
     ->Arg(static_cast<int>(simd::Isa::kAvx2))
     ->Arg(static_cast<int>(simd::Isa::kNeon));

@@ -164,17 +164,21 @@ NdArray<T> reconstruct(const QuantizedStream& qs, const QuantizerConfig& qcfg,
                        const BlockLayout& layout,
                        const std::vector<std::size_t>& shape) {
   // Stage 3 inverse: codes -> normalized scores -> scores.
-  std::optional<obs::ScopedSpan> span(std::in_place,
-                                      obs::Span::kDecodeDequantize);
-  governed_poll();
-  const Matrix scores = stage3_inverse(qs, qcfg, score_scale,
-                                       qs.count / layout.n, layout.n);
+  Matrix scores;
+  {
+    const obs::ScopedSpan span(obs::Span::kDecodeDequantize);
+    governed_poll();
+    scores = stage3_inverse(qs, qcfg, score_scale, qs.count / layout.n,
+                            layout.n);
+  }
 
   // Stage 2 inverse through the basis's leading k columns.
-  span.emplace(obs::Span::kDecodeBackproject);
-  governed_poll();
-  Matrix blocks = pca_back_project(basis, mean, scale, scores);
-  span.reset();
+  Matrix blocks;
+  {
+    const obs::ScopedSpan span(obs::Span::kDecodeBackproject);
+    governed_poll();
+    blocks = pca_back_project(basis, mean, scale, scores);
+  }
 
   NdArray<T> out = stage1_inverse<T>(std::move(blocks), layout, shape);
   obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
@@ -501,13 +505,20 @@ std::vector<std::uint8_t> compress_impl(const NdArray<T>& data,
     model = attach_top_components(std::move(spec), k);
   }
 
-  // ---- Projection (outside every stage span) + Stage 3 + serialization --
+  // ---- Projection: the k x N scores ----------------------------------
+  Matrix scores;
+  {
+    const obs::ScopedSpan stage(obs::Span::kProject, &st.timers);
+    scores = model.transform(blocks, k);
+  }
+
+  // ---- Stage 3 + serialization ------------------------------------------
   QuantizerConfig qcfg;
   qcfg.error_bound = config.effective_error_bound();
   qcfg.wide_codes = config.effective_wide_codes();
-  std::vector<std::uint8_t> archive = detail::encode(
-      data, layout, model.transform(blocks, k), model, standardized, qcfg,
-      config.zlib_level, st);
+  std::vector<std::uint8_t> archive =
+      detail::encode(data, layout, std::move(scores), model, standardized,
+                     qcfg, config.zlib_level, st);
   detail::count_archive(st);
   return archive;
 }
@@ -523,60 +534,64 @@ NdArray<T> decompress_impl(std::span<const std::uint8_t> archive,
   const GovernorScope governor_scope(limits);
   governed_poll();
   obs::count(obs::Counter::kDecompressCalls);
-  // Section reads are the first decode stage; the span closes before
-  // detail::reconstruct opens the next (optional<> so it can end early).
-  std::optional<obs::ScopedSpan> span(std::in_place,
-                                      obs::Span::kDecodeSections);
-  const detail::DpzLayout parsed =
-      detail::parse_layout<detail::DpzLayout>(archive);
-  const DpzArchiveInfo& info = parsed.info;
-  if (info.double_precision != (sizeof(T) == 8))
-    throw FormatError(info.double_precision
-                          ? "archive holds double-precision data; use "
-                            "dpz_decompress_f64"
-                          : "archive holds single-precision data; use "
-                            "dpz_decompress");
+  // Section reads are the first decode stage; their span closes before
+  // detail::reconstruct opens the next.
+  DpzArchiveInfo info;
+  QuantizerConfig qcfg;
+  detail::SideData side;
+  QuantizedStream qs;
+  {
+    const obs::ScopedSpan span(obs::Span::kDecodeSections);
+    const detail::DpzLayout parsed =
+        detail::parse_layout<detail::DpzLayout>(archive);
+    info = parsed.info;
+    if (info.double_precision != (sizeof(T) == 8))
+      throw FormatError(info.double_precision
+                            ? "archive holds double-precision data; use "
+                              "dpz_decompress_f64"
+                            : "archive holds single-precision data; use "
+                              "dpz_decompress");
 
-  // Pre-flight admission: price the header-claimed decode and reject it
-  // against the governing memory budget before get_section sizes the
-  // first payload allocation from these (validated-but-untrusted) fields.
-  // An archive claiming terabytes therefore fails with ResourceExhausted
-  // here, never by attempting the allocation.
-  if (const ResourceGovernor* g = current_governor())
-    g->admit(dpz_decode_preflight(info).peak_bytes,
-             info.stored_raw ? "stored DPZ archive" : "DPZ archive");
+    // Pre-flight admission: price the header-claimed decode and reject
+    // it against the governing memory budget before get_section sizes
+    // the first payload allocation from these (validated-but-untrusted)
+    // fields. An archive claiming terabytes therefore fails with
+    // ResourceExhausted here, never by attempting the allocation.
+    if (const ResourceGovernor* g = current_governor())
+      g->admit(dpz_decode_preflight(info).peak_bytes,
+               info.stored_raw ? "stored DPZ archive" : "DPZ archive");
 
-  if (info.stored_raw) {
-    const std::vector<std::uint8_t> raw =
-        get_section(archive, parsed.sections[1]);
-    ByteReader raw_reader(raw);
-    NdArray<T> out(info.shape);
-    for (T& v : out.flat()) v = static_cast<T>(get_element<T>(raw_reader));
-    obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
-    return out;
+    if (info.stored_raw) {
+      const std::vector<std::uint8_t> raw =
+          get_section(archive, parsed.sections[1]);
+      ByteReader raw_reader(raw);
+      NdArray<T> out(info.shape);
+      for (T& v : out.flat()) v = static_cast<T>(get_element<T>(raw_reader));
+      obs::count(obs::Counter::kBytesDecoded, out.size() * sizeof(T));
+      return out;
+    }
+
+    qcfg = {info.error_bound, info.wide_codes};
+    // get_section holds each section to the exact size the validated
+    // header implies before inflating it, so the score matrices, outlier
+    // buffers and dequantize()'s size contract below never see any
+    // other.
+    side = detail::deserialize_side(get_section(archive, parsed.sections[1]),
+                                    info.layout.m, info.k,
+                                    info.standardized);
+    qs = detail::read_payload<T>(archive, parsed.sections[2],
+                                 parsed.sections[3], info.k * info.layout.n);
+
+    // Progressive reconstruction: score streams are stored in component
+    // order, so the stream's first max_components * n codes (and the
+    // outliers their escapes consume) are a valid lower-rank archive
+    // view.
+    if (max_components != 0 && max_components < info.k)
+      keep_prefix(qs, qcfg, max_components * info.layout.n);
   }
-
-  const QuantizerConfig qcfg{info.error_bound, info.wide_codes};
-  const BlockLayout& layout = info.layout;
-  const std::size_t k = info.k;
-
-  // get_section holds each section to the exact size the validated
-  // header implies before inflating it, so the score matrices, outlier
-  // buffers and dequantize()'s size contract below never see any other.
-  const detail::SideData side = detail::deserialize_side(
-      get_section(archive, parsed.sections[1]), layout.m, k,
-      info.standardized);
-  QuantizedStream qs = detail::read_payload<T>(
-      archive, parsed.sections[2], parsed.sections[3], k * layout.n);
-
-  // Progressive reconstruction: score streams are stored in component
-  // order, so the stream's first max_components * n codes (and the
-  // outliers their escapes consume) are a valid lower-rank archive view.
-  if (max_components != 0 && max_components < k)
-    keep_prefix(qs, qcfg, max_components * layout.n);
-  span.reset();
   return detail::reconstruct<T>(qs, qcfg, side.score_scale, side.basis,
-                                side.mean, side.scale, layout, info.shape);
+                                side.mean, side.scale, info.layout,
+                                info.shape);
 }
 
 }  // namespace

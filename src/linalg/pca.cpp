@@ -1,6 +1,7 @@
 #include "linalg/pca.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "linalg/eigen_sym.h"
@@ -33,33 +34,119 @@ std::size_t PcaModel::k_for_tve(double threshold) const {
   return tve.size();
 }
 
+namespace {
+
+// Geometry of the panel product: 4-row coefficient tiles
+// (simd::KernelTable::panel_accumulate's register tile is 4 x 8),
+// 8-column panels, depth blocks of kDepthBlock terms, and groups of
+// kGroupPanels panels that share each packed coefficient tile, so one
+// tile's packing (a division per entry in the projection) is spread
+// over 128 columns. Both buffers live on the stack, 8 KiB of panels
+// and 256 B of tile, whatever M, k and N are. They are kept that small
+// because a pool thread's stack pages stay resident once touched: a
+// 64-deep block (64 KiB of panels) raised dpz_bench's peak RSS by up to
+// 0.6 MiB, and depth 8 runs within 10% of it.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kPanelCols = 8;
+constexpr std::size_t kDepthBlock = 8;
+constexpr std::size_t kGroupPanels = 16;
+constexpr std::size_t kGroupCols = kGroupPanels * kPanelCols;
+constexpr std::size_t kPanelStride = kDepthBlock * kPanelCols;
+
+// out(r, c) += sum of A(r, t) * P(t, c) over t in [0, depth), in
+// ascending t, with zero coefficients skipped; then finish(c0, cols)
+// runs on each finished group of columns [c0, c0 + cols).
+//  * pack_a(r0, rows, t0, t1, tile) writes A(r0 + r, t) to
+//    tile[4 * (t - t0) + r] for r < rows (the rest is zero already);
+//  * pack_p(t0, t1, c0, cols, panel) writes P(t, c0 + c) to
+//    panel[8 * (t - t0) + c] for c < cols (likewise).
+// A panel is passed as finite when its sum of squares is: then every
+// value is, and a sum that overflows only sends the panel down the
+// masked path, which gives the same bits.
+// Work splits over column groups. One participant owns every element
+// of its group and runs each element's whole chain in order (a depth
+// block resumes from the stored partial, which is exact), so the result
+// is the same bits at every thread count. Tail tiles go through a 4 x 8
+// copy, so they run the same kernel in the same order.
+template <typename PackA, typename PackP, typename Finish>
+void panel_product(Matrix& out, std::size_t depth, const PackA& pack_a,
+                   const PackP& pack_p, const Finish& finish) {
+  const std::size_t rows = out.rows();
+  const std::size_t n = out.cols();
+  const simd::KernelTable& ops = simd::kernels();
+  parallel_for(0, (n + kGroupCols - 1) / kGroupCols, [&](std::size_t g) {
+    const std::size_t c0 = g * kGroupCols;
+    const std::size_t cols = std::min(kGroupCols, n - c0);
+    const std::size_t panels = (cols + kPanelCols - 1) / kPanelCols;
+    std::array<double, kGroupPanels * kPanelStride> panel;
+    std::array<double, kDepthBlock * kTileRows> tile;
+    std::array<bool, kGroupPanels> finite{};
+    if (cols % kPanelCols != 0) panel.fill(0.0);
+    for (std::size_t t0 = 0; t0 < depth; t0 += kDepthBlock) {
+      const std::size_t t1 = std::min(depth, t0 + kDepthBlock);
+      for (std::size_t p = 0; p < panels; ++p) {
+        double* pp = panel.data() + p * kPanelStride;
+        pack_p(t0, t1, c0 + p * kPanelCols,
+               std::min(kPanelCols, cols - p * kPanelCols), pp);
+        finite[p] = std::isfinite(ops.dot(pp, pp, (t1 - t0) * kPanelCols));
+      }
+      for (std::size_t r0 = 0; r0 < rows; r0 += kTileRows) {
+        const std::size_t tr = std::min(kTileRows, rows - r0);
+        if (tr < kTileRows) tile.fill(0.0);
+        pack_a(r0, tr, t0, t1, tile.data());
+        for (std::size_t p = 0; p < panels; ++p) {
+          const double* pp = panel.data() + p * kPanelStride;
+          const std::size_t pc = std::min(kPanelCols, cols - p * kPanelCols);
+          double* dst = &out(r0, c0 + p * kPanelCols);
+          if (tr == kTileRows && pc == kPanelCols) {
+            ops.panel_accumulate(tile.data(), pp, t1 - t0, finite[p], dst,
+                                 n);
+            continue;
+          }
+          std::array<double, kTileRows * kPanelCols> part{};
+          for (std::size_t r = 0; r < tr; ++r)
+            std::copy_n(dst + r * n, pc, part.data() + r * kPanelCols);
+          ops.panel_accumulate(tile.data(), pp, t1 - t0, finite[p],
+                               part.data(), kPanelCols);
+          for (std::size_t r = 0; r < tr; ++r)
+            std::copy_n(part.data() + r * kPanelCols, pc, dst + r * n);
+        }
+      }
+    }
+    finish(c0, cols);
+  });
+}
+
+}  // namespace
+
 Matrix pca_project(const Matrix& components, std::span<const double> mean,
                    std::span<const double> scale, const Matrix& x,
                    std::size_t k) {
   const std::size_t m = mean.size();
   DPZ_REQUIRE(x.rows() == m, "PCA transform feature-count mismatch");
   DPZ_REQUIRE(k >= 1 && k <= m, "k must be in [1, M]");
-  const std::size_t n = x.cols();
-  const simd::KernelTable& ops = simd::kernels();
 
-  // Row tiles keep a slab of x cache-resident while every component
-  // accumulates from it; untiled, each of the k components re-streams
-  // the whole M x N matrix from memory. Each component still sums its
-  // rows in ascending-i order, so the scores are bit-identical to the
-  // untiled loop and independent of the thread count.
-  Matrix scores(k, n);
-  constexpr std::size_t kTileRows = 64;
-  for (std::size_t i0 = 0; i0 < m; i0 += kTileRows) {
-    const std::size_t i1 = std::min(m, i0 + kTileRows);
-    parallel_for(0, k, [&](std::size_t j) {
-      double* out = scores.row(j).data();
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double d = components(i, j) / scale[i];
-        if (d == 0.0) continue;
-        ops.accum_centered(d, x.row(i).data(), mean[i], out, n);
-      }
-    });
-  }
+  // scores(j, c) = sum over ascending i of d(i, j) * (x(i, c) - mean[i]),
+  // d(i, j) = components(i, j) / scale[i]: the panel holds the centered
+  // x, the coefficient tile the scaled basis, transposed.
+  Matrix scores(k, x.cols());
+  panel_product(
+      scores, m,
+      [&](std::size_t r0, std::size_t rows, std::size_t t0, std::size_t t1,
+          double* tile) {
+        for (std::size_t i = t0; i < t1; ++i, tile += kTileRows) {
+          const double* d = components.row(i).data() + r0;
+          for (std::size_t r = 0; r < rows; ++r) tile[r] = d[r] / scale[i];
+        }
+      },
+      [&](std::size_t t0, std::size_t t1, std::size_t c0, std::size_t cols,
+          double* panel) {
+        for (std::size_t i = t0; i < t1; ++i, panel += kPanelCols) {
+          const double* row = x.row(i).data() + c0;
+          for (std::size_t c = 0; c < cols; ++c) panel[c] = row[c] - mean[i];
+        }
+      },
+      [](std::size_t /*c0*/, std::size_t /*cols*/) {});
   return scores;
 }
 
@@ -69,19 +156,32 @@ Matrix pca_back_project(const Matrix& components,
   const std::size_t m = mean.size();
   const std::size_t k = scores.rows();
   DPZ_REQUIRE(k >= 1 && k <= m, "score rank must be in [1, M]");
-  const std::size_t n = scores.cols();
   const simd::KernelTable& ops = simd::kernels();
 
-  Matrix x(m, n);
-  parallel_for(0, m, [&](std::size_t i) {
-    double* out = x.row(i).data();
-    for (std::size_t j = 0; j < k; ++j) {
-      const double d = components(i, j);
-      if (d == 0.0) continue;
-      ops.axpy(d, scores.row(j).data(), out, n);
-    }
-    ops.scale_shift(scale[i], mean[i], out, n);
-  });
+  // x(i, c) = sum over ascending j of components(i, j) * scores(j, c),
+  // then x * scale[i] + mean[i] while the group is cache-hot: the panel
+  // holds the scores, the coefficient tile the basis rows' leading k
+  // columns.
+  Matrix x(m, scores.cols());
+  panel_product(
+      x, k,
+      [&](std::size_t r0, std::size_t rows, std::size_t t0, std::size_t t1,
+          double* tile) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          const double* d = components.row(r0 + r).data();
+          for (std::size_t j = t0; j < t1; ++j)
+            tile[kTileRows * (j - t0) + r] = d[j];
+        }
+      },
+      [&](std::size_t t0, std::size_t t1, std::size_t c0, std::size_t cols,
+          double* panel) {
+        for (std::size_t j = t0; j < t1; ++j, panel += kPanelCols)
+          std::copy_n(scores.row(j).data() + c0, cols, panel);
+      },
+      [&](std::size_t c0, std::size_t cols) {
+        for (std::size_t i = 0; i < m; ++i)
+          ops.scale_shift(scale[i], mean[i], &x(i, c0), cols);
+      });
   return x;
 }
 

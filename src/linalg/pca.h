@@ -24,7 +24,20 @@
 namespace dpz {
 
 /// PcaModel::transform/inverse_transform for any M x (>= k) basis D, as
-/// held by the decoder and the shared-basis codec.
+/// held by the decoder and the shared-basis codec; a basis wider than k
+/// (a progressive decode) is read through its leading k columns.
+///
+/// pca_project: scores(j, c) = sum over i = 0, 1, ..., M-1 of
+/// d(i, j) * (x(i, c) - mean[i]), with d(i, j) = D(i, j) / scale[i].
+/// pca_back_project: x(i, c) = (sum over j = 0, 1, ..., k-1 of
+/// D(i, j) * scores(j, c)) * scale[i] + mean[i].
+/// Each sum starts from +0 and adds its terms in that ascending order,
+/// one rounded multiply then one rounded add per term; a zero
+/// coefficient (of either sign) adds nothing, even against an inf or
+/// NaN value. Both run the register-tiled simd panel_accumulate kernel
+/// over column panels split across the pool; every output element is
+/// one participant's one chain, so the result is the same bits at
+/// every ISA and thread count (and equals the plain row-by-row loop).
 Matrix pca_project(const Matrix& components, std::span<const double> mean,
                    std::span<const double> scale, const Matrix& x,
                    std::size_t k);

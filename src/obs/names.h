@@ -39,6 +39,8 @@ enum class Span : std::uint8_t {
   kSimdDispatch,      ///< one-time CPU detection + ISA selection
   // Thread pool (thread_pool.cpp).
   kPoolTask,          ///< one participant's chunk of a parallel_for
+  // Compression, appended so no earlier id moves (dpz.cpp).
+  kProject,           ///< block matrix -> scores through the basis
   kSpanCount_,        // sentinel — keep last
 };
 
@@ -69,6 +71,7 @@ inline constexpr SpanInfo kSpanInfo[kSpanCount] = {
     {"archive_repair", "integrity"},
     {"simd_dispatch", "simd"},
     {"pool_task", "pool"},
+    {"stage2_project", "stage"},
 };
 
 inline constexpr const char* span_name(Span id) {

@@ -112,21 +112,6 @@ void rank2_avx2(double f, const double* e, double g, const double* w,
     detail::rank2_one(f, e[i], g, w[i], &row[i]);
 }
 
-void accum_centered_avx2(double d, const double* x, double mu,
-                         double* out, std::size_t n) {
-  const std::size_t n4 = n & ~std::size_t{3};
-  const __m256d vd = _mm256_set1_pd(d);
-  const __m256d vmu = _mm256_set1_pd(mu);
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256d t =
-        _mm256_mul_pd(vd, _mm256_sub_pd(_mm256_loadu_pd(x + i), vmu));
-    _mm256_storeu_pd(out + i,
-                     _mm256_add_pd(_mm256_loadu_pd(out + i), t));
-  }
-  for (std::size_t i = n4; i < n; ++i)
-    detail::accum_centered_one(d, x[i], mu, &out[i]);
-}
-
 void center_scale_avx2(const double* x, double mu, double inv_s,
                        double* out, std::size_t n) {
   const std::size_t n4 = n & ~std::size_t{3};
@@ -180,6 +165,69 @@ void rot2_avx2(double c, double s, double* u, double* v, std::size_t n) {
                                           _mm256_mul_pd(vs, f)));
   }
   for (std::size_t i = n4; i < n; ++i) detail::rot2_one(c, s, &u[i], &v[i]);
+}
+
+// One row of the 4 x 8 tile: lo/hi accumulate the panel's two halves
+// against the broadcast coefficient at `a`. With kMasked, a zero
+// coefficient's products are ANDed to +0 (the compare is unordered, so
+// a NaN coefficient keeps its term, as in the scalar `ar == 0.0` test).
+template <bool kMasked>
+inline void panel_row_avx2(const double* a, __m256d p0, __m256d p1,
+                           __m256d& lo, __m256d& hi) {
+  const __m256d ar = _mm256_broadcast_sd(a);
+  __m256d t0 = _mm256_mul_pd(ar, p0);
+  __m256d t1 = _mm256_mul_pd(ar, p1);
+  if constexpr (kMasked) {
+    const __m256d live = _mm256_cmp_pd(ar, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+    t0 = _mm256_and_pd(t0, live);
+    t1 = _mm256_and_pd(t1, live);
+  }
+  lo = _mm256_add_pd(lo, t0);
+  hi = _mm256_add_pd(hi, t1);
+}
+
+// The tile in eight named accumulators, so they stay in registers for
+// the whole depth; two panel loads and four broadcasts per step.
+template <bool kMasked>
+void panel_tile_avx2(const double* a, const double* panel,
+                     std::size_t depth, double* out, std::size_t ldo) {
+  double* o1 = out + ldo;
+  double* o2 = o1 + ldo;
+  double* o3 = o2 + ldo;
+  __m256d c00 = _mm256_loadu_pd(out);
+  __m256d c01 = _mm256_loadu_pd(out + 4);
+  __m256d c10 = _mm256_loadu_pd(o1);
+  __m256d c11 = _mm256_loadu_pd(o1 + 4);
+  __m256d c20 = _mm256_loadu_pd(o2);
+  __m256d c21 = _mm256_loadu_pd(o2 + 4);
+  __m256d c30 = _mm256_loadu_pd(o3);
+  __m256d c31 = _mm256_loadu_pd(o3 + 4);
+  for (std::size_t t = 0; t < depth; ++t, a += 4, panel += 8) {
+    const __m256d p0 = _mm256_loadu_pd(panel);
+    const __m256d p1 = _mm256_loadu_pd(panel + 4);
+    panel_row_avx2<kMasked>(a, p0, p1, c00, c01);
+    panel_row_avx2<kMasked>(a + 1, p0, p1, c10, c11);
+    panel_row_avx2<kMasked>(a + 2, p0, p1, c20, c21);
+    panel_row_avx2<kMasked>(a + 3, p0, p1, c30, c31);
+  }
+  _mm256_storeu_pd(out, c00);
+  _mm256_storeu_pd(out + 4, c01);
+  _mm256_storeu_pd(o1, c10);
+  _mm256_storeu_pd(o1 + 4, c11);
+  _mm256_storeu_pd(o2, c20);
+  _mm256_storeu_pd(o2 + 4, c21);
+  _mm256_storeu_pd(o3, c30);
+  _mm256_storeu_pd(o3 + 4, c31);
+}
+
+void panel_accumulate_avx2(const double* a, const double* panel,
+                           std::size_t depth, bool finite, double* out,
+                           std::size_t ldo) {
+  if (finite) {
+    panel_tile_avx2<false>(a, panel, depth, out, ldo);
+  } else {
+    panel_tile_avx2<true>(a, panel, depth, out, ldo);
+  }
 }
 
 // Complex product of two packed pairs: [ar,ai,br,bi] lanes, with w in
@@ -357,12 +405,12 @@ const KernelTable* avx2_table() {
       dot_ordered_rows_scalar,
       axpy_avx2,
       rank2_avx2,
-      accum_centered_avx2,
       center_scale_avx2,
       scale_shift_avx2,
       scale_avx2,
       divide_avx2,
       rot2_avx2,
+      panel_accumulate_avx2,
       cmul_avx2,
       radix2_stage_avx2,
       cmul_real_scale_avx2,

@@ -81,20 +81,6 @@ void rank2_neon(double f, const double* e, double g, const double* w,
     detail::rank2_one(f, e[i], g, w[i], &row[i]);
 }
 
-void accum_centered_neon(double d, const double* x, double mu,
-                         double* out, std::size_t n) {
-  const std::size_t n2 = n & ~std::size_t{1};
-  const float64x2_t vd = vdupq_n_f64(d);
-  const float64x2_t vmu = vdupq_n_f64(mu);
-  for (std::size_t i = 0; i < n2; i += 2) {
-    const float64x2_t t =
-        vmulq_f64(vd, vsubq_f64(vld1q_f64(x + i), vmu));
-    vst1q_f64(out + i, vaddq_f64(vld1q_f64(out + i), t));
-  }
-  for (std::size_t i = n2; i < n; ++i)
-    detail::accum_centered_one(d, x[i], mu, &out[i]);
-}
-
 void center_scale_neon(const double* x, double mu, double inv_s,
                        double* out, std::size_t n) {
   const std::size_t n2 = n & ~std::size_t{1};
@@ -143,6 +129,34 @@ void rot2_neon(double c, double s, double* u, double* v, std::size_t n) {
     vst1q_f64(u + i, vsubq_f64(vmulq_f64(vc, uu), vmulq_f64(vs, f)));
   }
   for (std::size_t i = n2; i < n; ++i) detail::rot2_one(c, s, &u[i], &v[i]);
+}
+
+// The 4 x 8 tile in sixteen accumulators (row r in acc[r][0..3]), four
+// panel loads per step. A non-finite panel takes the scalar skip of a
+// zero coefficient; a finite one adds the +-0 product instead, which
+// leaves the accumulator unchanged (see simd.h).
+void panel_accumulate_neon(const double* a, const double* panel,
+                           std::size_t depth, bool finite, double* out,
+                           std::size_t ldo) {
+  float64x2_t acc[4][4];
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t v = 0; v < 4; ++v)
+      acc[r][v] = vld1q_f64(out + r * ldo + 2 * v);
+  for (std::size_t t = 0; t < depth; ++t) {
+    float64x2_t p[4];
+    for (std::size_t v = 0; v < 4; ++v)
+      p[v] = vld1q_f64(panel + 8 * t + 2 * v);
+    for (std::size_t r = 0; r < 4; ++r) {
+      const double ar = a[4 * t + r];
+      if (!finite && ar == 0.0) continue;
+      const float64x2_t va = vdupq_n_f64(ar);
+      for (std::size_t v = 0; v < 4; ++v)
+        acc[r][v] = vaddq_f64(acc[r][v], vmulq_f64(va, p[v]));
+    }
+  }
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t v = 0; v < 4; ++v)
+      vst1q_f64(out + r * ldo + 2 * v, acc[r][v]);
 }
 
 // One packed complex value per 128-bit vector: [re, im].
@@ -216,12 +230,12 @@ const KernelTable* neon_table() {
       dot_ordered_rows_scalar,
       axpy_neon,
       rank2_neon,
-      accum_centered_neon,
       center_scale_neon,
       scale_shift_neon,
       scale_neon,
       divide_neon,
       rot2_neon,
+      panel_accumulate_neon,
       cmul_neon,
       radix2_stage_neon,
       cmul_real_scale_neon,

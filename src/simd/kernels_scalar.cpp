@@ -50,12 +50,6 @@ void rank2_scalar(double f, const double* e, double g, const double* w,
     detail::rank2_one(f, e[i], g, w[i], &row[i]);
 }
 
-void accum_centered_scalar(double d, const double* x, double mu,
-                           double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    detail::accum_centered_one(d, x[i], mu, &out[i]);
-}
-
 void center_scale_scalar(const double* x, double mu, double inv_s,
                          double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
@@ -77,6 +71,27 @@ void divide_scalar(double s, double* x, std::size_t n) {
 void rot2_scalar(double c, double s, double* u, double* v,
                  std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) detail::rot2_one(c, s, &u[i], &v[i]);
+}
+
+// The contract, spelled plainly: the tile lives in locals for the
+// whole depth, and a zero coefficient is skipped, so `finite` is
+// irrelevant here.
+void panel_accumulate_scalar(const double* a, const double* panel,
+                             std::size_t depth, bool /*finite*/,
+                             double* out, std::size_t ldo) {
+  double acc[4][8];
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 8; ++c) acc[r][c] = out[r * ldo + c];
+  for (std::size_t t = 0; t < depth; ++t) {
+    const double* p = panel + 8 * t;
+    for (std::size_t r = 0; r < 4; ++r) {
+      const double ar = a[4 * t + r];
+      if (ar == 0.0) continue;
+      for (std::size_t c = 0; c < 8; ++c) acc[r][c] += ar * p[c];
+    }
+  }
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 8; ++c) out[r * ldo + c] = acc[r][c];
 }
 
 void cmul_scalar(const double* a, const double* b, double* out,
@@ -169,12 +184,12 @@ const KernelTable& scalar_table() {
       dot_ordered_rows_scalar,
       axpy_scalar,
       rank2_scalar,
-      accum_centered_scalar,
       center_scale_scalar,
       scale_shift_scalar,
       scale_scalar,
       divide_scalar,
       rot2_scalar,
+      panel_accumulate_scalar,
       cmul_scalar,
       radix2_stage_scalar,
       cmul_real_scale_scalar,

@@ -33,11 +33,6 @@ inline void rank2_one(double f, double e, double g, double w,
   *row -= f * e + g * w;
 }
 
-inline void accum_centered_one(double d, double x, double mu,
-                               double* out) {
-  *out += d * (x - mu);
-}
-
 inline void center_scale_one(double x, double mu, double inv_s,
                              double* out) {
   *out = (x - mu) * inv_s;

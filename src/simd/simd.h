@@ -2,9 +2,10 @@
 //
 // One dispatch table (KernelTable) holds every vectorizable primitive the
 // pipeline needs: dot-product reductions for covariance/Householder work,
-// elementwise axpy/scale families for PCA projection and back-projection,
-// Givens-pair rotations for the QL sweep, complex butterflies for the FFT
-// behind the DCT, and the 64Ki-value quantize/dequantize strip codecs.
+// the register-tiled panel product behind PCA projection and
+// back-projection, elementwise axpy/scale families, Givens-pair rotations
+// for the QL sweep, complex butterflies for the FFT behind the DCT, and
+// the 64Ki-value quantize/dequantize strip codecs.
 // The active implementation is chosen once at runtime from CPUID (x86) or
 // AT_HWCAP (aarch64): AVX2, NEON, or the portable scalar reference.
 //
@@ -27,6 +28,9 @@
 //    the tree: each row is one serial left-to-right chain, because its
 //    caller must reproduce a sequence of axpy scatters bit for bit.
 //    Interleaving four rows hides the add latency instead.
+//  * The panel product (panel_accumulate) is ordered too: each output
+//    element is one serial chain over the depth, so a 4 x 8 register
+//    tile carries 32 independent chains and needs no tree.
 //  * Complex kernels use the finite-operand product
 //    (ar*br - ai*bi, ar*bi + ai*br) with one rounding per part; callers
 //    only pass finite data (DCT/FFT intermediates).
@@ -117,9 +121,6 @@ struct KernelTable {
   /// row[i] -= f*e[i] + g*w[i] — the Householder rank-2 row update
   void (*rank2_update)(double f, const double* e, double g, const double* w,
                        double* row, std::size_t n);
-  /// out[i] += d*(x[i]-mu) — the PCA projection inner loop
-  void (*accum_centered)(double d, const double* x, double mu, double* out,
-                         std::size_t n);
   /// out[i] = (x[i]-mu)*inv_s — centering/standardization
   void (*center_scale)(const double* x, double mu, double inv_s,
                        double* out, std::size_t n);
@@ -131,6 +132,23 @@ struct KernelTable {
   void (*divide)(double s, double* x, std::size_t n);
   /// Givens pair: f=v[i]; v[i]=s*u[i]+c*f; u[i]=c*u[i]-s*f — QL rotation
   void (*rot2)(double c, double s, double* u, double* v, std::size_t n);
+
+  // ---- register-tiled panel product (PCA projection/back-projection) --
+  /// out[r*ldo + c] += a[4*t + r] * panel[8*t + c] for r in [0, 4),
+  /// c in [0, 8) and t = 0, 1, ..., depth-1 in ascending order: one
+  /// serial chain per output element, each term one rounded multiply
+  /// then one rounded add. `a` is a 4-row coefficient tile packed
+  /// depth-major, `panel` an 8-column panel packed the same way. A zero
+  /// coefficient (of either sign) adds nothing, even against an inf or
+  /// NaN panel value. No out entry may be -0 on entry; sums that start
+  /// at +0 never become -0, so that holds for the callers, and it makes
+  /// masking a zero coefficient's term to +0 the same as skipping it.
+  /// `finite` promises every panel value is finite: a zero coefficient's
+  /// product is then +-0, which leaves such an accumulator unchanged,
+  /// so implementations may drop the mask.
+  void (*panel_accumulate)(const double* a, const double* panel,
+                           std::size_t depth, bool finite, double* out,
+                           std::size_t ldo);
 
   // ---- complex (interleaved re,im; n counts complex values) -----------
   /// out[i] = a[i]*b[i] (complex); out may alias a

@@ -203,7 +203,7 @@ TEST(Dpz, StatsAccountingInvariants) {
       static_cast<double>(stats.layout.m) / static_cast<double>(stats.k));
   // Stage timers recorded every compress stage, and only those.
   for (const obs::Span s :
-       {obs::Span::kStage1Dct, obs::Span::kStage2Pca,
+       {obs::Span::kStage1Dct, obs::Span::kStage2Pca, obs::Span::kProject,
         obs::Span::kStage3Quantize, obs::Span::kZlibEncode})
     EXPECT_GT(stats.timers.seconds(s), 0.0) << obs::span_name(s);
   for (const obs::Span s :

@@ -198,9 +198,9 @@ TEST(ObsTrace, CompressDecodeEmitsValidChromeTraceWithPoolSpans) {
     }
   }
   for (const char* stage :
-       {"stage1_dct", "stage2_pca", "stage3_quantize", "zlib_encode",
-        "decode_sections", "decode_dequantize", "decode_backproject",
-        "decode_idct"})
+       {"stage1_dct", "stage2_pca", "stage2_project", "stage3_quantize",
+        "zlib_encode", "decode_sections", "decode_dequantize",
+        "decode_backproject", "decode_idct"})
     EXPECT_GE(by_name[stage], 1) << "missing span: " << stage;
   EXPECT_GE(by_name["pool_task"], 1);
   EXPECT_GE(waits, 1) << "no pool span carried queue-wait attribution";
@@ -425,7 +425,8 @@ TEST(ObsStageTimes, ScopedSpanSinkIsRaceFreeAcrossEightThreads) {
 }
 
 // DpzStats, the trace and `dpz trace-report` come from the same clock
-// reads, so they agree per compress stage. Wall time, not self time:
+// reads, so they agree per compress stage, the projection included
+// (its span sits between Stage 2's and Stage 3's). Wall time, not self time:
 // pool_task and crc_check spans nest inside stage spans.
 TEST(ObsStageTimes, StatsTraceAndTraceReportAgreePerStage) {
   const obs::ScopedTelemetry telemetry(true);
@@ -458,7 +459,7 @@ TEST(ObsStageTimes, StatsTraceAndTraceReportAgreePerStage) {
   }
 
   const json::Value doc = json::parse(obs::TraceRecorder::instance().json());
-  for (const Span s : {Span::kStage1Dct, Span::kStage2Pca,
+  for (const Span s : {Span::kStage1Dct, Span::kStage2Pca, Span::kProject,
                        Span::kStage3Quantize, Span::kZlibEncode}) {
     const std::string name = obs::span_name(s);
     SCOPED_TRACE(name);

@@ -2,12 +2,15 @@
 // thread-count invariance, variance
 // capture on constructed low-rank data, exact reconstruction at full rank,
 // TVE-curve semantics, the DCT-domain identity from SS III-B2 (Eq. 4-6),
-// the full-basis fit against eigen_sym, and top-k fits against the full
-// one.
+// the full-basis fit against eigen_sym, top-k fits against the full
+// one, and the panel-kernel projections against the former row loops.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "dsp/dct.h"
 #include "linalg/eigen_sym.h"
@@ -293,6 +296,122 @@ TEST(PcaTopK, MatchesFullFitOnLeadingComponents) {
         rayleigh += topk.components(a, j) * cov(a, b) * topk.components(b, j);
     EXPECT_NEAR(rayleigh, full.eigenvalues[j],
                 1e-5 * std::max(1.0, full.eigenvalues[0]));
+  }
+}
+
+// The projection's and back-projection's former row loops, kept as the
+// oracle for the panel kernel: every output element is one chain over
+// ascending i (projection) or j (back-projection), zero coefficients
+// skipped, each term a rounded multiply then a rounded add. The
+// projection's accum_centered is spelled as axpy over the centered row,
+// the same d * (x - mu) per element.
+Matrix project_oracle(const Matrix& basis, std::span<const double> mean,
+                      std::span<const double> scale, const Matrix& x,
+                      std::size_t k) {
+  const simd::KernelTable& ops = simd::kernels();
+  const std::size_t n = x.cols();
+  Matrix scores(k, n);
+  std::vector<double> centered(n);
+  for (std::size_t i = 0; i < mean.size(); ++i) {
+    for (std::size_t c = 0; c < n; ++c) centered[c] = x(i, c) - mean[i];
+    for (std::size_t j = 0; j < k; ++j) {
+      const double d = basis(i, j) / scale[i];
+      if (d == 0.0) continue;
+      ops.axpy(d, centered.data(), scores.row(j).data(), n);
+    }
+  }
+  return scores;
+}
+
+Matrix back_project_oracle(const Matrix& basis, std::span<const double> mean,
+                           std::span<const double> scale,
+                           const Matrix& scores) {
+  const simd::KernelTable& ops = simd::kernels();
+  const std::size_t n = scores.cols();
+  Matrix x(mean.size(), n);
+  for (std::size_t i = 0; i < mean.size(); ++i) {
+    double* out = x.row(i).data();
+    for (std::size_t j = 0; j < scores.rows(); ++j) {
+      const double d = basis(i, j);
+      if (d == 0.0) continue;
+      ops.axpy(d, scores.row(j).data(), out, n);
+    }
+    ops.scale_shift(scale[i], mean[i], out, n);
+  }
+  return x;
+}
+
+bool same_bytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.flat().size() * sizeof(double)) == 0;
+}
+
+// One projection case: an M x width basis (width > k is the progressive
+// decode's wider stored basis) with a fifth of its entries exact zeros
+// of either sign, optional standardization scales, and, with
+// `nonfinite`, +-inf and NaN in the data rows and score rows whose
+// coefficients are all zero, where they must add nothing.
+void check_projection(std::size_t m, std::size_t k, std::size_t n,
+                      std::size_t width, bool standardize, bool nonfinite) {
+  Rng rng(1000 * m + 10 * k + n);
+  Matrix basis(m, width);
+  for (double& v : basis.flat()) {
+    const std::uint64_t pick = rng.next_u64() % 10;
+    v = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.normal();
+  }
+  std::vector<double> mean(m);
+  std::vector<double> scale(m, 1.0);
+  for (double& v : mean) v = rng.normal();
+  if (standardize)
+    for (double& v : scale) v = 0.5 + rng.uniform();
+  Matrix x(m, n);
+  for (double& v : x.flat()) v = 2.0 + rng.normal();
+  Matrix scores(k, n);
+  for (double& v : scores.flat()) v = rng.normal();
+  if (nonfinite) {
+    const double bad[] = {std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()};
+    const std::size_t i = m / 2;  // a feature no component reads
+    for (std::size_t j = 0; j < k; ++j) basis(i, j) = 0.0;
+    for (std::size_t c = 0; c < n; ++c) x(i, c) = bad[c % 3];
+    const std::size_t j = k / 2;  // a component no feature reads
+    for (std::size_t r = 0; r < m; ++r) basis(r, j) = -0.0;
+    for (std::size_t c = 0; c < n; ++c) scores(j, c) = bad[(c + 1) % 3];
+  }
+  const Matrix want_scores = project_oracle(basis, mean, scale, x, k);
+  const Matrix want_x = back_project_oracle(basis, mean, scale, scores);
+  for (const unsigned threads : {1U, 2U, 3U, 4U, 8U}) {
+    const ScopedThreads scope(threads);
+    EXPECT_TRUE(
+        same_bytes(pca_project(basis, mean, scale, x, k), want_scores))
+        << "project M=" << m << " k=" << k << " N=" << n
+        << " width=" << width << " threads=" << threads;
+    EXPECT_TRUE(
+        same_bytes(pca_back_project(basis, mean, scale, scores), want_x))
+        << "back-project M=" << m << " k=" << k << " N=" << n
+        << " width=" << width << " threads=" << threads;
+  }
+}
+
+// Every row tail (M, k mod 4), column tail (N mod 8), partial depth
+// block, partial 128-column group (N = 686) and thread count must
+// reproduce the row loops bit for bit.
+TEST(Pca, ProjectionKernelsMatchTheRowLoop) {
+  for (const std::size_t m : {1, 3, 4, 5, 9, 64, 65, 130})
+    for (const std::size_t k : {1, 3, 4, 5, 8, 13})
+      for (const std::size_t n : {1, 7, 8, 9, 17, 686})
+        if (k <= m) check_projection(m, k, n, k, (m + k + n) % 2 == 1, false);
+  // Zero coefficients against non-finite panel values.
+  for (const std::size_t n : {7, 8, 17, 686}) {
+    check_projection(9, 5, n, 5, false, true);
+    check_projection(130, 13, n, 13, true, true);
+  }
+  // A basis wider than k: the progressive decode's leading columns.
+  for (const std::size_t n : {9, 686}) {
+    check_projection(65, 3, n, 13, false, false);
+    check_projection(130, 8, n, 64, true, true);
   }
 }
 

@@ -225,13 +225,6 @@ TEST_P(SimdKernelEquivalence, ElementwiseKernelsMatch) {
       }
       {
         Views ry(yv, off), iy(yv, (off + 2) % kMaxOffset);
-        ref_.accum_centered(a, x.p, b, ry.p, n);
-        isa_.accum_centered(a, x.p, b, iy.p, n);
-        EXPECT_TRUE(buffers_match(ry.out(n), iy.out(n)))
-            << "accum_centered n=" << n;
-      }
-      {
-        Views ry(yv, off), iy(yv, (off + 2) % kMaxOffset);
         ref_.center_scale(x.p, a, b, ry.p, n);
         isa_.center_scale(x.p, a, b, iy.p, n);
         EXPECT_TRUE(buffers_match(ry.out(n), iy.out(n)))
@@ -267,6 +260,74 @@ TEST_P(SimdKernelEquivalence, ElementwiseKernelsMatch) {
         EXPECT_TRUE(buffers_match(ru.out(n), iu.out(n))) << "rot2 u n=" << n;
         EXPECT_TRUE(buffers_match(rv.out(n), iv.out(n))) << "rot2 v n=" << n;
       }
+    }
+  }
+}
+
+// The panel product over depths around the unroll and tile shapes,
+// unaligned tiles, and an output stride wider than the tile. Each depth
+// runs twice: a finite panel with `finite` set (the unmasked path), and
+// a panel with +-inf and NaN at steps whose four coefficients are zero
+// (either sign), which must add nothing. The accumulators start with no
+// -0, as the contract requires; NaN enters only against zero
+// coefficients, so no two NaN payloads ever meet.
+TEST_P(SimdKernelEquivalence, PanelAccumulateMatches) {
+  Rng rng(29);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t depth : {0, 1, 2, 3, 7, 8, 33, 128}) {
+    for (const bool finite : {true, false}) {
+      for (std::size_t off = 0; off < kMaxOffset; ++off) {
+        std::vector<double> av = random_buffer(rng, 4 * depth);
+        std::vector<double> pv = random_buffer(rng, 8 * depth);
+        for (std::size_t t = 0; t < depth && !finite; t += 3) {
+          for (std::size_t r = 0; r < 4; ++r)
+            av[4 * t + r] = r % 2 == 0 ? 0.0 : -0.0;
+          pv[8 * t] = inf;
+          pv[8 * t + 3] = -inf;
+          pv[8 * t + 6] = nan;
+        }
+        const std::size_t ldo = 8 + off;
+        std::vector<double> outv = random_buffer(rng, 4 * ldo);
+        for (double& v : outv)
+          if (v == 0.0) v = 0.0;  // no -0 on entry
+        const Views a(av, off);
+        const Views panel(pv, (off + 1) % kMaxOffset);
+        Views ref(outv, off);
+        Views got(outv, (off + 2) % kMaxOffset);
+        ref_.panel_accumulate(a.p, panel.p, depth, finite, ref.p, ldo);
+        isa_.panel_accumulate(a.p, panel.p, depth, finite, got.p, ldo);
+        EXPECT_TRUE(buffers_match(ref.out(4 * ldo), got.out(4 * ldo)))
+            << "panel_accumulate depth=" << depth << " finite=" << finite
+            << " off=" << off;
+      }
+    }
+  }
+}
+
+// The panel product's contract, spelled with the axpy kernel: output
+// (r, c) is its starting value followed by one length-1 axpy per step t
+// in ascending order, skipping zero coefficients.
+TEST(SimdKernelContract, PanelAccumulateEqualsAscendingAxpyChain) {
+  const KernelTable& ref = dpz::simd::kernel_table(Isa::kScalar);
+  Rng rng(31);
+  for (const std::size_t depth : {1, 5, 40}) {
+    const std::vector<double> a = random_buffer(rng, 4 * depth);
+    const std::vector<double> panel = random_buffer(rng, 8 * depth);
+    std::vector<double> start = random_buffer(rng, 32);
+    for (double& v : start)
+      if (v == 0.0) v = 0.0;
+    std::vector<double> expect = start;
+    for (std::size_t r = 0; r < 4; ++r)
+      for (std::size_t c = 0; c < 8; ++c)
+        for (std::size_t t = 0; t < depth; ++t)
+          if (a[4 * t + r] != 0.0)
+            ref.axpy(a[4 * t + r], &panel[8 * t + c], &expect[8 * r + c], 1);
+    for (const KernelTable* table : {&ref, &dpz::simd::kernels()}) {
+      std::vector<double> got = start;
+      table->panel_accumulate(a.data(), panel.data(), depth, true,
+                              got.data(), 8);
+      EXPECT_TRUE(buffers_match(expect, got)) << "depth=" << depth;
     }
   }
 }
