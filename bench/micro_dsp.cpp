@@ -32,6 +32,26 @@ void BM_FftPow2(benchmark::State& state) {
 }
 BENCHMARK(BM_FftPow2)->Arg(256)->Arg(2048)->Arg(16384);
 
+// 2·3·5-smooth lengths run the mixed-radix stages: the half-length
+// transforms of the CESM block rows (N = 720, 1440, 1800, 3600).
+void BM_FftSmooth(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const FftPlan plan(n);
+  Rng rng(2);
+  std::vector<std::complex<double>> data(n);
+  for (auto& v : data) v = {rng.normal(), rng.normal()};
+  for (auto _ : state) {
+    plan.execute(data, false);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FftSmooth)->Arg(360)->Arg(720)->Arg(900)->Arg(1800);
+
+// Lengths with a prime factor above 5 run Bluestein: 343 = 7^3 is the
+// half row of turbulence3d-sampling's N = 686, 682 = 2·11·31 a HACC row.
 void BM_FftBluestein(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const FftPlan plan(n);
@@ -45,7 +65,7 @@ void BM_FftBluestein(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_FftBluestein)->Arg(360)->Arg(3600);
+BENCHMARK(BM_FftBluestein)->Arg(343)->Arg(682);
 
 void BM_DctForward(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -60,7 +80,7 @@ void BM_DctForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_DctForward)->Arg(1440)->Arg(2048)->Arg(3600);
+BENCHMARK(BM_DctForward)->Arg(1440)->Arg(1800)->Arg(2048)->Arg(3600);
 
 void BM_DctInverse(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -154,6 +174,38 @@ BENCHMARK(BM_KernelRadix2Stage)
     ->Arg(static_cast<int>(simd::Isa::kScalar))
     ->Arg(static_cast<int>(simd::Isa::kAvx2))
     ->Arg(static_cast<int>(simd::Isa::kNeon));
+
+// One mid-tree radix-3 or radix-5 stage (range(1) = 3 or 5) of a
+// 1800-point transform, the mixed-radix half of a smooth-length FFT.
+void BM_KernelOddRadixStage(benchmark::State& state) {
+  const auto isa = static_cast<simd::Isa>(state.range(0));
+  if (!isa_ready(state, isa)) return;
+  const auto radix = static_cast<std::size_t>(state.range(1));
+  const std::size_t n = 1800;                       // complex values
+  const std::size_t len = radix == 3 ? 360 : 600;  // a 2·3·5 group length
+  Rng rng(9);
+  std::vector<double> a(2 * n), w(2 * (len - len / radix));
+  for (double& v : a) v = rng.normal();
+  for (std::size_t k = 0; k < w.size() / 2; ++k) {
+    w[2 * k] = std::cos(k * 0.01);
+    w[2 * k + 1] = std::sin(k * 0.01);
+  }
+  const simd::KernelTable& ops = simd::kernel_table(isa);
+  const auto stage = radix == 3 ? ops.radix3_stage : ops.radix5_stage;
+  for (auto _ : state) {
+    stage(a.data(), n, len, w.data(), false);
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(simd::isa_name(isa));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_KernelOddRadixStage)
+    ->ArgsProduct({{static_cast<int>(simd::Isa::kScalar),
+                    static_cast<int>(simd::Isa::kAvx2),
+                    static_cast<int>(simd::Isa::kNeon)},
+                   {3, 5}});
 
 void BM_KernelCmulRealScale(benchmark::State& state) {
   const auto isa = static_cast<simd::Isa>(state.range(0));

@@ -1,15 +1,19 @@
 // Complex FFT substrate for Stage 1's DCT.
 //
 // DPZ carries its own FFT instead of depending on FFTW. Every transform
-// runs through an FftPlan built once per length: an iterative radix-2
-// Cooley-Tukey kernel for power-of-two lengths and Bluestein's chirp-z
-// algorithm for arbitrary lengths (needed because block sizes produced by
-// the divisor-pair decomposition are not always powers of two, e.g.
-// CESM-ATM blocks of 3600 points).
+// runs through an FftPlan built once per length. A 2·3·5-smooth length
+// (every power of two, and the block lengths the divisor-pair layout
+// gives the CESM fields, e.g. 720 = 2^4·3^2·5) runs as a mixed-radix
+// Cooley-Tukey transform: a digit-reversal permutation, then one
+// radix-2, radix-3 or radix-5 butterfly stage per factor. Any other
+// length runs Bluestein's chirp-z algorithm, whose convolution is a
+// power-of-two transform.
 #pragma once
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace dpz {
@@ -31,27 +35,35 @@ class FftPlan {
   void execute(std::vector<std::complex<double>>& data, bool inverse) const;
 
  private:
-  void execute_pow2(std::vector<std::complex<double>>& data,
-                    bool inverse) const;
+  /// An in-place decimation-in-time transform of one 2·3·5-smooth
+  /// length: the plan length itself, or Bluestein's convolution length.
+  struct MixedRadix {
+    std::size_t n = 0;
+    /// Stage radices, 2s first, then 3s, then 5s: a power of two runs
+    /// exactly the classic radix-2 stages.
+    std::vector<std::uint8_t> radices;
+    /// The digit-reversal permutation, fixed points left out: its
+    /// 2-cycles as swaps (all of them for a power of two), then each
+    /// longer cycle stored as its length L and positions c_0..c_{L-1},
+    /// where a[c_j] takes a[c_{j+1}] and the last takes the first.
+    std::vector<std::pair<std::size_t, std::size_t>> swaps;
+    std::vector<std::size_t> cycles;
+    /// Forward twiddles, stage after stage: for a radix-r stage of
+    /// length len, exp(-2*pi*i*q*k/len) for q in [1, r), k in [0, len/r).
+    std::vector<std::complex<double>> twiddles;
+
+    void run(std::complex<double>* a, bool inverse) const;
+  };
+
   void execute_bluestein(std::vector<std::complex<double>>& data,
                          bool inverse) const;
 
   std::size_t n_;
-  bool is_pow2_;
-  // Radix-2 machinery (twiddles for the plan length or the Bluestein
-  // convolution length).
-  std::size_t conv_n_ = 0;  // power-of-two convolution length (Bluestein)
-  std::vector<std::size_t> bitrev_;             // bit-reversal permutation
-  std::vector<std::complex<double>> twiddles_;  // forward twiddle table
-  // Bluestein chirp data.
+  MixedRadix stages_;
+  // Bluestein chirp data; empty when n_ is 2·3·5-smooth.
   std::vector<std::complex<double>> chirp_;      // w_k = exp(-i*pi*k^2/n)
   std::vector<std::complex<double>> chirp_fft_;  // FFT of padded conj chirp
 };
-
-/// True when n is a power of two.
-constexpr bool is_power_of_two(std::size_t n) {
-  return n != 0 && (n & (n - 1)) == 0;
-}
 
 /// Smallest power of two >= n.
 std::size_t next_power_of_two(std::size_t n);

@@ -278,10 +278,16 @@ void ql_iterate(std::vector<double>& d, std::vector<double>& e,
     int iter = 0;
     std::size_t m = l;
     for (;;) {
-      // Find the first negligible subdiagonal element at or after l.
+      // Find the first negligible subdiagonal element at or after l. A
+      // subnormal e[m] is negligible against any diagonal, but where
+      // d[m] and d[m+1] are 0 or subnormal too (the null block of a
+      // rank-deficient covariance) eps * dd underflows below it, so the
+      // relative test alone would never split there.
       for (m = l; m + 1 < n; ++m) {
         const double dd = std::abs(d[m]) + std::abs(d[m + 1]);
-        if (std::abs(e[m]) <= std::numeric_limits<double>::epsilon() * dd)
+        const double em = std::abs(e[m]);
+        if (em <= std::numeric_limits<double>::epsilon() * dd ||
+            em < std::numeric_limits<double>::min())
           break;
       }
       if (m == l) break;

@@ -22,6 +22,14 @@ void dot_ordered_rows_scalar(const double* a, std::size_t lda,
                              std::size_t begin, std::size_t end,
                              double* acc);
 
+/// The scalar radix-3 and radix-5 stages (KernelTable::radix3_stage,
+/// radix5_stage), which the NEON table shares: those stages are a small
+/// share of an FFT, so only AVX2 carries its own.
+void radix3_stage_scalar(double* a, std::size_t n, std::size_t len,
+                         const double* w, bool conj);
+void radix5_stage_scalar(double* a, std::size_t n, std::size_t len,
+                         const double* w, bool conj);
+
 /// Null when the TU was built without AVX2 support.
 const KernelTable* avx2_table();
 

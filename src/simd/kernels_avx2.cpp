@@ -14,6 +14,7 @@
 #include <immintrin.h>
 
 #include <cstring>
+#include <utility>
 
 #include "simd/scalar_ops.h"
 
@@ -300,6 +301,91 @@ void radix2_stage_avx2(double* a, std::size_t n, std::size_t len,
   }
 }
 
+// t - iu and t + iu for two complexes per vector, the pair swapped when
+// conj (detail::rotate_pair): with u' = [ui, ur], t - iu is t + (u'
+// with its odd lanes negated) and t + iu is addsub(t, u').
+inline void rotate_pair2(__m256d t, __m256d u, bool conj, double* lo,
+                         double* hi) {
+  const __m256d odd_sign = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
+  const __m256d swapped = _mm256_permute_pd(u, 0x5);
+  if (conj) std::swap(lo, hi);
+  _mm256_storeu_pd(lo, _mm256_add_pd(t, _mm256_xor_pd(swapped, odd_sign)));
+  _mm256_storeu_pd(hi, _mm256_addsub_pd(t, swapped));
+}
+
+void radix3_stage_avx2(double* a, std::size_t n, std::size_t len,
+                       const double* w, bool conj) {
+  const std::size_t m = len / 3;
+  const std::size_t m2 = m & ~std::size_t{1};
+  const __m256d conj_mask =
+      conj ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0) : _mm256_setzero_pd();
+  const __m256d sin60 = _mm256_set1_pd(detail::kSin60);
+  const __m256d half = _mm256_set1_pd(0.5);
+  for (std::size_t start = 0; start < n; start += len) {
+    double* x0 = a + 2 * start;
+    double* x1 = x0 + 2 * m;
+    double* x2 = x1 + 2 * m;
+    for (std::size_t k = 0; k < m2; k += 2) {
+      const __m256d b = cmul2(
+          _mm256_loadu_pd(x1 + 2 * k),
+          _mm256_xor_pd(_mm256_loadu_pd(w + 2 * k), conj_mask));
+      const __m256d c = cmul2(
+          _mm256_loadu_pd(x2 + 2 * k),
+          _mm256_xor_pd(_mm256_loadu_pd(w + 2 * (m + k)), conj_mask));
+      const __m256d sum = _mm256_add_pd(b, c);
+      const __m256d d = _mm256_mul_pd(_mm256_sub_pd(b, c), sin60);
+      const __m256d a0 = _mm256_loadu_pd(x0 + 2 * k);
+      _mm256_storeu_pd(x0 + 2 * k, _mm256_add_pd(a0, sum));
+      rotate_pair2(_mm256_sub_pd(a0, _mm256_mul_pd(sum, half)), d, conj,
+                   x1 + 2 * k, x2 + 2 * k);
+    }
+    for (std::size_t k = m2; k < m; ++k)
+      detail::butterfly3_one(x0, w, m, k, conj);
+  }
+}
+
+void radix5_stage_avx2(double* a, std::size_t n, std::size_t len,
+                       const double* w, bool conj) {
+  const std::size_t m = len / 5;
+  const std::size_t m2 = m & ~std::size_t{1};
+  const __m256d conj_mask =
+      conj ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0) : _mm256_setzero_pd();
+  const __m256d cos72 = _mm256_set1_pd(detail::kCos72);
+  const __m256d sin72 = _mm256_set1_pd(detail::kSin72);
+  const __m256d cos144 = _mm256_set1_pd(detail::kCos144);
+  const __m256d sin144 = _mm256_set1_pd(detail::kSin144);
+  for (std::size_t start = 0; start < n; start += len) {
+    double* x[5];
+    for (std::size_t q = 0; q < 5; ++q) x[q] = a + 2 * (start + q * m);
+    for (std::size_t k = 0; k < m2; k += 2) {
+      __m256d b[4];
+      for (std::size_t j = 0; j < 4; ++j)
+        b[j] = cmul2(_mm256_loadu_pd(x[j + 1] + 2 * k),
+                     _mm256_xor_pd(_mm256_loadu_pd(w + 2 * (j * m + k)),
+                                   conj_mask));
+      const __m256d a1 = _mm256_add_pd(b[0], b[3]);
+      const __m256d a2 = _mm256_add_pd(b[1], b[2]);
+      const __m256d d1 = _mm256_sub_pd(b[0], b[3]);
+      const __m256d d2 = _mm256_sub_pd(b[1], b[2]);
+      const __m256d x0 = _mm256_loadu_pd(x[0] + 2 * k);
+      _mm256_storeu_pd(x[0] + 2 * k,
+                       _mm256_add_pd(_mm256_add_pd(x0, a1), a2));
+      rotate_pair2(
+          _mm256_add_pd(_mm256_add_pd(x0, _mm256_mul_pd(a1, cos72)),
+                        _mm256_mul_pd(a2, cos144)),
+          _mm256_add_pd(_mm256_mul_pd(d1, sin72), _mm256_mul_pd(d2, sin144)),
+          conj, x[1] + 2 * k, x[4] + 2 * k);
+      rotate_pair2(
+          _mm256_add_pd(_mm256_add_pd(x0, _mm256_mul_pd(a1, cos144)),
+                        _mm256_mul_pd(a2, cos72)),
+          _mm256_sub_pd(_mm256_mul_pd(d1, sin144), _mm256_mul_pd(d2, sin72)),
+          conj, x[2] + 2 * k, x[3] + 2 * k);
+    }
+    for (std::size_t k = m2; k < m; ++k)
+      detail::butterfly5_one(x[0], w, m, k, conj);
+  }
+}
+
 void cmul_real_scale_avx2(const double* w, const double* v, double s,
                           double* out, std::size_t n) {
   const std::size_t n4 = n & ~std::size_t{3};
@@ -413,6 +499,8 @@ const KernelTable* avx2_table() {
       panel_accumulate_avx2,
       cmul_avx2,
       radix2_stage_avx2,
+      radix3_stage_avx2,
+      radix5_stage_avx2,
       cmul_real_scale_avx2,
       quantize_codes_avx2,
       dequantize_codes_avx2,

@@ -238,6 +238,8 @@ const KernelTable* neon_table() {
       panel_accumulate_neon,
       cmul_neon,
       radix2_stage_neon,
+      radix3_stage_scalar,
+      radix5_stage_scalar,
       cmul_real_scale_neon,
       quantize_codes_neon,
       dequantize_codes_neon,

@@ -177,6 +177,20 @@ void dot_ordered_rows_scalar(const double* a, std::size_t lda,
   }
 }
 
+void radix3_stage_scalar(double* a, std::size_t n, std::size_t len,
+                         const double* w, bool conj) {
+  for (std::size_t start = 0; start < n; start += len)
+    for (std::size_t k = 0; k < len / 3; ++k)
+      detail::butterfly3_one(a + 2 * start, w, len / 3, k, conj);
+}
+
+void radix5_stage_scalar(double* a, std::size_t n, std::size_t len,
+                         const double* w, bool conj) {
+  for (std::size_t start = 0; start < n; start += len)
+    for (std::size_t k = 0; k < len / 5; ++k)
+      detail::butterfly5_one(a + 2 * start, w, len / 5, k, conj);
+}
+
 const KernelTable& scalar_table() {
   static constexpr KernelTable kTable = {
       dot_scalar,
@@ -192,6 +206,8 @@ const KernelTable& scalar_table() {
       panel_accumulate_scalar,
       cmul_scalar,
       radix2_stage_scalar,
+      radix3_stage_scalar,
+      radix5_stage_scalar,
       cmul_real_scale_scalar,
       quantize_codes_scalar,
       dequantize_codes_scalar,

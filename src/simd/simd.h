@@ -4,8 +4,8 @@
 // pipeline needs: dot-product reductions for covariance/Householder work,
 // the register-tiled panel product behind PCA projection and
 // back-projection, elementwise axpy/scale families, Givens-pair rotations
-// for the QL sweep, complex butterflies for the FFT behind the DCT, and
-// the 64Ki-value quantize/dequantize strip codecs.
+// for the QL sweep, radix-2/3/5 butterfly stages for the FFT behind the
+// DCT, and the 64Ki-value quantize/dequantize strip codecs.
 // The active implementation is chosen once at runtime from CPUID (x86) or
 // AT_HWCAP (aarch64): AVX2, NEON, or the portable scalar reference.
 //
@@ -158,6 +158,24 @@ struct KernelTable {
   /// and k in [0, len/2): v = a[g+k+len/2] * w[k] (conjugated when
   /// `conj`), a[g+k] = u+v, a[g+k+len/2] = u-v.
   void (*radix2_stage)(double* a, std::size_t n, std::size_t len,
+                       const double* w, bool conj);
+  /// One radix-3 stage over a[0..n): for each group of `len`, m = len/3
+  /// and k in [0, m), x_q = a[g+k+q*m], twiddled b = x_1*w[k] and
+  /// c = x_2*w[m+k] (w conjugated when `conj`). With s = b+c,
+  /// d = (b-c)*sin60 and t = x_0 - s*0.5, the outputs are x_0+s, t-i*d
+  /// and t+i*d, the last two exchanged when `conj`: the 3-point DFT,
+  /// or the unscaled inverse. sin60 is sin(2*pi/3) rounded to double.
+  void (*radix3_stage)(double* a, std::size_t n, std::size_t len,
+                       const double* w, bool conj);
+  /// One radix-5 stage: m = len/5, b_j = x_j*w[(j-1)*m+k] for j in
+  /// [1, 5), a1 = b1+b4, a2 = b2+b3, d1 = b1-b4, d2 = b2-b3, and
+  ///   y0 = (x0 + a1) + a2,
+  ///   t1 = (x0 + a1*cos72) + a2*cos144,  u1 = d1*sin72 + d2*sin144,
+  ///   t2 = (x0 + a1*cos144) + a2*cos72,  u2 = d1*sin144 - d2*sin72,
+  /// y1 = t1-i*u1, y2 = t2-i*u2, y3 = t2+i*u2, y4 = t1+i*u1, with y1/y4
+  /// and y2/y3 exchanged when `conj`. The constants are cos and sin of
+  /// 2*pi/5 and 4*pi/5 rounded to double.
+  void (*radix5_stage)(double* a, std::size_t n, std::size_t len,
                        const double* w, bool conj);
   /// out[i] = (w[i]*v[i]).real() * s — the DCT-II twiddle epilogue
   void (*cmul_real_scale)(const double* w, const double* v, double s,

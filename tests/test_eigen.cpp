@@ -222,6 +222,38 @@ TEST(EigenSym, HandlesRepeatedEigenvalues) {
   EXPECT_LT(orthonormality_error(eig.vectors), 1e-12);
 }
 
+// A rank-deficient covariance can reduce to a tridiagonal whose leading
+// block is zero with subnormal couplings. There eps * (|d[m]| + |d[m+1]|)
+// underflows below e[m], so the relative split test never fires; QL
+// must still split instead of iterating on denormals until it throws.
+TEST(EigenSym, SubnormalNullBlockConverges) {
+  const std::size_t n = 8;
+  TridiagonalReduction r;
+  r.reflectors = Matrix(n, n);
+  r.norm2.assign(n, 0.0);  // no reflectors: the transform is I
+  r.diag = {0.0, 0.0, 4.9e-324, 0.0, 1.0, 2.0, 3.0, 4.0};
+  r.subdiag = {0.0, 1e-323, 4.9e-324, 1e-323, 1e-323, 0.5, 0.25, 0.125};
+
+  // The trailing 4 x 4 block alone, which the subnormal coupling cannot
+  // move by a representable amount.
+  Matrix block(4, 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    block(i, i) = r.diag[4 + i];
+    if (i > 0) block(i, i - 1) = block(i - 1, i) = r.subdiag[4 + i];
+  }
+  const std::vector<double> expect = eigen_sym(block).values;
+
+  const std::vector<double> values = eigen_values_from(r);
+  const SymmetricEigen eig = eigen_sym_from(r);
+  ASSERT_EQ(values.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double want = i < 4 ? expect[i] : 0.0;
+    EXPECT_NEAR(values[i], want, 1e-14) << i;
+    EXPECT_NEAR(eig.values[i], want, 1e-14) << i;
+  }
+  EXPECT_LT(orthonormality_error(eig.vectors), 1e-14);
+}
+
 // ---- Truncated top-k solve (eigen_sym_topk) ---------------------------
 
 TEST(EigenTopK, MatchesDenseOnLeadingPairs) {

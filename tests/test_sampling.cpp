@@ -169,6 +169,22 @@ TEST(Sampling, ProbeKIsTheKCompressUses) {
   }
 }
 
+// HACC-x at scale 0.3 (629146 values) pads to 1024 x 1025 blocks, and
+// one sampled subset's covariance reduces to a tridiagonal whose leading
+// block is zero with subnormal couplings. The QL iteration threw "QL
+// iteration failed to converge" there, though the default route
+// compresses the same field.
+TEST(Sampling, SubsetWithASubnormalNullBlockCompresses) {
+  const Dataset ds = make_dataset("HACC-x", 0.3, 2021);
+  DpzConfig config;
+  config.use_sampling = true;
+  DpzStats stats;
+  const std::vector<std::uint8_t> archive =
+      dpz_compress(ds.data, config, &stats);
+  EXPECT_GT(stats.k, 0U);
+  EXPECT_EQ(dpz_decompress(archive).size(), ds.data.size());
+}
+
 TEST(Sampling, ProbeRejectsTooFewBlocks) {
   const FloatArray data({8, 8}, std::vector<float>(64, 1.0f));
   DpzConfig config;

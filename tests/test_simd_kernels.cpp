@@ -14,7 +14,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numbers>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "simd/simd.h"
@@ -401,6 +403,162 @@ TEST_P(SimdKernelEquivalence, Radix2StagesMatch) {
           EXPECT_TRUE(buffers_match(ra.out(2 * n), ia.out(2 * n)))
               << "radix2 n=" << n << " len=" << len << " conj=" << conj;
         }
+      }
+    }
+  }
+}
+
+// The stage shapes a mixed-radix FFT produces: m = len/radix from 1
+// (the first stage of an odd length, all tail) through odd and even
+// vector-width multiples, one or several groups. The kernels do not
+// assume unit twiddles, so random finite ones exercise every product.
+TEST_P(SimdKernelEquivalence, OddRadixStagesMatch) {
+  Rng rng(29);
+  for (const std::size_t radix : {std::size_t{3}, std::size_t{5}}) {
+    const auto stage = [&](const KernelTable& t) {
+      return radix == 3 ? t.radix3_stage : t.radix5_stage;
+    };
+    for (const std::size_t m : {1, 2, 3, 4, 5, 7, 8, 16}) {
+      for (const std::size_t groups : {1, 3}) {
+        const std::size_t len = radix * m;
+        const std::size_t n = len * groups;
+        std::vector<double> data(2 * n);
+        for (double& v : data) v = random_finite(rng);
+        std::vector<double> w(2 * (len - m));
+        for (double& v : w) v = random_finite(rng);
+        for (const bool conj : {false, true}) {
+          for (std::size_t off = 0; off < kMaxOffset; ++off) {
+            Views ra(data, off), ia(data, (off + 1) % kMaxOffset);
+            const Views wv(w, (off + 2) % kMaxOffset);
+            stage(ref_)(ra.p, n, len, wv.p, conj);
+            stage(isa_)(ia.p, n, len, wv.p, conj);
+            EXPECT_TRUE(buffers_match(ra.out(2 * n), ia.out(2 * n)))
+                << "radix " << radix << " n=" << n << " len=" << len
+                << " conj=" << conj;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The documented butterflies, written out with std::complex: twiddle
+// products (conjugated when conj), then the sums and differences in the
+// order simd.h gives, the output pairs exchanged when conj.
+using C = std::complex<double>;
+
+// The butterfly constants as simd.h documents them: cos and sin of
+// 2*pi/3, 2*pi/5 and 4*pi/5, rounded to double.
+constexpr double kSin60 = 0.86602540378443864676;
+constexpr double kCos72 = 0.30901699437494742410;
+constexpr double kSin72 = 0.95105651629515357212;
+constexpr double kCos144 = -0.80901699437494742410;
+constexpr double kSin144 = 0.58778525229247312917;
+
+C minus_i_times(C u) { return {u.imag(), -u.real()}; }
+C plus_i_times(C u) { return {-u.imag(), u.real()}; }
+
+std::vector<C> documented_radix3(const std::vector<C>& x,
+                                 const std::vector<C>& w, bool conj) {
+  const C b = x[1] * (conj ? std::conj(w[0]) : w[0]);
+  const C c = x[2] * (conj ? std::conj(w[1]) : w[1]);
+  const C s = b + c;
+  const C d = (b - c) * kSin60;
+  const C t = x[0] - s * 0.5;
+  C y1 = t + minus_i_times(d);
+  C y2 = t + plus_i_times(d);
+  if (conj) std::swap(y1, y2);
+  return {x[0] + s, y1, y2};
+}
+
+std::vector<C> documented_radix5(const std::vector<C>& x,
+                                 const std::vector<C>& w, bool conj) {
+  C b[4];
+  for (std::size_t j = 0; j < 4; ++j)
+    b[j] = x[j + 1] * (conj ? std::conj(w[j]) : w[j]);
+  const C a1 = b[0] + b[3];
+  const C a2 = b[1] + b[2];
+  const C d1 = b[0] - b[3];
+  const C d2 = b[1] - b[2];
+  const C t1 = (x[0] + a1 * kCos72) + a2 * kCos144;
+  const C u1 = d1 * kSin72 + d2 * kSin144;
+  const C t2 = (x[0] + a1 * kCos144) + a2 * kCos72;
+  const C u2 = d1 * kSin144 - d2 * kSin72;
+  std::vector<C> y = {(x[0] + a1) + a2, t1 + minus_i_times(u1),
+                      t2 + minus_i_times(u2), t2 + plus_i_times(u2),
+                      t1 + plus_i_times(u1)};
+  if (conj) {
+    std::swap(y[1], y[4]);
+    std::swap(y[2], y[3]);
+  }
+  return y;
+}
+
+TEST(SimdKernelContract, ScalarOddRadixStagesImplementDocumentedButterflies) {
+  Rng rng(31);
+  const KernelTable& ref = dpz::simd::kernel_table(Isa::kScalar);
+  for (const std::size_t radix : {std::size_t{3}, std::size_t{5}}) {
+    const std::size_t m = 3;
+    const std::size_t len = radix * m;
+    const std::size_t n = 2 * len;
+    std::vector<double> data(2 * n);
+    for (double& v : data) v = random_finite(rng);
+    std::vector<double> w(2 * (len - m));
+    for (double& v : w) v = random_finite(rng);
+    for (const bool conj : {false, true}) {
+      std::vector<double> out = data;
+      (radix == 3 ? ref.radix3_stage : ref.radix5_stage)(out.data(), n, len,
+                                                         w.data(), conj);
+      for (std::size_t g = 0; g < n; g += len) {
+        for (std::size_t k = 0; k < m; ++k) {
+          std::vector<C> x(radix);
+          std::vector<C> tw(radix - 1);
+          for (std::size_t q = 0; q < radix; ++q) {
+            const std::size_t i = g + k + q * m;
+            x[q] = {data[2 * i], data[2 * i + 1]};
+            if (q > 0)
+              tw[q - 1] = {w[2 * ((q - 1) * m + k)],
+                           w[2 * ((q - 1) * m + k) + 1]};
+          }
+          const std::vector<C> y = radix == 3
+                                       ? documented_radix3(x, tw, conj)
+                                       : documented_radix5(x, tw, conj);
+          for (std::size_t q = 0; q < radix; ++q) {
+            const std::size_t i = g + k + q * m;
+            EXPECT_TRUE(same_bits(y[q].real(), out[2 * i]) &&
+                        same_bits(y[q].imag(), out[2 * i + 1]))
+                << "radix " << radix << " conj=" << conj << " g=" << g
+                << " k=" << k << " q=" << q;
+          }
+        }
+      }
+    }
+  }
+}
+
+// With unit twiddles a stage of one group is the radix-point DFT (the
+// inverse DFT, unscaled, when conj), to within rounding.
+TEST(SimdKernelContract, OddRadixStageIsTheSmallDft) {
+  Rng rng(37);
+  const KernelTable& ref = dpz::simd::kernel_table(Isa::kScalar);
+  for (const std::size_t radix : {std::size_t{3}, std::size_t{5}}) {
+    std::vector<double> x(2 * radix);
+    for (double& v : x) v = random_finite(rng);
+    std::vector<double> ones(2 * (radix - 1), 0.0);
+    for (std::size_t j = 0; j + 1 < radix; ++j) ones[2 * j] = 1.0;
+    for (const bool conj : {false, true}) {
+      std::vector<double> y = x;
+      (radix == 3 ? ref.radix3_stage : ref.radix5_stage)(
+          y.data(), radix, radix, ones.data(), conj);
+      for (std::size_t k = 0; k < radix; ++k) {
+        C expect = 0.0;
+        for (std::size_t j = 0; j < radix; ++j)
+          expect += C(x[2 * j], x[2 * j + 1]) *
+                    std::polar(1.0, (conj ? 2.0 : -2.0) * std::numbers::pi *
+                                        static_cast<double>(j * k) /
+                                        static_cast<double>(radix));
+        EXPECT_NEAR(y[2 * k], expect.real(), 1e-14 * 8.0);
+        EXPECT_NEAR(y[2 * k + 1], expect.imag(), 1e-14 * 8.0);
       }
     }
   }
