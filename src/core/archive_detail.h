@@ -118,7 +118,8 @@ SideData deserialize_side(std::span<const std::uint8_t> bytes, std::size_t m,
                           std::size_t k, bool standardized);
 
 /// Basis blob: an M x k basis as byte-shuffled f32 (the tail of a DPZ
-/// side section; the whole basis section of a shared-basis blob).
+/// side section; the whole basis section of a shared-basis blob). Its
+/// section's put_section names the blob's size so it deflates by plane.
 void put_basis(ByteWriter& w, const Matrix& basis);
 Matrix get_basis(std::span<const std::uint8_t> bytes, std::size_t m,
                  std::size_t k);

@@ -305,7 +305,8 @@ std::vector<std::uint8_t> encode(const NdArray<T>& data,
                                  .k = k, .outlier_count = qs.outliers.size()});
 
     const std::size_t before_side = w.size();
-    put_section(w, serialize_side(side, standardized), zlib_level);
+    put_section(w, serialize_side(side, standardized), zlib_level,
+                side.basis.rows() * side.basis.cols() * sizeof(float));
     st.side_bytes = w.size() - before_side;
 
     put_payload<T>(w, qs, zlib_level, st);

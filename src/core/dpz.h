@@ -68,6 +68,11 @@ struct DpzConfig {
   double vif_sampling_rate = 0.01;      ///< SR for the compressibility probe
   std::uint64_t sampling_seed = 2021;
 
+  /// zlib level (1..9) for the quantizer codes, the outliers and the side
+  /// section's means/scales prefix. The side section's basis bytes follow
+  /// a fixed rule instead (codec/zlib_codec.h zlib_compress_planes):
+  /// mantissa planes Huffman-only, the exponent plane the smaller of
+  /// run-length and LZ at min(level, 4) (LZ alone under 4096 bytes).
   int zlib_level = 6;
 
   /// Worker threads for the hot loops (block DCT, PCA/matmul, quantize,

@@ -483,9 +483,10 @@ std::uint32_t section_crc(std::uint64_t raw_size,
 }
 
 void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
-                 int level) {
+                 int level, std::size_t basis_bytes) {
   w.put_u64(raw.size());
-  const std::vector<std::uint8_t> z = zlib_compress(raw, level);
+  const std::vector<std::uint8_t> z =
+      zlib_compress_planes(raw, raw.size() - basis_bytes, level);
   w.put_u32(section_crc(raw.size(), z));
   w.put_blob(z);
 }

@@ -140,12 +140,14 @@ void put_header(ByteWriter& w, const ChunkedLayout& h);
 void put_header(ByteWriter& w, const BasisLayout& h);
 void put_header(ByteWriter& w, const SnapshotLayout& h);
 
-/// Section framing (docs/FORMAT.md): put_section writes v2. get_section
+/// Section framing (docs/FORMAT.md): put_section writes v2, deflating
+/// `raw` at `level`; when its last `basis_bytes` are a put_basis blob,
+/// those deflate by byte plane (zlib_compress_planes). get_section
 /// inflates a section a parse located only after its v2 checksum
 /// matched (else ChecksumError) and its raw size is the one the header
 /// implies (else FormatError).
 void put_section(ByteWriter& w, std::span<const std::uint8_t> raw,
-                 int level);
+                 int level, std::size_t basis_bytes = 0);
 std::vector<std::uint8_t> get_section(std::span<const std::uint8_t> archive,
                                       const Section& section);
 

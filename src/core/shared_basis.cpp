@@ -89,7 +89,7 @@ std::vector<std::uint8_t> SharedBasisCodec::serialize() const {
 
   ByteWriter basis;
   detail::put_basis(basis, basis_);
-  detail::put_section(w, basis.bytes(), zlib_level_);
+  detail::put_section(w, basis.bytes(), zlib_level_, basis.size());
   return w.take();
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -144,6 +145,35 @@ inline std::uint64_t fnv1a_bytes(const void* data, std::size_t size) {
   return h;
 }
 
+/// FNV-1a of what a fixture of `kind` decodes to; `blob` is the
+/// shared-basis case's basis blob (unused otherwise).
+inline std::uint64_t decode_fnv1a(Kind kind,
+                                  std::span<const std::uint8_t> archive,
+                                  std::span<const std::uint8_t> blob = {}) {
+  switch (kind) {
+    case Kind::kDpzF64: {
+      const DoubleArray a = dpz_decompress_f64(archive);
+      return fnv1a_bytes(a.flat().data(), a.size() * sizeof(double));
+    }
+    case Kind::kDpzF32:
+    case Kind::kStoredRaw: {
+      const FloatArray a = dpz_decompress(archive);
+      return fnv1a_bytes(a.flat().data(), a.size() * sizeof(float));
+    }
+    case Kind::kChunked:
+    case Kind::kChunkedParity: {
+      const FloatArray a = chunked_decompress(archive);
+      return fnv1a_bytes(a.flat().data(), a.size() * sizeof(float));
+    }
+    case Kind::kSharedBasis: {
+      const FloatArray a =
+          SharedBasisCodec::deserialize(blob).decompress(archive);
+      return fnv1a_bytes(a.flat().data(), a.size() * sizeof(float));
+    }
+  }
+  return 0;
+}
+
 /// Committed digests of the reconstructions the FROZEN v1 fixtures decode
 /// to. This pins the READER bit-exactly: the decode path is elementwise
 /// (dequantize, inverse transform, inverse DCT), so these bytes must never
@@ -160,6 +190,24 @@ inline std::uint64_t v1_reconstruction_fnv1a(const std::string& name) {
   if (name == "dpz_3d_f32_strict") return 10252479896664810560ULL;
   if (name == "dpz_2d_f64_strict") return 11119993746352575344ULL;
   if (name == "chunked_2d_f32_strict") return 11548042134086490847ULL;
+  if (name == "shared_basis_2d_f32_strict") return 18244997559596584113ULL;
+  return 0ULL;
+}
+
+/// Committed digests of the reconstructions the current .v2 fixtures
+/// decode to. The deflate streams inside a section are not normative (any
+/// conforming zlib stream is valid), so a writer change that only moves
+/// deflate bytes regenerates the .v2 files and must leave these alone;
+/// they move only with a deliberate change to what the encoder stores or
+/// to the decoder.
+inline std::uint64_t v2_reconstruction_fnv1a(const std::string& name) {
+  if (name == "dpz_1d_f32_loose") return 12702031586422114287ULL;
+  if (name == "dpz_2d_f32_strict") return 17925043515637843999ULL;
+  if (name == "dpz_3d_f32_strict") return 10252479896664810560ULL;
+  if (name == "dpz_2d_f64_strict") return 17781620894397923287ULL;
+  if (name == "stored_1d_f32_strict") return 12732830581261279437ULL;
+  if (name == "chunked_2d_f32_strict") return 17643384632270704656ULL;
+  if (name == "chunked_parity_2d_f32_strict") return 1534697022322165831ULL;
   if (name == "shared_basis_2d_f32_strict") return 18244997559596584113ULL;
   return 0ULL;
 }

@@ -11,10 +11,13 @@
 // FROZEN v1 fixtures from before checksums existed — the current encoder
 // cannot reproduce them, and they must never be regenerated or deleted:
 // they are the backward-compatibility evidence that v1 archives keep
-// decoding byte-exactly. After writing, the tool decodes each frozen v1
-// fixture and prints its reconstruction digest; those must match the
-// table in golden_common.h (v1_reconstruction_fnv1a) and only ever
-// change with a deliberate DECODER change.
+// decoding byte-exactly. After writing, the tool decodes each fixture it
+// wrote and each frozen v1 fixture and prints the reconstruction digests;
+// those must match the tables in golden_common.h
+// (v2_reconstruction_fnv1a, v1_reconstruction_fnv1a). The v1 digests
+// change only with a deliberate DECODER change; the v2 ones also with a
+// deliberate change to the values the encoder stores, never with a new
+// deflate strategy alone.
 #include <iostream>
 
 #include "golden_common.h"
@@ -57,45 +60,26 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << dir << "/" << c.name << "\n";
   }
 
-  // Reader-side digests of the frozen v1 fixtures, for cross-checking
-  // (and, after a deliberate decoder change, updating) the table in
-  // golden_common.h.
+  // Reader-side digests of the fixtures just written and of the frozen v1
+  // fixtures, for cross-checking (and, after a deliberate decoder or
+  // stored-value change, updating) the tables in golden_common.h.
   for (const GoldenCase& c : golden_cases()) {
-    if (!has_v1_fixture(c.kind)) continue;
-    const std::string v1_path = dir + "/" + c.name + ".dpz";
-    std::uint64_t digest = 0;
-    switch (c.kind) {
-      case Kind::kDpzF32: {
-        const FloatArray a = dpz_decompress(read_bytes(v1_path));
-        digest = fnv1a_bytes(a.flat().data(), a.size() * sizeof(float));
-        break;
-      }
-      case Kind::kDpzF64: {
-        const DoubleArray a = dpz_decompress_f64(read_bytes(v1_path));
-        digest = fnv1a_bytes(a.flat().data(), a.size() * sizeof(double));
-        break;
-      }
-      case Kind::kChunked: {
-        const FloatArray a = chunked_decompress(read_bytes(v1_path));
-        digest = fnv1a_bytes(a.flat().data(), a.size() * sizeof(float));
-        break;
-      }
-      case Kind::kStoredRaw:
-      case Kind::kChunkedParity:
-        break;
-      case Kind::kSharedBasis: {
-        const SharedBasisCodec legacy = SharedBasisCodec::deserialize(
-            read_bytes(dir + "/" + c.name + ".blob"));
-        const FloatArray a = legacy.decompress(read_bytes(v1_path));
-        digest = fnv1a_bytes(a.flat().data(), a.size() * sizeof(float));
-        break;
-      }
-    }
-    const bool match = digest == v1_reconstruction_fnv1a(c.name);
-    std::cout << "v1 digest " << c.name << " = " << digest << "ULL"
-              << (match ? " (matches golden_common.h)"
-                        : " (MISMATCH vs golden_common.h)")
-              << "\n";
+    const std::string stem = dir + "/" + c.name;
+    const bool basis = c.kind == Kind::kSharedBasis;
+    const auto report = [&](const char* generation, const char* archive_ext,
+                            const char* blob_ext, std::uint64_t recorded) {
+      const std::uint64_t digest = decode_fnv1a(
+          c.kind, read_bytes(stem + archive_ext),
+          basis ? read_bytes(stem + blob_ext) : std::vector<std::uint8_t>{});
+      std::cout << generation << " digest " << c.name << " = " << digest
+                << "ULL"
+                << (digest == recorded ? " (matches golden_common.h)"
+                                       : " (MISMATCH vs golden_common.h)")
+                << "\n";
+    };
+    report("v2", ".v2.dpz", ".v2.blob", v2_reconstruction_fnv1a(c.name));
+    if (has_v1_fixture(c.kind))
+      report("v1", ".dpz", ".blob", v1_reconstruction_fnv1a(c.name));
   }
   return 0;
 }

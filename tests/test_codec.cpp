@@ -1,16 +1,22 @@
 // Unit and property tests for the codec substrate: byte/bit streams,
-// zlib, canonical Huffman (incl. Kraft equality), and the DPZ quantizer's
-// error-bound contract.
+// zlib (incl. the basis section's plane encoder), canonical Huffman
+// (incl. Kraft equality), and the DPZ quantizer's error-bound contract.
 #include <gtest/gtest.h>
+
+#define ZLIB_CONST  // next_in is const Bytef*
+#include <zlib.h>
 
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "codec/bitstream.h"
 #include "codec/bytes.h"
 #include "codec/huffman.h"
 #include "codec/quantizer.h"
+#include "codec/shuffle.h"
 #include "codec/zlib_codec.h"
+#include "util/resource.h"
 #include "util/rng.h"
 
 namespace dpz {
@@ -164,6 +170,196 @@ TEST(Zlib, LevelBoundsChecked) {
   const std::vector<std::uint8_t> data{1};
   EXPECT_THROW(zlib_compress(data, 0), InvalidArgument);
   EXPECT_THROW(zlib_compress(data, 10), InvalidArgument);
+}
+
+// ---- zlib by byte plane (the basis section) -------------------------------
+
+enum class PlaneFill {
+  kZero,
+  kConstantExponent,
+  kRandom,
+  kBasis,
+  kPeriodicExponent,  ///< exponents repeat with period 7: LZ beats RLE
+};
+
+// A section as put_section sees it: `prefix` f64-like bytes, then `plane`
+// f32 values byte-shuffled into four planes.
+std::vector<std::uint8_t> plane_section(std::size_t prefix, std::size_t plane,
+                                        PlaneFill fill, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> data(prefix);
+  for (auto& b : data)
+    b = fill == PlaneFill::kZero
+            ? 0
+            : static_cast<std::uint8_t>(rng.uniform_index(256));
+  ByteWriter floats;
+  for (std::size_t i = 0; i < plane; ++i) {
+    switch (fill) {
+      case PlaneFill::kZero:
+        floats.put_f32(0.0F);
+        break;
+      case PlaneFill::kConstantExponent:  // [1, 2): one sign and exponent
+        floats.put_f32(static_cast<float>(1.0 + rng.uniform(0.0, 0.999)));
+        break;
+      case PlaneFill::kRandom:
+        floats.put_u32(static_cast<std::uint32_t>(rng.next_u64()));
+        break;
+      case PlaneFill::kBasis:  // orthonormal-column-sized entries
+        floats.put_f32(static_cast<float>(rng.normal(0.0, 0.05)));
+        break;
+      case PlaneFill::kPeriodicExponent:
+        floats.put_f32(std::ldexp(
+            static_cast<float>(1.0 + rng.uniform(0.0, 0.999)),
+            static_cast<int>(i % 7) * 5 - 15));
+        break;
+    }
+  }
+  const std::vector<std::uint8_t> planes =
+      shuffle_bytes(floats.bytes(), sizeof(float));
+  data.insert(data.end(), planes.begin(), planes.end());
+  return data;
+}
+
+// The plane rule with the exponent plane fixed to one strategy, written
+// straight against zlib: the candidates zlib_compress_planes picks from.
+std::vector<std::uint8_t> one_strategy_encode(
+    std::span<const std::uint8_t> data, std::size_t prefix, int level,
+    int exponent_level, int exponent_strategy) {
+  const std::size_t plane = (data.size() - prefix) / 4;
+  std::vector<std::uint8_t> out(compressBound(data.size()) + 64);
+  z_stream z{};
+  EXPECT_EQ(deflateInit(&z, level), Z_OK);
+  z.next_out = out.data();
+  z.avail_out = static_cast<uInt>(out.size());
+  const auto feed = [&](std::size_t at, std::size_t n, int flush) {
+    z.next_in = data.data() + at;
+    z.avail_in = static_cast<uInt>(n);
+    return deflate(&z, flush);
+  };
+  if (prefix != 0) {
+    EXPECT_EQ(feed(0, prefix, Z_NO_FLUSH), Z_OK);
+  }
+  EXPECT_EQ(deflateParams(&z, level, Z_HUFFMAN_ONLY), Z_OK);
+  EXPECT_EQ(feed(prefix, 3 * plane, Z_BLOCK), Z_OK);
+  EXPECT_EQ(deflateParams(&z, exponent_level, exponent_strategy), Z_OK);
+  EXPECT_EQ(feed(prefix + 3 * plane, plane, Z_FINISH), Z_STREAM_END);
+  out.resize(z.total_out);
+  deflateEnd(&z);
+  return out;
+}
+
+TEST(ZlibPlanes, NoPlaneBytesIsZlibCompress) {
+  EXPECT_EQ(zlib_compress_planes({}, 0), zlib_compress({}));
+  const std::vector<std::uint8_t> prefix_only =
+      plane_section(1000, 0, PlaneFill::kRandom, 1);
+  for (const int level : {1, 6, 9})
+    EXPECT_EQ(zlib_compress_planes(prefix_only, prefix_only.size(), level),
+              zlib_compress(prefix_only, level));
+}
+
+TEST(ZlibPlanes, RoundTripsThroughZlibDecompress) {
+  for (const PlaneFill fill :
+       {PlaneFill::kZero, PlaneFill::kConstantExponent, PlaneFill::kRandom,
+        PlaneFill::kBasis, PlaneFill::kPeriodicExponent})
+    for (const std::size_t prefix : {std::size_t{0}, std::size_t{1032}})
+      for (const std::size_t plane : {1, 1000, 4096, 20000, 70000}) {
+        const std::vector<std::uint8_t> data =
+            plane_section(prefix, plane, fill, plane + prefix);
+        for (const int level : {1, 6}) {
+          const std::vector<std::uint8_t> z =
+              zlib_compress_planes(data, prefix, level);
+          EXPECT_EQ(zlib_decompress(z, data.size()), data)
+              << "fill " << static_cast<int>(fill) << " prefix " << prefix
+              << " plane " << plane << " level " << level;
+        }
+      }
+}
+
+TEST(ZlibPlanes, NeverLargerThanEitherExponentStrategy) {
+  std::size_t lz_wins = 0;
+  std::size_t rle_wins = 0;
+  for (const PlaneFill fill :
+       {PlaneFill::kZero, PlaneFill::kConstantExponent, PlaneFill::kRandom,
+        PlaneFill::kBasis, PlaneFill::kPeriodicExponent})
+    for (const std::size_t plane : {4096, 20000, 70000}) {
+      const std::vector<std::uint8_t> data =
+          plane_section(1032, plane, fill, plane);
+      const std::vector<std::uint8_t> z = zlib_compress_planes(data, 1032, 6);
+      const std::vector<std::uint8_t> rle =
+          one_strategy_encode(data, 1032, 6, 6, Z_RLE);
+      const std::vector<std::uint8_t> lz =
+          one_strategy_encode(data, 1032, 6, 4, Z_DEFAULT_STRATEGY);
+      EXPECT_LE(z.size(), rle.size());
+      EXPECT_LE(z.size(), lz.size());
+      // The smaller candidate, a tie going to run-length.
+      EXPECT_EQ(z, lz.size() < rle.size() ? lz : rle)
+          << "fill " << static_cast<int>(fill) << " plane " << plane;
+      ++(lz.size() < rle.size() ? lz_wins : rle_wins);
+    }
+  // The inputs exercise both outcomes of the choice.
+  EXPECT_GT(lz_wins, 0U);
+  EXPECT_GT(rle_wins, 0U);
+}
+
+TEST(ZlibPlanes, SmallExponentPlaneGoesStraightToLz) {
+  // Below 4096 plane bytes the second stream state is not worth its copy.
+  for (const std::size_t plane : {1, 1000, 4095}) {
+    const std::vector<std::uint8_t> data =
+        plane_section(1032, plane, PlaneFill::kBasis, plane);
+    EXPECT_EQ(zlib_compress_planes(data, 1032, 6),
+              one_strategy_encode(data, 1032, 6, 4, Z_DEFAULT_STRATEGY));
+    EXPECT_EQ(zlib_compress_planes(data, 1032, 2),
+              one_strategy_encode(data, 1032, 2, 2, Z_DEFAULT_STRATEGY));
+  }
+}
+
+TEST(ZlibPlanes, RejectsPartialValuesAndBadLevels) {
+  const std::vector<std::uint8_t> data(10, 1);
+  EXPECT_THROW(zlib_compress_planes(data, 4), InvalidArgument);
+  EXPECT_THROW(zlib_compress_planes(data, 11), InvalidArgument);
+  EXPECT_THROW(zlib_compress_planes(data, 2, 0), InvalidArgument);
+  EXPECT_THROW(zlib_compress_planes(data, 2, 10), InvalidArgument);
+}
+
+TEST(ZlibPlanes, SameBytesFromConcurrentThreads) {
+  const std::vector<std::uint8_t> data =
+      plane_section(1032, 20000, PlaneFill::kBasis, 7);
+  const std::vector<std::uint8_t> expected =
+      zlib_compress_planes(data, 1032);
+  std::vector<std::vector<std::uint8_t>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 8; ++rep)
+        got[t] = zlib_compress_planes(data, 1032);
+    });
+  for (std::thread& t : threads) t.join();
+  for (const auto& z : got) EXPECT_EQ(z, expected);
+}
+
+TEST(ZlibPlanes, BudgetForOneOutputBufferThrowsBeforeTheSecond) {
+  constexpr std::size_t kPrefix = 1032;
+  constexpr std::size_t kPlane = 8192;
+  const std::vector<std::uint8_t> data =
+      plane_section(kPrefix, kPlane, PlaneFill::kBasis, 8);
+  // The stream's output buffer, and the LZ candidate's exponent plane.
+  const std::uint64_t out_bound =
+      compressBound(kPrefix) + 4 * compressBound(kPlane);
+  const std::uint64_t lz_bound = compressBound(kPlane);
+  {
+    ResourceLimits limits;
+    limits.max_memory_bytes = out_bound + lz_bound - 1;
+    const GovernorScope scope(limits);
+    EXPECT_THROW(zlib_compress_planes(data, kPrefix), ResourceExhausted);
+    EXPECT_LE(current_governor()->arena().peak(), limits.max_memory_bytes);
+    EXPECT_EQ(current_governor()->arena().in_use(), 0U);
+  }
+  ResourceLimits limits;
+  limits.max_memory_bytes = out_bound + lz_bound;
+  const GovernorScope scope(limits);
+  EXPECT_EQ(zlib_decompress(zlib_compress_planes(data, kPrefix), data.size()),
+            data);
+  EXPECT_LE(current_governor()->arena().peak(), limits.max_memory_bytes);
 }
 
 // ---- Huffman ----------------------------------------------------------------
