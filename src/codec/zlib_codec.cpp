@@ -36,14 +36,21 @@ std::vector<std::uint8_t> zlib_compress(std::span<const std::uint8_t> data,
 
 namespace {
 
+// deflateInit2's memLevel, and the memory zconf.h gives for one deflate
+// state at it and MAX_WBITS (window, hash chains, pending buffer; the few
+// KiB of small objects left out).
+constexpr int kMemLevel = 8;
+constexpr std::size_t kDeflateStateBytes =
+    (std::size_t{1} << (MAX_WBITS + 2)) + (std::size_t{1} << (kMemLevel + 9));
+
 // One deflate stream writing into a caller-owned output range. zlib counts
 // in uInt, so write() feeds the input and offers the output in pieces of
 // at most kStep bytes, as compress2 does.
 class Deflater {
  public:
   Deflater(int level, std::span<std::uint8_t> out) : out_(out) {
-    const int rc = deflateInit2(&z_, level, Z_DEFLATED, MAX_WBITS, 8,
-                                Z_DEFAULT_STRATEGY);
+    const int rc = deflateInit2(&z_, level, Z_DEFLATED, MAX_WBITS,
+                                kMemLevel, Z_DEFAULT_STRATEGY);
     if (rc != Z_OK)
       throw Error("zlib deflateInit2 failed with code " + std::to_string(rc));
   }
@@ -141,13 +148,15 @@ std::vector<std::uint8_t> zlib_compress_planes(
 
   // Each piece ends on a block boundary, so compressBound per piece
   // (stored blocks, held bits and the stream trailer included) bounds the
-  // whole. `lz_out` holds the LZ candidate's exponent plane.
+  // whole. The LZ candidate adds `lz_out`, for its exponent plane, and
+  // the deflate state deflateCopy makes for it; the stream's own state
+  // goes uncharged, as compress2's does in zlib_compress.
   const std::size_t plane_bound = compressBound(static_cast<uLong>(plane));
   const std::size_t bound =
       compressBound(static_cast<uLong>(prefix_bytes)) + 4 * plane_bound;
   const bool trial = plane >= kTrialPlaneBytes;
-  const ScopedCharge charge(bound);
-  const ScopedCharge lz_charge(trial ? plane_bound : 0);
+  const std::size_t lz_bytes = trial ? plane_bound + kDeflateStateBytes : 0;
+  const ScopedCharge charge(bound + lz_bytes);
   std::vector<std::uint8_t> out(bound);
   std::vector<std::uint8_t> lz_out(trial ? plane_bound : 0);
 

@@ -112,15 +112,21 @@ struct SideData {
   Matrix basis;               ///< M x k, serialized as byte-shuffled f32
 };
 
+/// Appends the side section's raw bytes (means, scales when
+/// standardized, the score scale, then the put_basis blob) and returns
+/// put_basis's byte count, which put_section deflates by plane.
+/// serialize_side returns the same bytes on their own.
+std::size_t put_side(ByteWriter& w, const SideData& side, bool standardized);
 std::vector<std::uint8_t> serialize_side(const SideData& side,
                                          bool standardized);
 SideData deserialize_side(std::span<const std::uint8_t> bytes, std::size_t m,
                           std::size_t k, bool standardized);
 
 /// Basis blob: an M x k basis as byte-shuffled f32 (the tail of a DPZ
-/// side section; the whole basis section of a shared-basis blob). Its
-/// section's put_section names the blob's size so it deflates by plane.
-void put_basis(ByteWriter& w, const Matrix& basis);
+/// side section; the whole basis section of a shared-basis blob). Returns
+/// the bytes it appended, the count its section's put_section takes so
+/// that they deflate by plane.
+std::size_t put_basis(ByteWriter& w, const Matrix& basis);
 Matrix get_basis(std::span<const std::uint8_t> bytes, std::size_t m,
                  std::size_t k);
 

@@ -34,14 +34,19 @@ void dct_rows(Matrix& blocks) {
 
 namespace detail {
 
-std::vector<std::uint8_t> serialize_side(const SideData& side,
-                                         bool standardized) {
-  ByteWriter w;
+std::size_t put_side(ByteWriter& w, const SideData& side,
+                     bool standardized) {
   for (const double v : side.mean) w.put_f64(v);
   if (standardized)
     for (const double v : side.scale) w.put_f64(v);
   w.put_f64(side.score_scale);
-  put_basis(w, side.basis);
+  return put_basis(w, side.basis);
+}
+
+std::vector<std::uint8_t> serialize_side(const SideData& side,
+                                         bool standardized) {
+  ByteWriter w;
+  put_side(w, side, standardized);
   return w.take();
 }
 
@@ -67,7 +72,7 @@ SideData deserialize_side(std::span<const std::uint8_t> bytes,
   return side;
 }
 
-void put_basis(ByteWriter& w, const Matrix& basis) {
+std::size_t put_basis(ByteWriter& w, const Matrix& basis) {
   // The shuffle groups sign/exponent bytes of neighboring basis entries
   // together so the section-level zlib pass can actually compress them
   // (raw float soup is nearly incompressible).
@@ -76,6 +81,7 @@ void put_basis(ByteWriter& w, const Matrix& basis) {
     for (std::size_t j = 0; j < basis.cols(); ++j)
       raw.put_f32(static_cast<float>(basis(i, j)));
   w.put_bytes(shuffle_bytes(raw.bytes(), sizeof(float)));
+  return raw.size();
 }
 
 Matrix get_basis(std::span<const std::uint8_t> bytes, std::size_t m,
@@ -305,8 +311,11 @@ std::vector<std::uint8_t> encode(const NdArray<T>& data,
                                  .k = k, .outlier_count = qs.outliers.size()});
 
     const std::size_t before_side = w.size();
-    put_section(w, serialize_side(side, standardized), zlib_level,
-                side.basis.rows() * side.basis.cols() * sizeof(float));
+    {
+      ByteWriter side_raw;  // freed before the payload deflates
+      const std::size_t basis_bytes = put_side(side_raw, side, standardized);
+      put_section(w, side_raw.bytes(), zlib_level, basis_bytes);
+    }
     st.side_bytes = w.size() - before_side;
 
     put_payload<T>(w, qs, zlib_level, st);

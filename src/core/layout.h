@@ -141,8 +141,9 @@ void put_header(ByteWriter& w, const BasisLayout& h);
 void put_header(ByteWriter& w, const SnapshotLayout& h);
 
 /// Section framing (docs/FORMAT.md): put_section writes v2, deflating
-/// `raw` at `level`; when its last `basis_bytes` are a put_basis blob,
-/// those deflate by byte plane (zlib_compress_planes). get_section
+/// `raw` at `level`; when its last `basis_bytes` are a put_basis blob
+/// (the count put_basis returns), those deflate by byte plane
+/// (zlib_compress_planes). get_section
 /// inflates a section a parse located only after its v2 checksum
 /// matched (else ChecksumError) and its raw size is the one the header
 /// implies (else FormatError).

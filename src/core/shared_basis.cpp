@@ -88,8 +88,8 @@ std::vector<std::uint8_t> SharedBasisCodec::serialize() const {
   detail::put_header(w, header);
 
   ByteWriter basis;
-  detail::put_basis(basis, basis_);
-  detail::put_section(w, basis.bytes(), zlib_level_, basis.size());
+  const std::size_t basis_bytes = detail::put_basis(basis, basis_);
+  detail::put_section(w, basis.bytes(), zlib_level_, basis_bytes);
   return w.take();
 }
 

@@ -6,8 +6,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "codec/bytes.h"
+#include "codec/zlib_codec.h"
 #include "core/analysis.h"
+#include "core/archive_detail.h"
 #include "core/dpz.h"
+#include "core/layout.h"
+#include "core/verify.h"
 #include "data/datasets.h"
 #include "linalg/eigen_sym.h"
 #include "metrics/metrics.h"
@@ -684,6 +689,42 @@ TEST(DpzAnalysis, TveCurveDrivesK) {
   const DpzAnalysis analysis(data);
   EXPECT_LE(analysis.k_for_tve(0.999), analysis.k_for_tve(0.9999999));
   EXPECT_GE(analysis.k_for_knee(KneeFit::kFit1D), 1U);
+}
+
+// A re-encode outside the writer (a profiling replay, say) reproduces the
+// side section only through the writer's own rule: put_side's raw bytes,
+// deflated by plane over the tail that put_side reports. A whole-section
+// zlib_compress of the same raw bytes is a different, valid stream.
+TEST(DpzSideSection, RedeflatesToItsStoredChecksum) {
+  const FloatArray data = smooth_2d(48, 96);
+  for (const int standardize : {0, 1}) {
+    DpzConfig config;
+    config.standardize = standardize;
+    const std::vector<std::uint8_t> archive = dpz_compress(data, config);
+    const auto layout = detail::parse_layout<detail::DpzLayout>(archive);
+    const DpzArchiveInfo& info = layout.info;
+    ASSERT_EQ(info.standardized, standardize == 1);
+    const std::vector<std::uint8_t> raw =
+        detail::get_section(archive, layout.sections[1]);
+    const detail::SideData side = detail::deserialize_side(
+        raw, info.layout.m, info.k, info.standardized);
+
+    ByteWriter rebuilt;
+    const std::size_t basis_bytes =
+        detail::put_side(rebuilt, side, info.standardized);
+    ASSERT_TRUE(std::ranges::equal(rebuilt.bytes(), raw));
+    EXPECT_EQ(basis_bytes, info.layout.m * info.k * sizeof(float));
+
+    const std::uint32_t stored = verify_archive(archive).sections[1].stored_crc;
+    EXPECT_EQ(detail::section_crc(raw.size(),
+                                  zlib_compress_planes(
+                                      raw, raw.size() - basis_bytes,
+                                      config.zlib_level)),
+              stored);
+    EXPECT_NE(detail::section_crc(raw.size(),
+                                  zlib_compress(raw, config.zlib_level)),
+              stored);
+  }
 }
 
 }  // namespace
